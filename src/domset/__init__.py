@@ -2,12 +2,10 @@
 
 Solvers, exact oracles, biclique detection, an approximation-preserving
 set-cover reduction, seeded instance generators, and a CLI/benchmark
-harness. The bitmask inner loops run on a compiled extension when it
-built, with a pure-Python fallback (`domset._kernels.BACKEND` says
-which one is active).
+harness. Pure Python with no runtime dependencies: vertex sets are
+Python ints used as bitmasks.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import (
     DomsetError,
     GenerationError,
@@ -66,7 +64,6 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "__version__",
     "DomsetError",
     "ParseError",

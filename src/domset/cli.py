@@ -79,14 +79,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file; undecodable bytes are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(_read_text(path))
 
 
 def _read_vertex_list(path: str) -> list[int]:
     """Whitespace-separated vertex ids; 'c ...' comment lines allowed."""
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
@@ -146,10 +154,13 @@ def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     if args.witness:
         try:
-            doc = json.loads(Path(args.witness).read_text(encoding="utf-8"))
+            doc = json.loads(_read_text(args.witness))
             w = solvers.BicliqueWitness(tuple(doc["left"]), tuple(doc["right"]))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"bad witness file: {exc}") from None
+        bad = [v for v in w.left + w.right if type(v) is not int]
+        if bad:
+            raise ParseError(f"bad witness file: expected vertex ids, got {bad[0]!r}")
         if solvers.verify_witness(g, w):
             print("OK")
             return EXIT_OK
@@ -177,7 +188,10 @@ def _parse_algos(text: str) -> list[tuple[str, int | None]]:
     for item in text.split(","):
         item = item.strip()
         name, _, arg = item.partition(":")
-        i = int(arg) if arg else None
+        try:
+            i = int(arg) if arg else None
+        except ValueError:
+            raise ParseError(f"expected an integer i in {item!r}") from None
         if name not in ("classical", "fixed", "auto", "hybrid"):
             raise ValidationError(f"unknown algorithm {name!r}")
         if name == "fixed" and i is None:
@@ -260,7 +274,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    sc = reduction.parse_set_cover(Path(args.setcover).read_text(encoding="utf-8"))
+    sc = reduction.parse_set_cover(_read_text(args.setcover))
     ri = reduction.reduce_set_cover(sc)
     graph_text = serialize_graph(ri.graph)
     if args.out:
@@ -385,7 +399,7 @@ def main(argv=None) -> int:
     except (ResourceLimitError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

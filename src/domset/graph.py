@@ -123,12 +123,16 @@ def is_dominating(g: Graph, dominating: Iterable[int], targets: Iterable[int] | 
 def validate(g: Graph) -> None:
     """Re-check every structural invariant; raises ValidationError.
 
-    Covers adjacency symmetry over all pairs, strictly increasing
-    neighbor lists, absence of self-loops, and the edge-count identity.
+    Covers strictly increasing in-range neighbor lists, absence of
+    self-loops, adjacency symmetry, and the edge-count identity, in
+    O(n + m) time.
     """
     if len(g.adj) != g.n:
         raise ValidationError("adjacency length does not match vertex count")
     degree_sum = 0
+    # reverse[v] collects every u listing v, in increasing u, so the
+    # adjacency is symmetric iff reverse[v] equals the row of v
+    reverse: list[list[int]] = [[] for _ in range(g.n)]
     for v in range(g.n):
         row = g.adj[v]
         degree_sum += len(row)
@@ -139,10 +143,11 @@ def validate(g: Graph) -> None:
                 raise ValidationError(f"self-loop at vertex {v}")
             if i > 0 and row[i - 1] >= u:
                 raise ValidationError(f"adjacency of {v} not strictly increasing")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if (v in g.adj[u]) != (u in g.adj[v]):
-                raise ValidationError(f"asymmetric adjacency between {u} and {v}")
+            reverse[u].append(v)
+    for v in range(g.n):
+        if tuple(reverse[v]) != g.adj[v]:
+            u = min(set(reverse[v]).symmetric_difference(g.adj[v]))
+            raise ValidationError(f"asymmetric adjacency between {min(u, v)} and {max(u, v)}")
     if degree_sum != 2 * g.m:
         raise ValidationError("edge count does not match adjacency lists")
 

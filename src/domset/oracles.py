@@ -15,10 +15,52 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from ._kernels import BitsetKernel
 from .errors import ResourceLimitError, ValidationError
 from .graph import Graph, ids_of, mask_of
-from .solvers import BicliqueWitness, solve_classical
+from .solvers import BicliqueWitness, _best_cover, solve_classical
+
+
+def _pack_bound(masks, active: int, banned: int = 0) -> int:
+    """Lower bound on how many non-banned vertices must be picked to
+    cover every bit of `active`.
+
+    Greedily packs active bits whose allowed dominator sets are
+    pairwise disjoint; each packed bit needs its own vertex.
+    Returns -1 if some active bit has no allowed dominator at all.
+    """
+    used = 0
+    count = 0
+    a = active
+    while a:
+        low = a & -a
+        u = low.bit_length() - 1
+        a ^= low
+        dom = masks[u] & ~banned
+        if dom == 0:
+            return -1
+        if dom & used == 0:
+            count += 1
+            used |= dom
+    return count
+
+
+def _pick_target(masks, active: int, banned: int = 0) -> int:
+    """Active bit with the fewest allowed dominators (tie: lowest id).
+
+    Returns -1 when `active` is empty.
+    """
+    best_u = -1
+    best_c = -1
+    a = active
+    while a:
+        low = a & -a
+        u = low.bit_length() - 1
+        a ^= low
+        c = (masks[u] & ~banned).bit_count()
+        if best_u < 0 or c < best_c:
+            best_c = c
+            best_u = u
+    return best_u
 
 
 @dataclass(frozen=True)
@@ -54,7 +96,6 @@ def exact_min_dominating_set(
     """
     tmask = g.full_mask if targets is None else mask_of(g, targets)
     masks = g.closed_masks
-    kern = BitsetKernel(masks, g.n)
 
     if tmask == 0:
         opt = 0 if budget is None or budget >= 0 else None
@@ -79,16 +120,16 @@ def exact_min_dominating_set(
                 best_set = tuple(sorted(chosen))
             return
         depth = len(chosen)
-        lb = kern.pack_bound(active, banned)
+        lb = _pack_bound(masks, active, banned)
         if lb < 0:
             return
-        _, c = kern.best_cover(active, banned)
+        _, c = _best_cover(masks, active, banned)
         if c == 0:
             return
         lb = max(lb, -(-active.bit_count() // c))
         if depth + lb >= best_size:
             return
-        u = kern.pick_target(active, banned)
+        u = _pick_target(masks, active, banned)
         cands = ids_of(masks[u] & ~banned)
         cands = sorted(cands, key=lambda v: (-(masks[v] & active).bit_count(), v))
         local_banned = banned

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ._kernels import BitsetKernel
 from .errors import ValidationError
 from .graph import Graph, ids_of, is_dominating, mask_of
 
@@ -104,19 +103,37 @@ class _RoundRec:
         self.active_after = active_after
 
 
-def _greedy_rounds(kern: BitsetKernel, masks, active: int, cap: int | None, auto_gate: bool):
+def _best_cover(masks, active: int, excluded: int = 0) -> tuple[int, int]:
+    """Vertex maximizing |masks[v] & active| over v not in `excluded`.
+
+    Returns (vertex, count); (-1, 0) when every vertex is excluded.
+    Ties break to the lowest vertex id.
+    """
+    best_v = -1
+    best_c = 0
+    for v, m in enumerate(masks):
+        if excluded >> v & 1:
+            continue
+        c = (m & active).bit_count()
+        if best_v < 0 or c > best_c:
+            best_c = c
+            best_v = v
+    return best_v, best_c
+
+
+def _greedy_rounds(masks, active: int, cap: int | None, auto_gate: bool):
     """Run rounds until no targets remain. cap limits picks per round
     (None = unlimited); auto_gate enables the |B_{s+1}| >= s+1 rule."""
     rounds: list[_RoundRec] = []
     while active:
-        v1, _ = kern.best_cover(active)
+        v1, _ = _best_cover(masks, active)
         chosen = [v1]
         chosen_mask = 1 << v1
         b = masks[v1] & active & ~(1 << v1)
         b_sizes = [b.bit_count()]
         covered = masks[v1] & active
         while cap is None or len(chosen) < cap:
-            v, c = kern.best_cover(b, chosen_mask)
+            v, c = _best_cover(masks, b, chosen_mask)
             if v < 0 or c == 0:
                 break
             b_next = masks[v] & b & ~(1 << v)
@@ -153,8 +170,7 @@ def _assemble(g: Graph, algorithm: str, tmask: int, rounds: list[_RoundRec], **e
 def solve_classical(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     """Plain greedy: per round, one vertex of maximum coverage."""
     tmask = _targets_mask(g, targets)
-    kern = BitsetKernel(g.closed_masks, g.n)
-    rounds = _greedy_rounds(kern, g.closed_masks, tmask, cap=1, auto_gate=False)
+    rounds = _greedy_rounds(g.closed_masks, tmask, cap=1, auto_gate=False)
     return _assemble(g, "classical", tmask, rounds)
 
 
@@ -163,8 +179,7 @@ def solve_fixed_i(g: Graph, i: int, targets: Iterable[int] | None = None) -> Sol
     if i < 2:
         raise ValidationError(f"parameter i must be >= 2, got {i}")
     tmask = _targets_mask(g, targets)
-    kern = BitsetKernel(g.closed_masks, g.n)
-    rounds = _greedy_rounds(kern, g.closed_masks, tmask, cap=i - 1, auto_gate=False)
+    rounds = _greedy_rounds(g.closed_masks, tmask, cap=i - 1, auto_gate=False)
     return _assemble(g, "fixed", tmask, rounds)
 
 
@@ -188,8 +203,7 @@ def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     and no witness exists.
     """
     tmask = _targets_mask(g, targets)
-    kern = BitsetKernel(g.closed_masks, g.n)
-    rounds = _greedy_rounds(kern, g.closed_masks, tmask, cap=None, auto_gate=True)
+    rounds = _greedy_rounds(g.closed_masks, tmask, cap=None, auto_gate=True)
     best_depth = 0
     best_rec = None
     for rec in rounds:
@@ -215,21 +229,20 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     greedy. Ties go to the earliest prefix.
     """
     tmask = _targets_mask(g, targets)
-    kern = BitsetKernel(g.closed_masks, g.n)
     masks = g.closed_masks
     if i is None:
-        base = _greedy_rounds(kern, masks, tmask, cap=None, auto_gate=True)
+        base = _greedy_rounds(masks, tmask, cap=None, auto_gate=True)
     else:
         if i < 2:
             raise ValidationError(f"parameter i must be >= 2, got {i}")
-        base = _greedy_rounds(kern, masks, tmask, cap=i - 1, auto_gate=False)
+        base = _greedy_rounds(masks, tmask, cap=i - 1, auto_gate=False)
 
     best_rounds: list[_RoundRec] | None = None
     best_size: int | None = None
     prefix_size = 0
     for p in range(len(base) + 1):
         residual = tmask if p == 0 else base[p - 1].active_after
-        extension = _greedy_rounds(kern, masks, residual, cap=1, auto_gate=False)
+        extension = _greedy_rounds(masks, residual, cap=1, auto_gate=False)
         size = prefix_size + sum(len(rec.chosen) for rec in extension)
         if best_size is None or size < best_size:
             best_size = size

@@ -124,8 +124,28 @@ class TestRoundTripAndValidate:
         if v < g.n:
             assert v in closed_neighborhood(g, v)
 
-    def test_validate_rejects_tampering(self):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("adj", ((1,), (0, 2), (1, 3), ()), "asymmetric adjacency between 2 and 3"),
+            ("adj", ((1, 3), (0, 2), (1, 3), (2,)), "asymmetric adjacency between 0 and 3"),
+            ("adj", ((1,), (2, 0), (1, 3), (2,)), "adjacency of 1 not strictly increasing"),
+            ("adj", ((1,), (0, 1, 2), (1, 3), (2,)), "self-loop at vertex 1"),
+            ("adj", ((1,), (0, 2), (1, 3), (2, 4)), "neighbor 4 of 3 out of range"),
+            ("m", 4, "edge count does not match"),
+        ],
+        ids=[
+            "dropped-reverse-edge",
+            "one-sided-extra-neighbor",
+            "unsorted-row",
+            "self-loop",
+            "out-of-range-neighbor",
+            "wrong-m",
+        ],
+    )
+    def test_validate_rejects_tampering(self, field, value, message):
         g = p4()
-        g.adj = ((1,), (0, 2), (1, 3), ())  # drop 3's side of edge 2-3
-        with pytest.raises(ValidationError):
+        validate(g)
+        setattr(g, field, value)
+        with pytest.raises(ValidationError, match=message):
             validate(g)

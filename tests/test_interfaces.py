@@ -84,9 +84,6 @@ class TestImportSurface:
         for name in domset.__all__:
             assert getattr(domset, name) is not None
 
-    def test_backend_reported(self):
-        assert domset.KERNEL_BACKEND in ("c", "python")
-
 
 class TestMalformedInputs:
     def test_bad_genspec_value(self, capsys):
@@ -100,3 +97,35 @@ class TestMalformedInputs:
         assert main(["verify", "--witness", str(w), str(g)]) == 1
         w.write_text('{"left": [0]}')
         assert main(["verify", "--witness", str(w), str(g)]) == 1
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        (tmp_path / "g.gr").write_text("p ds 2 1\ne 0 1\n")
+        (tmp_path / "latin1.gr").write_bytes(b"c caf\xe9\np ds 2 1\ne 0 1\n")
+        (tmp_path / "latin1.txt").write_bytes(b"0 \xff\n")
+        (tmp_path / "w.json").write_text('{"left": ["a"], "right": [1]}')
+        (tmp_path / "dir").mkdir()
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--algo", "classical", "{d}/latin1.gr"],
+            ["verify", "--ds", "{d}/latin1.txt", "{d}/g.gr"],
+            ["solve", "--algo", "classical", "{d}/dir"],
+            ["reduce", "{d}/dir"],
+            ["bench", "--gen", "grid:w=2,h=2", "--algos", "fixed:abc"],
+            ["verify", "--witness", "{d}/w.json", "{d}/g.gr"],
+        ],
+        ids=[
+            "non-utf8-graph",
+            "non-utf8-ds",
+            "directory-graph",
+            "directory-setcover",
+            "non-integer-i",
+            "non-integer-witness-id",
+        ],
+    )
+    def test_unreadable_input_is_usage_error(self, inputs, capsys, argv):
+        assert main([a.format(d=inputs) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,113 +1,33 @@
-"""Backend parity: the compiled kernels must agree with the pure
-Python ones on every query, including tie-breaking."""
+"""The three bitmask queries behind the solvers and the exact oracle:
+max-coverage pick, packing bound and branching target. Every tie goes
+to the lowest vertex id."""
 
-import pytest
-
-from domset.generators import SplitMix64
-from domset._pykernels import BitsetKernel as PyKernel
-
-try:
-    from domset._ckernels import BitsetKernel as CKernel
-except ImportError:
-    CKernel = None
-
-needs_c = pytest.mark.skipif(CKernel is None, reason="compiled kernels not built")
-
-
-def random_masks(rng, n, nbits):
-    out = []
-    for _ in range(n):
-        mask = 0
-        for w in range(0, nbits, 64):
-            mask |= rng.next_u64() << w
-        out.append(mask & ((1 << nbits) - 1))
-    return out
-
-
-def random_case(seed, nbits):
-    rng = SplitMix64(seed)
-    masks = random_masks(rng, nbits, nbits)
-    active = random_masks(rng, 1, nbits)[0]
-    excluded = random_masks(rng, 1, nbits)[0]
-    return masks, active, excluded
+from domset.oracles import _pack_bound, _pick_target
+from domset.solvers import _best_cover
 
 
 class TestPureKernel:
     def test_best_cover_ties_go_low(self):
-        k = PyKernel([0b011, 0b110, 0b101], 3)
-        assert k.best_cover(0b111) == (0, 2)
+        assert _best_cover([0b011, 0b110, 0b101], 0b111) == (0, 2)
 
     def test_best_cover_excluded(self):
-        k = PyKernel([0b011, 0b110, 0b101], 3)
-        assert k.best_cover(0b111, excluded=0b001) == (1, 2)
+        assert _best_cover([0b011, 0b110, 0b101], 0b111, excluded=0b001) == (1, 2)
 
     def test_best_cover_all_excluded(self):
-        k = PyKernel([0b1], 1)
-        assert k.best_cover(0b1, excluded=0b1) == (-1, 0)
+        assert _best_cover([0b1], 0b1, excluded=0b1) == (-1, 0)
 
     def test_best_cover_empty_active(self):
-        k = PyKernel([0b11, 0b10], 2)
-        assert k.best_cover(0) == (0, 0)
+        assert _best_cover([0b11, 0b10], 0) == (0, 0)
 
     def test_pack_bound_disjoint(self):
         # two vertices with disjoint closed neighborhoods
-        k = PyKernel([0b0011, 0b0011, 0b1100, 0b1100], 4)
-        assert k.pack_bound(0b1111) == 2
+        assert _pack_bound([0b0011, 0b0011, 0b1100, 0b1100], 0b1111) == 2
 
     def test_pack_bound_infeasible(self):
-        k = PyKernel([0b01, 0b10], 2)
-        assert k.pack_bound(0b11, banned=0b10) == -1
+        assert _pack_bound([0b01, 0b10], 0b11, banned=0b10) == -1
 
     def test_pick_target_prefers_fewest_dominators(self):
-        k = PyKernel([0b001, 0b111, 0b110], 3)
-        assert k.pick_target(0b111) == 0
+        assert _pick_target([0b001, 0b111, 0b110], 0b111) == 0
 
     def test_pick_target_empty(self):
-        k = PyKernel([0b1], 1)
-        assert k.pick_target(0) == -1
-
-
-@needs_c
-class TestBackendParity:
-    @pytest.mark.parametrize("nbits", [1, 7, 17, 63, 64, 65, 120, 200])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_queries_agree(self, nbits, seed):
-        masks, active, excluded = random_case(seed * 1000 + nbits, nbits)
-        pk = PyKernel(masks, nbits)
-        ck = CKernel(masks, nbits)
-        assert pk.best_cover(active) == ck.best_cover(active)
-        assert pk.best_cover(active, excluded) == ck.best_cover(active, excluded)
-        assert pk.pack_bound(active) == ck.pack_bound(active)
-        assert pk.pack_bound(active, excluded) == ck.pack_bound(active, excluded)
-        assert pk.pick_target(active) == ck.pick_target(active)
-        assert pk.pick_target(active, excluded) == ck.pick_target(active, excluded)
-
-    def test_edge_cases_agree(self):
-        for masks, nbits in ([[], 0], [[0], 1], [[1], 1], [[0b11, 0b11], 2]):
-            pk = PyKernel(masks, nbits)
-            ck = CKernel(masks, nbits)
-            full = (1 << nbits) - 1
-            assert pk.best_cover(full) == ck.best_cover(full)
-            assert pk.best_cover(0) == ck.best_cover(0)
-            assert pk.pack_bound(full) == ck.pack_bound(full)
-            assert pk.pick_target(full) == ck.pick_target(full)
-
-    def test_solvers_identical_across_backends(self, monkeypatch):
-        import domset._kernels as kernels
-        import domset.solvers as solvers
-        from domset.generators import gen_gnp
-
-        results = {}
-        for name, impl in (("python", PyKernel), ("c", CKernel)):
-            monkeypatch.setattr(kernels, "BitsetKernel", impl)
-            monkeypatch.setattr(solvers, "BitsetKernel", impl)
-            results[name] = [
-                (
-                    solvers.solve_classical(g).dominating_set,
-                    solvers.solve_fixed_i(g, 3).as_document(),
-                    solvers.solve_auto(g).as_document(),
-                    solvers.solve_hybrid(g).as_document(),
-                )
-                for g in (gen_gnp(30, 0.15, s) for s in range(5))
-            ]
-        assert results["python"] == results["c"]
+        assert _pick_target([0b1], 0) == -1
