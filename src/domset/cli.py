@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import generators, oracles, reduction, solvers
@@ -24,27 +25,22 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .graph import Graph, is_dominating, mask_of, parse_graph, serialize_graph
+from .graph import Graph, _undominated, ids_of, is_dominating, parse_graph, serialize_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
-BENCH_COLUMNS = (
-    "graph_name",
-    "n",
-    "m",
-    "algorithm",
-    "i_param",
-    "ds_size",
-    "opt_size",
-    "ratio",
-    "t_detected",
-    "rounds",
-    "elapsed_micros",
-    "error",
-)
+# algorithm -> (name of its solver in `solvers`, whether it takes i:
+# "never", "requires" or "accepts"). The solver is looked up on the
+# module at each call, so wrappers installed there see the call.
+_ALGORITHMS = {
+    "classical": ("solve_classical", "never"),
+    "fixed": ("solve_fixed_i", "requires"),
+    "auto": ("solve_auto", "never"),
+    "hybrid": ("solve_hybrid", "accepts"),
+}
 
 
 @dataclass(frozen=True)
@@ -63,12 +59,11 @@ class BenchRecord:
     error: str = ""
 
     def row(self) -> list[str]:
-        vals = (
-            self.graph_name, self.n, self.m, self.algorithm, self.i_param,
-            self.ds_size, self.opt_size, self.ratio, self.t_detected,
-            self.rounds, self.elapsed_micros, self.error,
-        )
+        vals = (getattr(self, name) for name in BENCH_COLUMNS)
         return ["" if v is None else str(v) for v in vals]
+
+
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,31 +101,41 @@ def _read_vertex_list(path: str) -> list[int]:
     return out
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """Write `text` to the file `out`, or to stdout when `out` is not set."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8", newline="")
     else:
         sys.stdout.write(text)
 
 
+def _emit(doc: dict, out: str | None) -> None:
+    _write(json.dumps(doc, indent=2) + "\n", out)
+
+
+def _check_algorithm(algo: str, i: int | None) -> None:
+    """Reject an unknown algorithm, and an i it needs but lacks or would
+    ignore. The range of i is the solver's to check."""
+    if algo not in _ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algo!r}")
+    uses_i = _ALGORITHMS[algo][1]
+    if uses_i == "requires" and i is None:
+        raise ValidationError(f"{algo} requires an i, e.g. --i 2 or {algo}:2")
+    if uses_i == "never" and i is not None:
+        raise ValidationError(f"{algo} takes no i parameter")
+
+
 def _run_algorithm(g: Graph, algo: str, i: int | None, targets=None) -> solvers.SolveResult:
-    if algo == "classical":
-        return solvers.solve_classical(g, targets)
-    if algo == "fixed":
-        if i is None:
-            raise ValidationError("--algo fixed requires --i")
-        return solvers.solve_fixed_i(g, i, targets)
-    if algo == "auto":
-        return solvers.solve_auto(g, targets)
-    if algo == "hybrid":
-        return solvers.solve_hybrid(g, i, targets)
-    raise ValidationError(f"unknown algorithm {algo!r}")
+    """Run a checked algorithm (see _check_algorithm)."""
+    name, uses_i = _ALGORITHMS[algo]
+    solve = getattr(solvers, name)
+    return solve(g, targets) if uses_i == "never" else solve(g, i, targets)
 
 
 def cmd_solve(args) -> int:
     g = _read_graph(args.graph)
     targets = _read_vertex_list(args.targets) if args.targets else None
+    _check_algorithm(args.algo, args.i)
     result = _run_algorithm(g, args.algo, args.i, targets)
     _emit(result.as_document(), args.out)
     return EXIT_OK
@@ -170,15 +175,11 @@ def cmd_verify(args) -> int:
         raise ValidationError("verify needs --ds or --witness")
     ds = _read_vertex_list(args.ds)
     targets = _read_vertex_list(args.targets) if args.targets else None
-    if is_dominating(g, ds, targets):
+    missing = _undominated(g, ds, targets)
+    if not missing:
         print("OK")
         return EXIT_OK
-    covered = 0
-    for v in ds:
-        covered |= g.closed_masks[v]
-    tmask = g.full_mask if targets is None else mask_of(g, targets)
-    missing = [v for v in range(g.n) if tmask >> v & 1 and not covered >> v & 1]
-    print(f"FAIL undominated: {' '.join(map(str, missing))}")
+    print(f"FAIL undominated: {' '.join(map(str, ids_of(missing)))}")
     return EXIT_VALIDATION
 
 
@@ -192,12 +193,7 @@ def _parse_algos(text: str) -> list[tuple[str, int | None]]:
             i = int(arg) if arg else None
         except ValueError:
             raise ParseError(f"expected an integer i in {item!r}") from None
-        if name not in ("classical", "fixed", "auto", "hybrid"):
-            raise ValidationError(f"unknown algorithm {name!r}")
-        if name == "fixed" and i is None:
-            raise ValidationError("fixed requires an i, e.g. fixed:2")
-        if name in ("classical", "auto") and i is not None:
-            raise ValidationError(f"{name} takes no i parameter")
+        _check_algorithm(name, i)
         out.append((name, i))
     return out
 
@@ -206,10 +202,12 @@ def _bench_instances(args) -> list[tuple[str, Graph | None, str]]:
     """(name, graph or None, error) triples in deterministic order."""
     instances: list[tuple[str, Graph | None, str]] = []
     if args.graphs:
+        if not Path(args.graphs).is_dir():
+            raise NotADirectoryError(f"--graphs {args.graphs}: not a directory")
         for path in sorted(Path(args.graphs).glob("*.gr")):
             try:
                 instances.append((path.stem, _read_graph(str(path)), ""))
-            except DomsetError as exc:
+            except (DomsetError, OSError) as exc:
                 instances.append((path.stem, None, str(exc)))
     for spec_text in args.gen or ():
         spec = generators.parse_genspec(spec_text)
@@ -261,26 +259,18 @@ def cmd_bench(args) -> int:
                     BenchRecord(graph_name=name, n=g.n, m=g.m, algorithm=algo,
                                 i_param=i, error=str(exc))
                 )
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(BENCH_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
-    finally:
-        if args.out:
-            out.close()
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(BENCH_COLUMNS)
+    writer.writerows(rec.row() for rec in records)
+    _write(text.getvalue(), args.out)
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
     sc = reduction.parse_set_cover(_read_text(args.setcover))
     ri = reduction.reduce_set_cover(sc)
-    graph_text = serialize_graph(ri.graph)
-    if args.out:
-        Path(args.out).write_text(graph_text, encoding="utf-8")
-    else:
-        sys.stdout.write(graph_text)
+    _write(serialize_graph(ri.graph), args.out)
     if args.map:
         mapping = {
             "element_of": {str(v): e for v, e in sorted(ri.element_of.items())},
@@ -298,24 +288,18 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+# Every generator parameter, each a `gen` option, in first-use order.
+_GEN_PARAMS = tuple(dict.fromkeys(k for m in generators._MODELS.values() for k in m.params))
+
+
 def cmd_gen(args) -> int:
-    params = {}
-    for key in ("n", "w", "h", "d", "universe_size", "set_count", "max_set_size"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    if args.p is not None:
-        params["p"] = args.p
-    spec = generators.GenSpec(args.model, params, args.seed)
-    built = generators.build(spec)
+    params = {k: getattr(args, k) for k in _GEN_PARAMS if getattr(args, k) is not None}
+    built = generators.build(generators.GenSpec(args.model, params, args.seed))
     if isinstance(built, Graph):
         text = serialize_graph(built)
     else:
         text = reduction.serialize_set_cover(built)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return EXIT_OK
 
 
@@ -325,7 +309,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="run a greedy solver on a graph file")
     p.add_argument("graph")
-    p.add_argument("--algo", required=True, choices=("classical", "fixed", "auto", "hybrid"))
+    p.add_argument("--algo", required=True, choices=tuple(_ALGORITHMS))
     p.add_argument("--i", type=int, default=None, help="round cap parameter (fixed/hybrid)")
     p.add_argument("--targets", default=None, help="file of target vertex ids")
     p.add_argument("--out", default=None, help="write the result document here")
@@ -370,14 +354,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a graph or set-cover instance")
     p.add_argument("--model", required=True, choices=generators.GEN_MODELS)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--w", type=int, default=None)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--universe-size", type=int, default=None, dest="universe_size")
-    p.add_argument("--set-count", type=int, default=None, dest="set_count")
-    p.add_argument("--max-set-size", type=int, default=None, dest="max_set_size")
+    for key in _GEN_PARAMS:
+        p.add_argument("--" + key.replace("_", "-"), type=float if key == "p" else int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)

@@ -9,14 +9,13 @@ output divided by 2^53; uniform integers below k are floor(float * k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import GenerationError, ValidationError
 from .graph import Graph
 from .reduction import SetCoverInstance, build_instance
 
 _MASK64 = (1 << 64) - 1
-
-GEN_MODELS = ("gnp", "grid", "random_tree", "d_degenerate", "intersection_one_sc")
 
 
 class SplitMix64:
@@ -53,7 +52,7 @@ class GenSpec:
 
     def name(self) -> str:
         parts = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
-        if self.model in ("gnp", "random_tree", "d_degenerate", "intersection_one_sc"):
+        if self.model in _MODELS and _MODELS[self.model].seeded:
             parts = parts + f",seed={self.seed}" if parts else f"seed={self.seed}"
         return f"{self.model}:{parts}"
 
@@ -161,6 +160,25 @@ def gen_intersection_one(
     return build_instance(range(universe_size), accepted + singletons)
 
 
+class _Model(NamedTuple):
+    make: Callable
+    params: tuple[str, ...]  # in the order `make` takes them
+    seeded: bool             # `make` takes the seed after its params
+
+
+_MODELS = {
+    "gnp": _Model(gen_gnp, ("n", "p"), True),
+    "grid": _Model(gen_grid, ("w", "h"), False),
+    "random_tree": _Model(gen_random_tree, ("n",), True),
+    "d_degenerate": _Model(gen_d_degenerate, ("n", "d"), True),
+    "intersection_one_sc": _Model(
+        gen_intersection_one, ("universe_size", "set_count", "max_set_size"), True
+    ),
+}
+
+GEN_MODELS = tuple(_MODELS)
+
+
 def parse_genspec(text: str) -> GenSpec:
     """Parse "model:key=value,key=value" (seed is split out of params)."""
     model, _, rest = text.partition(":")
@@ -188,35 +206,20 @@ def parse_genspec(text: str) -> GenSpec:
     return GenSpec(model, params, seed)
 
 
-_MODEL_KEYS = {
-    "gnp": {"n", "p"},
-    "grid": {"w", "h"},
-    "random_tree": {"n"},
-    "d_degenerate": {"n", "d"},
-    "intersection_one_sc": {"universe_size", "set_count", "max_set_size"},
-}
-
-
 def build(spec: GenSpec) -> Graph | SetCoverInstance:
     """Instantiate a GenSpec. Raises on missing or unknown parameters."""
-    model, params, seed = spec.model, spec.params, spec.seed
-    expected = _MODEL_KEYS.get(model)
-    if expected is None:
+    model, params = spec.model, spec.params
+    entry = _MODELS.get(model)
+    if entry is None:
         raise ValidationError(f"unknown model {model!r}; expected one of {GEN_MODELS}")
+    expected = set(entry.params)
     missing = sorted(expected - params.keys())
     unknown = sorted(params.keys() - expected)
     if missing:
         raise ValidationError(f"model {model!r} is missing parameters {missing}")
     if unknown:
         raise ValidationError(f"unknown parameters for {model!r}: {unknown}")
-    if model == "gnp":
-        return gen_gnp(params["n"], params["p"], seed)
-    if model == "grid":
-        return gen_grid(params["w"], params["h"])
-    if model == "random_tree":
-        return gen_random_tree(params["n"], seed)
-    if model == "d_degenerate":
-        return gen_d_degenerate(params["n"], params["d"], seed)
-    return gen_intersection_one(
-        params["universe_size"], params["set_count"], params["max_set_size"], seed
-    )
+    args = [params[k] for k in entry.params]
+    if entry.seeded:
+        args.append(spec.seed)
+    return entry.make(*args)

@@ -32,22 +32,16 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise RangeError(f"vertex count must be >= 0, got {n}")
-        seen: set[tuple[int, int]] = set()
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise RangeError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
             nbrs[u].add(v)
             nbrs[v].add(u)
         self.n = n
-        self.m = len(seen)
+        self.m = sum(map(len, nbrs)) // 2
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         masks = []
         for v in range(n):
@@ -106,18 +100,24 @@ def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
     return tuple(sorted(g.adj[v] + (v,)))
 
 
-def is_dominating(g: Graph, dominating: Iterable[int], targets: Iterable[int] | None = None) -> bool:
-    """True iff every target lies in the closed neighborhood of the set.
-
-    `targets` defaults to all vertices.
-    """
+def _undominated(g: Graph, dominating: Iterable[int], targets: Iterable[int] | None) -> int:
+    """Bitmask of the targets (default: all vertices) outside the closed
+    neighborhood of `dominating`."""
     covered = 0
     for v in dominating:
         if not 0 <= v < g.n:
             raise RangeError(f"vertex {v} out of range for n={g.n}")
         covered |= g.closed_masks[v]
     tmask = g.full_mask if targets is None else mask_of(g, targets)
-    return tmask & ~covered == 0
+    return tmask & ~covered
+
+
+def is_dominating(g: Graph, dominating: Iterable[int], targets: Iterable[int] | None = None) -> bool:
+    """True iff every target lies in the closed neighborhood of the set.
+
+    `targets` defaults to all vertices.
+    """
+    return _undominated(g, dominating, targets) == 0
 
 
 def validate(g: Graph) -> None:

@@ -20,35 +20,22 @@ from .graph import Graph, ids_of, mask_of
 from .solvers import BicliqueWitness, _best_cover, solve_classical
 
 
-def _pack_bound(masks, active: int, banned: int = 0) -> int:
-    """Lower bound on how many non-banned vertices must be picked to
-    cover every bit of `active`.
+def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int]:
+    """One pass over the bits of `active`, each dominated by the
+    non-banned vertices of its closed neighborhood. Returns:
 
-    Greedily packs active bits whose allowed dominator sets are
-    pairwise disjoint; each packed bit needs its own vertex.
-    Returns -1 if some active bit has no allowed dominator at all.
+    * a lower bound on how many non-banned vertices must be picked to
+      cover `active`: active bits whose allowed dominator sets are
+      pairwise disjoint are packed greedily, and each packed bit needs
+      its own vertex;
+    * the active bit with the fewest allowed dominators (tie: lowest id),
+      or -1 when `active` is empty.
+
+    Returns (-1, -1) as soon as some active bit has no allowed dominator.
     """
+    allowed = ~banned
     used = 0
     count = 0
-    a = active
-    while a:
-        low = a & -a
-        u = low.bit_length() - 1
-        a ^= low
-        dom = masks[u] & ~banned
-        if dom == 0:
-            return -1
-        if dom & used == 0:
-            count += 1
-            used |= dom
-    return count
-
-
-def _pick_target(masks, active: int, banned: int = 0) -> int:
-    """Active bit with the fewest allowed dominators (tie: lowest id).
-
-    Returns -1 when `active` is empty.
-    """
     best_u = -1
     best_c = -1
     a = active
@@ -56,11 +43,17 @@ def _pick_target(masks, active: int, banned: int = 0) -> int:
         low = a & -a
         u = low.bit_length() - 1
         a ^= low
-        c = (masks[u] & ~banned).bit_count()
+        dom = masks[u] & allowed
+        if dom == 0:
+            return -1, -1
+        if dom & used == 0:
+            count += 1
+            used |= dom
+        c = dom.bit_count()
         if best_u < 0 or c < best_c:
             best_c = c
             best_u = u
-    return best_u
+    return count, best_u
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ def exact_min_dominating_set(
                 best_set = tuple(sorted(chosen))
             return
         depth = len(chosen)
-        lb = _pack_bound(masks, active, banned)
+        lb, u = _bound_and_target(masks, active, banned)
         if lb < 0:
             return
         _, c = _best_cover(masks, active, banned)
@@ -129,7 +122,6 @@ def exact_min_dominating_set(
         lb = max(lb, -(-active.bit_count() // c))
         if depth + lb >= best_size:
             return
-        u = _pick_target(masks, active, banned)
         cands = ids_of(masks[u] & ~banned)
         cands = sorted(cands, key=lambda v: (-(masks[v] & active).bit_count(), v))
         local_banned = banned

@@ -117,8 +117,8 @@ def reduce_set_cover(sc: SetCoverInstance) -> ReducedInstance:
     then set vertices in family order, then x, then y. The graph has
     |universe| + |sets| + 2 vertices and sum(|set|) + |sets| + 1 edges.
     """
-    if not validate_intersection_one(sc):
-        p, q = _first_intersection_violation(sc)
+    p, q = _first_intersection_violation(sc)
+    if p >= 0:
         raise ValidationError(f"sets {p} and {q} intersect in more than one element")
     n_elem = len(sc.universe)
     n_sets = len(sc.sets)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .graph import Graph, ids_of, is_dominating, mask_of
+from .graph import Graph, ids_of, mask_of
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,21 @@ def solve_classical(g: Graph, targets: Iterable[int] | None = None) -> SolveResu
     return _assemble(g, "classical", tmask, rounds)
 
 
-def solve_fixed_i(g: Graph, i: int, targets: Iterable[int] | None = None) -> SolveResult:
-    """Chained greedy with at most i-1 picks per round (i >= 2)."""
+def _base_rounds(masks, tmask: int, i: int | None) -> list[_RoundRec]:
+    """Rounds of fixed_i for an integer i, or of auto for i None."""
+    if i is None:
+        return _greedy_rounds(masks, tmask, cap=None, auto_gate=True)
     if i < 2:
         raise ValidationError(f"parameter i must be >= 2, got {i}")
+    return _greedy_rounds(masks, tmask, cap=i - 1, auto_gate=False)
+
+
+def solve_fixed_i(g: Graph, i: int, targets: Iterable[int] | None = None) -> SolveResult:
+    """Chained greedy with at most i-1 picks per round (i >= 2)."""
+    if i is None:  # _base_rounds would run auto
+        raise ValidationError("parameter i must be >= 2, got None")
     tmask = _targets_mask(g, targets)
-    rounds = _greedy_rounds(g.closed_masks, tmask, cap=i - 1, auto_gate=False)
-    return _assemble(g, "fixed", tmask, rounds)
+    return _assemble(g, "fixed", tmask, _base_rounds(g.closed_masks, tmask, i))
 
 
 def _round_depth(rec: _RoundRec) -> int:
@@ -203,7 +211,7 @@ def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     and no witness exists.
     """
     tmask = _targets_mask(g, targets)
-    rounds = _greedy_rounds(g.closed_masks, tmask, cap=None, auto_gate=True)
+    rounds = _base_rounds(g.closed_masks, tmask, None)
     best_depth = 0
     best_rec = None
     for rec in rounds:
@@ -230,12 +238,7 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     """
     tmask = _targets_mask(g, targets)
     masks = g.closed_masks
-    if i is None:
-        base = _greedy_rounds(masks, tmask, cap=None, auto_gate=True)
-    else:
-        if i < 2:
-            raise ValidationError(f"parameter i must be >= 2, got {i}")
-        base = _greedy_rounds(masks, tmask, cap=i - 1, auto_gate=False)
+    base = _base_rounds(masks, tmask, i)
 
     best_rounds: list[_RoundRec] | None = None
     best_size: int | None = None
@@ -264,8 +267,3 @@ def verify_witness(g: Graph, w: BicliqueWitness) -> bool:
         if rmask & ~open_mask:
             return False
     return True
-
-
-def check_validity(g: Graph, result: SolveResult, targets: Iterable[int] | None = None) -> bool:
-    """Convenience: does the result dominate its targets?"""
-    return is_dominating(g, result.dominating_set, targets)

@@ -57,6 +57,11 @@ class TestSolve:
     def test_fixed_without_i_is_validation_error(self, capsys, p4_file):
         assert main(["solve", "--algo", "fixed", p4_file]) == 2
 
+    @pytest.mark.parametrize("algo", ["classical", "auto"])
+    def test_i_it_would_ignore_is_validation_error(self, capsys, p4_file, algo):
+        assert main(["solve", "--algo", algo, "--i", "3", p4_file]) == 2
+        assert capsys.readouterr().err == f"error: {algo} takes no i parameter\n"
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.gr"
         bad.write_text("p ds x y\n")
@@ -178,6 +183,48 @@ class TestBench:
         assert rows[0]["graph_name"] == "broken"
         assert "declares 5 edges" in rows[0]["error"]
         assert rows[2]["graph_name"] == "ok" and rows[2]["error"] == ""
+
+    def test_graphs_dir_must_exist(self, tmp_path, capsys):
+        (tmp_path / "file.gr").write_text("p ds 1 0\n")
+        for path in (tmp_path / "missing", tmp_path / "file.gr"):
+            assert main(["bench", "--graphs", str(path), "--algos", "classical"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --graphs {path}: not a directory\n"
+
+    def test_directory_entry_is_error_row(self, tmp_path):
+        gdir = tmp_path / "graphs"
+        gdir.mkdir()
+        (gdir / "a_dir.gr").mkdir()
+        (gdir / "ok.gr").write_text(serialize_graph(gen_grid(2, 3)))
+        out = tmp_path / "dir.csv"
+        assert main(["bench", "--graphs", str(gdir), "--algos", "classical",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row["graph_name"] for row in rows] == ["a_dir", "ok"]
+        assert "Is a directory" in rows[0]["error"] and rows[0]["n"] == ""
+        assert rows[1]["error"] == ""
+
+    @pytest.mark.parametrize("algo, i", [
+        ("classical", None), ("fixed", 3), ("auto", None), ("hybrid", None), ("hybrid", 3),
+    ])
+    def test_row_matches_solve_document(self, tmp_path, capsys, algo, i):
+        gdir = tmp_path / "graphs"
+        gdir.mkdir()
+        g = gdir / "g.gr"
+        g.write_text(serialize_graph(gen_random_tree(30, 4)))
+        i_args = [] if i is None else ["--i", str(i)]
+        code, doc = run_json(capsys, ["solve", "--algo", algo, *i_args, str(g)])
+        assert code == 0
+        spec = algo if i is None else f"{algo}:{i}"
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--graphs", str(gdir), "--algos", spec,
+                     "--out", str(out)]) == 0
+        [row] = read_csv(out)
+        assert row["algorithm"] == algo and row["i_param"] == ("" if i is None else str(i))
+        assert int(row["ds_size"]) == doc["size"]
+        assert row["t_detected"] == ("" if doc["t_detected"] is None else str(doc["t_detected"]))
+        assert int(row["rounds"]) == len(doc["rounds"])
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["bench", "--gen", "gnp:n=22,p=0.2,seed=3",

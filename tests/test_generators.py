@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from helpers import degeneracy
@@ -16,7 +18,7 @@ from domset.generators import (
 )
 from domset.graph import Graph, serialize_graph
 from domset.oracles import has_biclique
-from domset.reduction import validate_intersection_one
+from domset.reduction import serialize_set_cover, validate_intersection_one
 
 # frozen outputs of the documented draw procedures (generated once,
 # asserted forever; any PRNG or draw-order change must show up here)
@@ -185,3 +187,26 @@ class TestDeterminismAndSpecs:
             build(parse_genspec("gnp:n=3"))
         with pytest.raises(ValidationError):
             build(parse_genspec("grid:w=3,h=4,zz=1"))
+
+    # (genspec, GenSpec.name(), SHA-256 prefix of the serialized instance)
+    # for every model, frozen from the per-model code the table replaced
+    @pytest.mark.parametrize(
+        "text, name, digest",
+        [
+            ("gnp:n=30,p=0.2,seed=7", "gnp:n=30,p=0.2,seed=7", "03d6ad287aecde36"),
+            ("grid:w=5,h=4", "grid:h=4,w=5", "25d9a930e1be01fb"),
+            ("random_tree:n=40,seed=3", "random_tree:n=40,seed=3", "79ac70fcb78c3bcb"),
+            ("d_degenerate:n=30,d=3,seed=11", "d_degenerate:d=3,n=30,seed=11",
+             "70a2e7d44d7598d6"),
+            ("intersection_one_sc:universe_size=20,set_count=12,max_set_size=4,seed=5",
+             "intersection_one_sc:max_set_size=4,set_count=12,universe_size=20,seed=5",
+             "aae7350f5fa487fe"),
+        ],
+        ids=["gnp", "grid", "random_tree", "d_degenerate", "intersection_one_sc"],
+    )
+    def test_name_and_build_per_model(self, text, name, digest):
+        spec = parse_genspec(text)
+        built = build(spec)
+        out = serialize_graph(built) if isinstance(built, Graph) else serialize_set_cover(built)
+        assert spec.name() == name
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -1,8 +1,8 @@
-"""The three bitmask queries behind the solvers and the exact oracle:
-max-coverage pick, packing bound and branching target. Every tie goes
-to the lowest vertex id."""
+"""The two bitmask queries behind the solvers and the exact oracle:
+max-coverage pick, and packing bound with branching target in one pass.
+Every tie goes to the lowest vertex id."""
 
-from domset.oracles import _pack_bound, _pick_target
+from domset.oracles import _bound_and_target
 from domset.solvers import _best_cover
 
 
@@ -21,13 +21,13 @@ class TestPureKernel:
 
     def test_pack_bound_disjoint(self):
         # two vertices with disjoint closed neighborhoods
-        assert _pack_bound([0b0011, 0b0011, 0b1100, 0b1100], 0b1111) == 2
+        assert _bound_and_target([0b0011, 0b0011, 0b1100, 0b1100], 0b1111)[0] == 2
 
     def test_pack_bound_infeasible(self):
-        assert _pack_bound([0b01, 0b10], 0b11, banned=0b10) == -1
+        assert _bound_and_target([0b01, 0b10], 0b11, banned=0b10)[0] == -1
 
     def test_pick_target_prefers_fewest_dominators(self):
-        assert _pick_target([0b001, 0b111, 0b110], 0b111) == 0
+        assert _bound_and_target([0b001, 0b111, 0b110], 0b111)[1] == 0
 
     def test_pick_target_empty(self):
-        assert _pick_target([0b1], 0) == -1
+        assert _bound_and_target([0b1], 0)[1] == -1

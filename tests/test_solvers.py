@@ -73,6 +73,10 @@ class TestFixedI:
     def test_i_below_two_rejected(self):
         with pytest.raises(ValidationError):
             solve_fixed_i(p4(), 1)
+        with pytest.raises(ValidationError):
+            solve_hybrid(p4(), 1)
+        with pytest.raises(ValidationError):
+            solve_fixed_i(p4(), None)
 
     def test_round_cap_respected(self):
         for i in (2, 3, 4):
