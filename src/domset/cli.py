@@ -17,14 +17,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import generators, oracles, reduction, solvers
-from .errors import (
-    DomsetError,
-    GenerationError,
-    ParseError,
-    RangeError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import DomsetError, ParseError, ResourceLimitError, ValidationError
 from .graph import Graph, _undominated, ids_of, is_dominating, parse_graph, serialize_graph
 
 EXIT_OK = 0
@@ -144,11 +137,9 @@ def cmd_solve(args) -> int:
 def cmd_exact(args) -> int:
     g = _read_graph(args.graph)
     if g.n > args.max_n and not args.force:
-        print(
-            f"error: n={g.n} exceeds the guard --max-n {args.max_n}; pass --force to override",
-            file=sys.stderr,
+        raise ResourceLimitError(
+            f"n={g.n} exceeds the guard --max-n {args.max_n}; pass --force to override"
         )
-        return EXIT_GUARD
     targets = _read_vertex_list(args.targets) if args.targets else None
     result = oracles.exact_min_dominating_set(g, targets, budget=args.budget)
     _emit(result.as_document(), args.out)
@@ -294,7 +285,9 @@ _GEN_PARAMS = tuple(dict.fromkeys(k for m in generators._MODELS.values() for k i
 
 def cmd_gen(args) -> int:
     params = {k: getattr(args, k) for k in _GEN_PARAMS if getattr(args, k) is not None}
-    built = generators.build(generators.GenSpec(args.model, params, args.seed))
+    if args.seed is not None:
+        generators._check_seeded(args.model)
+    built = generators.build(generators.GenSpec(args.model, params, args.seed or 0))
     if isinstance(built, Graph):
         text = serialize_graph(built)
     else:
@@ -356,7 +349,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True, choices=generators.GEN_MODELS)
     for key in _GEN_PARAMS:
         p.add_argument("--" + key.replace("_", "-"), type=float if key == "p" else int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -368,15 +361,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except DomsetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RangeError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ResourceLimitError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,12 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each carries the exit
+code the CLI returns for it: 1 parse, 2 validation, 3 resource guard."""
 
 
 class DomsetError(Exception):
     """Base class for all domset errors."""
 
+    exit_code = 1
+
 
 class ParseError(DomsetError):
     """Malformed input text. Carries the 1-based line number when known."""
+
+    exit_code = 1
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -18,14 +23,22 @@ class ParseError(DomsetError):
 class RangeError(DomsetError):
     """A vertex or element id is outside its declared range."""
 
+    exit_code = 2
+
 
 class ValidationError(DomsetError):
     """A structural invariant does not hold."""
+
+    exit_code = 2
 
 
 class GenerationError(DomsetError):
     """An instance generator could not produce a valid instance."""
 
+    exit_code = 3
+
 
 class ResourceLimitError(DomsetError):
     """A configured size guard refused the computation."""
+
+    exit_code = 3

@@ -179,6 +179,12 @@ _MODELS = {
 GEN_MODELS = tuple(_MODELS)
 
 
+def _check_seeded(model: str) -> None:
+    """Reject a seed for a model that takes none, rather than drop it."""
+    if not _MODELS[model].seeded:
+        raise ValidationError(f"{model} takes no seed")
+
+
 def parse_genspec(text: str) -> GenSpec:
     """Parse "model:key=value,key=value" (seed is split out of params)."""
     model, _, rest = text.partition(":")
@@ -187,6 +193,7 @@ def parse_genspec(text: str) -> GenSpec:
         raise ValidationError(f"unknown model {model!r}; expected one of {GEN_MODELS}")
     params: dict = {}
     seed = 0
+    seen: set[str] = set()
     if rest.strip():
         for item in rest.split(","):
             key, eq, value = item.partition("=")
@@ -194,8 +201,12 @@ def parse_genspec(text: str) -> GenSpec:
                 raise ValidationError(f"bad genspec item {item!r} (expected key=value)")
             key = key.strip()
             value = value.strip()
+            if key in seen:
+                raise ValidationError(f"repeated key {key!r} in genspec {text!r}")
+            seen.add(key)
             try:
                 if key == "seed":
+                    _check_seeded(model)
                     seed = int(value)
                 elif key == "p":
                     params[key] = float(value)

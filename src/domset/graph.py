@@ -93,6 +93,11 @@ def ids_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _targets_mask(g: Graph, targets: Iterable[int] | None) -> int:
+    """Bitmask of `targets`, validating ranges; None means every vertex."""
+    return g.full_mask if targets is None else mask_of(g, targets)
+
+
 def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
     """N[v]: the vertex v together with its neighbors, sorted."""
     if not 0 <= v < g.n:
@@ -108,8 +113,7 @@ def _undominated(g: Graph, dominating: Iterable[int], targets: Iterable[int] | N
         if not 0 <= v < g.n:
             raise RangeError(f"vertex {v} out of range for n={g.n}")
         covered |= g.closed_masks[v]
-    tmask = g.full_mask if targets is None else mask_of(g, targets)
-    return tmask & ~covered
+    return _targets_mask(g, targets) & ~covered
 
 
 def is_dominating(g: Graph, dominating: Iterable[int], targets: Iterable[int] | None = None) -> bool:

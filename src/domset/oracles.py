@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import ResourceLimitError, ValidationError
-from .graph import Graph, ids_of, mask_of
+from .graph import Graph, _targets_mask, ids_of
 from .solvers import BicliqueWitness, _best_cover, solve_classical
 
 
@@ -87,7 +87,7 @@ def exact_min_dominating_set(
     trying dominators in decreasing-coverage order and banning each
     tried dominator from the rest of its sibling subtrees.
     """
-    tmask = g.full_mask if targets is None else mask_of(g, targets)
+    tmask = _targets_mask(g, targets)
     masks = g.closed_masks
 
     if tmask == 0:
@@ -116,9 +116,9 @@ def exact_min_dominating_set(
         lb, u = _bound_and_target(masks, active, banned)
         if lb < 0:
             return
+        # c >= 1: as lb >= 0, each active bit u has an allowed w in N[u],
+        # and by symmetry u is in N[w]
         _, c = _best_cover(masks, active, banned)
-        if c == 0:
-            return
         lb = max(lb, -(-active.bit_count() // c))
         if depth + lb >= best_size:
             return
@@ -132,7 +132,12 @@ def exact_min_dominating_set(
             local_banned |= 1 << v
         return
 
-    search(tmask, 0, [])
+    try:
+        search(tmask, 0, [])
+    except RecursionError:  # one frame per chosen vertex
+        raise ResourceLimitError(
+            f"exact search on n={g.n} exceeded the recursion limit; the instance is too large"
+        ) from None
     if best_set is None:
         return OracleResult(None, None, nodes, exceeded=True)
     if budget is not None and best_size > budget:
@@ -146,7 +151,7 @@ def enumerate_min_dominating_sets(
     """All sets of minimum cardinality dominating `targets`, in
     lexicographic order. Exhaustive over size-k subsets; meant for
     small graphs (n up to about 16)."""
-    tmask = g.full_mask if targets is None else mask_of(g, targets)
+    tmask = _targets_mask(g, targets)
     if tmask == 0:
         return [()]
     k = exact_min_dominating_set(g, targets).opt_size

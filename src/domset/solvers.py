@@ -9,9 +9,10 @@ v_1, B_{s+1} = N[v_{s+1}] & B_s minus v_{s+1}), the next pick v_{s+1}
 is the unchosen vertex of maximum coverage of B_s. The variants differ
 only in when the chain stops:
 
-* classical     -- never chains (one vertex per round).
 * fixed_i(i)    -- chains while fewer than i-1 vertices are chosen and
                    some unchosen vertex still meets B_s.
+* classical     -- fixed_i with i = 2: never chains (one vertex per
+                   round).
 * auto          -- chains while the best pick would leave |B_{s+1}| >=
                    s+1; the deepest chain length certifies a complete
                    bipartite subgraph found along the way, reported as
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .graph import Graph, ids_of, mask_of
+from .graph import Graph, _targets_mask, ids_of, mask_of
 
 
 @dataclass(frozen=True)
@@ -89,20 +90,6 @@ class SolveResult:
         }
 
 
-class _RoundRec:
-    """Engine-internal round record; keeps the final chain pool for
-    witness extraction and the residual target mask for hybrid prefixes."""
-
-    __slots__ = ("chosen", "b_sizes", "b_final", "newly", "active_after")
-
-    def __init__(self, chosen, b_sizes, b_final, newly, active_after):
-        self.chosen = chosen
-        self.b_sizes = b_sizes
-        self.b_final = b_final
-        self.newly = newly
-        self.active_after = active_after
-
-
 def _best_cover(masks, active: int, excluded: int = 0) -> tuple[int, int]:
     """Vertex maximizing |masks[v] & active| over v not in `excluded`.
 
@@ -121,10 +108,15 @@ def _best_cover(masks, active: int, excluded: int = 0) -> tuple[int, int]:
     return best_v, best_c
 
 
-def _greedy_rounds(masks, active: int, cap: int | None, auto_gate: bool):
-    """Run rounds until no targets remain. cap limits picks per round
-    (None = unlimited); auto_gate enables the |B_{s+1}| >= s+1 rule."""
-    rounds: list[_RoundRec] = []
+def _greedy_rounds(masks, active: int, i: int | None) -> tuple[list[Round], list[int]]:
+    """Run rounds until no targets remain. An integer i >= 2 allows at
+    most i-1 picks per round (i = 2 is classical); i None chains while
+    |B_{s+1}| >= s+1 (auto). Returns the rounds and, in parallel, each
+    round's final chain pool."""
+    if i is not None and i < 2:
+        raise ValidationError(f"parameter i must be >= 2, got {i}")
+    rounds: list[Round] = []
+    pools: list[int] = []
     while active:
         v1, _ = _best_cover(masks, active)
         chosen = [v1]
@@ -132,12 +124,12 @@ def _greedy_rounds(masks, active: int, cap: int | None, auto_gate: bool):
         b = masks[v1] & active & ~(1 << v1)
         b_sizes = [b.bit_count()]
         covered = masks[v1] & active
-        while cap is None or len(chosen) < cap:
+        while i is None or len(chosen) < i - 1:
             v, c = _best_cover(masks, b, chosen_mask)
             if v < 0 or c == 0:
                 break
             b_next = masks[v] & b & ~(1 << v)
-            if auto_gate and b_next.bit_count() < len(chosen) + 1:
+            if i is None and b_next.bit_count() < len(chosen) + 1:
                 break
             chosen.append(v)
             chosen_mask |= 1 << v
@@ -145,57 +137,36 @@ def _greedy_rounds(masks, active: int, cap: int | None, auto_gate: bool):
             b = b_next
             b_sizes.append(b.bit_count())
         active &= ~covered
-        rounds.append(_RoundRec(chosen, b_sizes, b, covered.bit_count(), active))
-    return rounds
+        rounds.append(Round(tuple(chosen), tuple(b_sizes), covered.bit_count()))
+        pools.append(b)
+    return rounds, pools
 
 
-def _targets_mask(g: Graph, targets: Iterable[int] | None) -> int:
-    return g.full_mask if targets is None else mask_of(g, targets)
-
-
-def _assemble(g: Graph, algorithm: str, tmask: int, rounds: list[_RoundRec], **extra) -> SolveResult:
-    dom: list[int] = []
-    for rec in rounds:
-        dom.extend(rec.chosen)
-    trace = GreedyTrace(
-        initial_targets=ids_of(tmask),
-        rounds=tuple(
-            Round(tuple(rec.chosen), tuple(rec.b_sizes), rec.newly) for rec in rounds
-        ),
-        final_set=tuple(sorted(dom)),
-    )
-    return SolveResult(algorithm, tuple(sorted(dom)), trace, **extra)
+def _assemble(algorithm: str, tmask: int, rounds: list[Round], **extra) -> SolveResult:
+    dom = tuple(sorted(v for r in rounds for v in r.chosen))
+    trace = GreedyTrace(initial_targets=ids_of(tmask), rounds=tuple(rounds), final_set=dom)
+    return SolveResult(algorithm, dom, trace, **extra)
 
 
 def solve_classical(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     """Plain greedy: per round, one vertex of maximum coverage."""
     tmask = _targets_mask(g, targets)
-    rounds = _greedy_rounds(g.closed_masks, tmask, cap=1, auto_gate=False)
-    return _assemble(g, "classical", tmask, rounds)
-
-
-def _base_rounds(masks, tmask: int, i: int | None) -> list[_RoundRec]:
-    """Rounds of fixed_i for an integer i, or of auto for i None."""
-    if i is None:
-        return _greedy_rounds(masks, tmask, cap=None, auto_gate=True)
-    if i < 2:
-        raise ValidationError(f"parameter i must be >= 2, got {i}")
-    return _greedy_rounds(masks, tmask, cap=i - 1, auto_gate=False)
+    return _assemble("classical", tmask, _greedy_rounds(g.closed_masks, tmask, 2)[0])
 
 
 def solve_fixed_i(g: Graph, i: int, targets: Iterable[int] | None = None) -> SolveResult:
     """Chained greedy with at most i-1 picks per round (i >= 2)."""
-    if i is None:  # _base_rounds would run auto
+    if i is None:  # the engine would run auto
         raise ValidationError("parameter i must be >= 2, got None")
     tmask = _targets_mask(g, targets)
-    return _assemble(g, "fixed", tmask, _base_rounds(g.closed_masks, tmask, i))
+    return _assemble("fixed", tmask, _greedy_rounds(g.closed_masks, tmask, i)[0])
 
 
-def _round_depth(rec: _RoundRec) -> int:
+def _round_depth(r: Round) -> int:
     """Chain depth certified by a round: its pick count, except a
     single-pick round with an empty pool certifies nothing."""
-    l = len(rec.chosen)
-    if l == 1 and rec.b_sizes[0] == 0:
+    l = len(r.chosen)
+    if l == 1 and r.b_sizes[0] == 0:
         return 0
     return l
 
@@ -211,21 +182,21 @@ def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     and no witness exists.
     """
     tmask = _targets_mask(g, targets)
-    rounds = _base_rounds(g.closed_masks, tmask, None)
+    rounds, pools = _greedy_rounds(g.closed_masks, tmask, None)
     best_depth = 0
-    best_rec = None
-    for rec in rounds:
-        d = _round_depth(rec)
+    best = -1
+    for k, r in enumerate(rounds):
+        d = _round_depth(r)
         if d > best_depth:  # earliest round wins ties
             best_depth = d
-            best_rec = rec
+            best = k
     witness = None
-    if best_rec is not None:
+    if best >= 0:
         witness = BicliqueWitness(
-            left=tuple(sorted(best_rec.chosen)),
-            right=ids_of(best_rec.b_final)[:best_depth],
+            left=tuple(sorted(rounds[best].chosen)),
+            right=ids_of(pools[best])[:best_depth],
         )
-    return _assemble(g, "auto", tmask, rounds, t_detected=best_depth + 1, witness=witness)
+    return _assemble("auto", tmask, rounds, t_detected=best_depth + 1, witness=witness)
 
 
 def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None = None) -> SolveResult:
@@ -238,22 +209,24 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     """
     tmask = _targets_mask(g, targets)
     masks = g.closed_masks
-    base = _base_rounds(masks, tmask, i)
+    base, _ = _greedy_rounds(masks, tmask, i)
 
-    best_rounds: list[_RoundRec] | None = None
+    best_rounds: list[Round] | None = None
     best_size: int | None = None
     prefix_size = 0
+    residual = tmask
     for p in range(len(base) + 1):
-        residual = tmask if p == 0 else base[p - 1].active_after
-        extension = _greedy_rounds(masks, residual, cap=1, auto_gate=False)
-        size = prefix_size + sum(len(rec.chosen) for rec in extension)
+        if p:
+            for v in base[p - 1].chosen:
+                residual &= ~masks[v]
+            prefix_size += len(base[p - 1].chosen)
+        extension, _ = _greedy_rounds(masks, residual, 2)
+        size = prefix_size + len(extension)  # one pick per classical round
         if best_size is None or size < best_size:
             best_size = size
             best_rounds = base[:p] + extension
-        if p < len(base):
-            prefix_size += len(base[p].chosen)
     assert best_rounds is not None
-    return _assemble(g, "hybrid", tmask, best_rounds)
+    return _assemble("hybrid", tmask, best_rounds)
 
 
 def verify_witness(g: Graph, w: BicliqueWitness) -> bool:

@@ -5,6 +5,7 @@ Everything here recomputes from definitions, deliberately avoiding the
 package's own search/selection code paths.
 """
 
+import sys
 from itertools import combinations
 
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
@@ -84,6 +85,32 @@ def degeneracy(g: Graph) -> int:
             if u in alive:
                 deg[u] -= 1
     return worst
+
+
+def deep_search_graph():
+    """gnp(14, 0.25, 10), where greedy finds 6 and the optimum is 4,
+    beside 100 disjoint 3-vertex paths. The greedy seed is 2 above the
+    optimum, so the exact search descends about one level per path
+    before it reaches the gnp part."""
+    edges = gen_gnp(14, 0.25, 10).edges()
+    for a in range(14, 314, 3):
+        edges += [(a, a + 1), (a + 1, a + 2)]
+    return Graph(314, edges)
+
+
+def lower_recursion_limit(headroom):
+    """Set the recursion limit `headroom` levels above the current
+    depth, as the interpreter counts it; returns the old limit."""
+    old = sys.getrecursionlimit()
+    limit = 1
+    while True:  # the interpreter refuses a limit at or below the depth
+        try:
+            sys.setrecursionlimit(limit)
+            break
+        except RecursionError:
+            limit += 1
+    sys.setrecursionlimit(limit + headroom)
+    return old
 
 
 def check_trace(g: Graph, result, targets=None, cap=None, auto_gate=False):

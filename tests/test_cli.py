@@ -1,6 +1,9 @@
 import json
+import sys
 
 import pytest
+
+from helpers import deep_search_graph, lower_recursion_limit
 
 from domset.cli import main
 from domset.generators import gen_grid, gen_random_tree
@@ -95,6 +98,35 @@ class TestExact:
         code, doc = run_json(capsys, ["exact", "--force", str(big)])
         assert code == 0
         assert doc["opt_size"] is not None
+
+    def test_guard_message(self, tmp_path, capsys):
+        big = tmp_path / "big.gr"
+        big.write_text(serialize_graph(gen_random_tree(40, 1)))
+        assert main(["exact", "--max-n", "39", str(big)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n=40 exceeds the guard --max-n 39; pass --force to override\n"
+        )
+
+    def test_recursion_limit_exits_3(self, tmp_path, capsys):
+        g = tmp_path / "deep.gr"
+        g.write_text(serialize_graph(deep_search_graph()))
+        # a normal run first; it also loads what argparse imports lazily
+        assert main(["exact", "--force", str(g)]) == 0
+        capsys.readouterr()
+        old = lower_recursion_limit(50)
+        try:
+            code = main(["exact", "--force", str(g)])
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: exact search on n=314 exceeded the recursion limit; "
+            "the instance is too large\n"
+        )
 
     def test_budget_exceeded_exit(self, capsys, p4_file):
         code, doc = run_json(capsys, ["exact", "--budget", "1", p4_file])
@@ -235,6 +267,22 @@ class TestBench:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "spec, err",
+        [
+            ("grid:w=3,h=2,seed=5", "grid takes no seed"),
+            ("gnp:n=5,p=0.5,n=7", "repeated key 'n' in genspec 'gnp:n=5,p=0.5,n=7'"),
+            ("gnp:n=5,p=0.5,seed=1,seed=2",
+             "repeated key 'seed' in genspec 'gnp:n=5,p=0.5,seed=1,seed=2'"),
+        ],
+        ids=["unseeded-model-seed", "repeated-param", "repeated-seed"],
+    )
+    def test_genspec_it_would_drop_is_validation_error(self, capsys, spec, err):
+        assert main(["bench", "--gen", spec, "--algos", "classical"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
     def test_bad_algos_rejected(self, capsys):
         assert main(["bench", "--algos", "quantum"]) == 2
         assert main(["bench", "--algos", "fixed"]) == 2
@@ -273,6 +321,15 @@ class TestGen:
                      "--set-count", "4", "--max-set-size", "3", "--seed", "11"]) == 0
         sc = parse_set_cover(capsys.readouterr().out)
         assert sc.universe == tuple(range(8))
+
+    def test_gen_rejects_seed_for_unseeded_model(self, tmp_path, capsys):
+        out = tmp_path / "g.gr"
+        argv = ["gen", "--model", "grid", "--w", "3", "--h", "2", "--out", str(out)]
+        assert main(argv + ["--seed", "9"]) == 2
+        assert capsys.readouterr().err == "error: grid takes no seed\n"
+        assert not out.exists()
+        assert main(argv) == 0
+        assert parse_graph(out.read_text()) == gen_grid(3, 2)
 
     def test_gen_missing_params(self, capsys):
         assert main(["gen", "--model", "gnp", "--n", "5"]) == 2

@@ -188,6 +188,14 @@ class TestDeterminismAndSpecs:
         with pytest.raises(ValidationError):
             build(parse_genspec("grid:w=3,h=4,zz=1"))
 
+    def test_parse_genspec_drops_nothing(self):
+        with pytest.raises(ValidationError, match="grid takes no seed"):
+            parse_genspec("grid:w=3,h=4,seed=5")
+        with pytest.raises(ValidationError, match="repeated key 'n'"):
+            parse_genspec("gnp:n=5,p=0.5,n=7")
+        with pytest.raises(ValidationError, match="repeated key 'seed'"):
+            parse_genspec("random_tree:n=5,seed=1,seed=1")
+
     # (genspec, GenSpec.name(), SHA-256 prefix of the serialized instance)
     # for every model, frozen from the per-model code the table replaced
     @pytest.mark.parametrize(

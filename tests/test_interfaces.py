@@ -79,6 +79,26 @@ class TestCliFlagCombinations:
         assert json.loads(out.read_text())["size"] == 1
 
 
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (domset.ParseError, 1),
+            (domset.RangeError, 2),
+            (domset.ValidationError, 2),
+            (domset.ResourceLimitError, 3),
+            (domset.GenerationError, 3),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_error_exit_code(self, monkeypatch, capsys, star_file, error, code):
+        def fail(g, targets=None):
+            raise error("boom")
+
+        monkeypatch.setattr(domset.solvers, "solve_classical", fail)
+        assert error.exit_code == code
+        assert main(["solve", "--algo", "classical", star_file]) == code
+        assert capsys.readouterr().err == "error: boom\n"
+
 class TestImportSurface:
     def test_all_names_resolve(self):
         for name in domset.__all__:

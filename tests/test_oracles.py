@@ -1,10 +1,17 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_all_min_dominating, brute_has_biclique, brute_min_dominating
+from helpers import (
+    brute_all_min_dominating,
+    brute_has_biclique,
+    brute_min_dominating,
+    deep_search_graph,
+    lower_recursion_limit,
+)
 
 from domset.errors import ResourceLimitError, ValidationError
 from domset.generators import gen_gnp, gen_grid, gen_random_tree
@@ -198,3 +205,16 @@ class TestHardPaths:
         g = Graph(0)
         assert exact_min_dominating_set(g).opt_size == 0
         assert enumerate_min_dominating_sets(g) == [()]
+
+    def test_recursion_limit_is_resource_error(self):
+        # the search recurses once per chosen vertex: about 105 levels here
+        g = deep_search_graph()
+        expected = exact_min_dominating_set(g)
+        assert expected.opt_size == 104
+        old = lower_recursion_limit(50)
+        try:
+            with pytest.raises(ResourceLimitError, match="recursion limit"):
+                exact_min_dominating_set(g)
+        finally:
+            sys.setrecursionlimit(old)
+        assert exact_min_dominating_set(g) == expected

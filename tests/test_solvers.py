@@ -6,7 +6,7 @@ from helpers import brute_all_min_dominating, brute_min_dominating, check_trace
 
 from domset.errors import ValidationError
 from domset.generators import gen_gnp, gen_grid, gen_random_tree
-from domset.graph import Graph, is_dominating
+from domset.graph import Graph, closed_neighborhood, is_dominating
 from domset.solvers import (
     BicliqueWitness,
     solve_auto,
@@ -273,3 +273,37 @@ class TestRoundDepthSelection:
     def test_zero_vertex_graph(self):
         for r in (solve_classical(Graph(0)), solve_auto(Graph(0)), solve_hybrid(Graph(0))):
             assert r.dominating_set == ()
+
+
+def hybrid_reference(g, i, targets):
+    """Rounds of the earliest smallest candidate among the base run's
+    prefixes, each followed by classical greedy on the targets it
+    leaves; built from the public solvers only."""
+    base = (solve_auto(g, targets) if i is None else solve_fixed_i(g, i, targets)).trace
+    residual = set(base.initial_targets)
+    best, best_size = None, None
+    for p in range(len(base.rounds) + 1):
+        if p:
+            for v in base.rounds[p - 1].chosen:
+                residual -= set(closed_neighborhood(g, v))
+        rounds = base.rounds[:p] + solve_classical(g, sorted(residual)).trace.rounds
+        size = sum(len(r.chosen) for r in rounds)
+        if best is None or size < best_size:
+            best, best_size = rounds, size
+    return best
+
+
+class TestEngineIdentities:
+    """Identities the single round engine relies on."""
+
+    def test_fixed_2_is_classical(self, validity_suite):
+        for name, g in validity_suite:
+            assert solve_fixed_i(g, 2).trace.rounds == solve_classical(g).trace.rounds, name
+
+    @pytest.mark.parametrize("i", [None, 2, 3])
+    @pytest.mark.parametrize("with_targets", [False, True], ids=["all", "targets"])
+    def test_hybrid_is_earliest_smallest_prefix(self, validity_suite, i, with_targets):
+        for name, g in validity_suite[::4]:
+            targets = list(range(0, g.n, 2)) if with_targets else None
+            got = solve_hybrid(g, i, targets).trace.rounds
+            assert got == hybrid_reference(g, i, targets), name
