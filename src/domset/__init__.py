@@ -2,8 +2,9 @@
 
 Solvers, exact oracles, biclique detection, an approximation-preserving
 set-cover reduction, seeded instance generators, and a CLI/benchmark
-harness. Pure Python with no runtime dependencies: vertex sets are
-Python ints used as bitmasks.
+harness. Pure Python with no runtime dependencies: the greedy engine
+works on adjacency lists, and the oracles and checks on vertex sets
+held as Python ints used as bitmasks.
 """
 
 from .errors import (

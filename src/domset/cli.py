@@ -209,6 +209,16 @@ def _bench_instances(args) -> list[tuple[str, Graph | None, str]]:
     return instances
 
 
+def _check_witness(g: Graph, result: solvers.SolveResult) -> None:
+    """A witness must be a biclique with t_detected - 1 vertices a side."""
+    w = result.witness
+    if w is None:
+        return
+    side = None if result.t_detected is None else result.t_detected - 1
+    if not (len(w.left) == len(w.right) == side and solvers.verify_witness(g, w)):
+        raise ValidationError("result failed witness check")
+
+
 def cmd_bench(args) -> int:
     algos = _parse_algos(args.algos)
     records: list[BenchRecord] = []
@@ -229,6 +239,7 @@ def cmd_bench(args) -> int:
                 elapsed = int((time.perf_counter() - start) * 1e6)
                 if not is_dominating(g, result.dominating_set):
                     raise ValidationError("result failed domination check")
+                _check_witness(g, result)
                 size = len(result.dominating_set)
                 records.append(
                     BenchRecord(

@@ -17,7 +17,25 @@ from typing import Iterable
 
 from .errors import ResourceLimitError, ValidationError
 from .graph import Graph, _targets_mask, ids_of
-from .solvers import BicliqueWitness, _best_cover, solve_classical
+from .solvers import BicliqueWitness, solve_classical
+
+
+def _best_cover(masks, active: int, excluded: int = 0) -> tuple[int, int]:
+    """Vertex maximizing |masks[v] & active| over v not in `excluded`.
+
+    Returns (vertex, count); (-1, 0) when every vertex is excluded.
+    Ties break to the lowest vertex id.
+    """
+    best_v = -1
+    best_c = 0
+    for v, m in enumerate(masks):
+        if excluded >> v & 1:
+            continue
+        c = (m & active).bit_count()
+        if best_v < 0 or c > best_c:
+            best_c = c
+            best_v = v
+    return best_v, best_c
 
 
 def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int]:

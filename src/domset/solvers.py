@@ -23,11 +23,26 @@ only in when the chain stops:
 
 Every tie breaks to the lowest vertex id, so identical inputs produce
 identical results.
+
+The engine works on the adjacency lists (lazy greedy, Minoux 1978). It
+keeps a live flag per target and a gain per vertex, gain[v] = |N[v] & A|;
+dominating a target u lowers gain[w] for every w in N[u]. A heap holds
+at most one entry (-gain, id) per vertex; the v_1 pick pops the
+top and re-keys it until the stored gain equals the current one, and as
+gains only fall that top is the lowest-id maximum. A chain pick counts
+|N[w] & B_s| only over w in N[B_s], the only vertices that meet the
+pool. A run costs O((n + m) log n) for the v_1 picks and gain updates.
+A chain step costs the degree sum of its pool, and each vertex enters
+one round's pool only, so chains of at most c picks add O(c (n + m)).
+Hybrid carries the live/gain state of the residual along the base
+rounds, so each extension starts from a copy of it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from typing import Iterable
 
 from .errors import ValidationError
@@ -90,76 +105,123 @@ class SolveResult:
         }
 
 
-def _best_cover(masks, active: int, excluded: int = 0) -> tuple[int, int]:
-    """Vertex maximizing |masks[v] & active| over v not in `excluded`.
-
-    Returns (vertex, count); (-1, 0) when every vertex is excluded.
-    Ties break to the lowest vertex id.
-    """
-    best_v = -1
-    best_c = 0
-    for v, m in enumerate(masks):
-        if excluded >> v & 1:
-            continue
-        c = (m & active).bit_count()
-        if best_v < 0 or c > best_c:
-            best_c = c
-            best_v = v
-    return best_v, best_c
+def _residual(adj, tids: tuple[int, ...]) -> tuple[bytearray, list[int]]:
+    """Engine state for the targets `tids`: live[u] is 1 while target u
+    is undominated, and gain[v] = |N[v] & A| over the live set A."""
+    live = bytearray(len(adj))
+    gain = [0] * len(adj)
+    for u in tids:
+        live[u] = 1
+        gain[u] += 1
+        for w in adj[u]:
+            gain[w] += 1
+    return live, gain
 
 
-def _greedy_rounds(masks, active: int, i: int | None) -> tuple[list[Round], list[int]]:
-    """Run rounds until no targets remain. An integer i >= 2 allows at
-    most i-1 picks per round (i = 2 is classical); i None chains while
-    |B_{s+1}| >= s+1 (auto). Returns the rounds and, in parallel, each
-    round's final chain pool."""
+def _dominate(adj, live: bytearray, gain: list[int], v: int) -> int:
+    """Mark the live targets of N[v] dominated, lowering the gain of
+    every vertex next to each; returns how many were live."""
+    k = 0
+    for u in (v, *adj[v]):
+        if live[u]:
+            live[u] = 0
+            k += 1
+            gain[u] -= 1
+            for w in adj[u]:
+                gain[w] -= 1
+    return k
+
+
+def _chain_pick(adj, pool: list[int], chosen: list[int]) -> int:
+    """Unchosen vertex maximizing |N[w] & pool|, lowest id on ties; -1
+    when none meets the pool. Only w in N[pool] can meet it."""
+    cnt = Counter(pool)
+    for b in pool:
+        cnt.update(adj[b])
+    for v in chosen:
+        cnt.pop(v, None)
+    if not cnt:
+        return -1
+    top = max(cnt.values())
+    return min(w for w, c in cnt.items() if c == top)
+
+
+def _greedy_rounds(
+    adj, live: bytearray, gain: list[int], i: int | None
+) -> tuple[list[Round], list[list[int]]]:
+    """Run rounds until no live target remains, consuming `live` and
+    `gain`. An integer i >= 2 allows at most i-1 picks per round (i = 2
+    is classical); i None chains while |B_{s+1}| >= s+1 (auto). Returns
+    the rounds and, in parallel, each round's final chain pool, sorted."""
     if i is not None and i < 2:
         raise ValidationError(f"parameter i must be >= 2, got {i}")
+    heap = [(-c, v) for v, c in enumerate(gain) if c]
+    heapify(heap)
+    left = live.count(1)
     rounds: list[Round] = []
-    pools: list[int] = []
-    while active:
-        v1, _ = _best_cover(masks, active)
-        chosen = [v1]
-        chosen_mask = 1 << v1
-        b = masks[v1] & active & ~(1 << v1)
-        b_sizes = [b.bit_count()]
-        covered = masks[v1] & active
-        while i is None or len(chosen) < i - 1:
-            v, c = _best_cover(masks, b, chosen_mask)
-            if v < 0 or c == 0:
+    pools: list[list[int]] = []
+    while left:
+        # Gains only fall, so a stored key is never below the current
+        # one; the first top whose key is current is the lowest-id maximum.
+        while True:
+            key, v1 = heap[0]
+            if -key == gain[v1]:
                 break
-            b_next = masks[v] & b & ~(1 << v)
-            if i is None and b_next.bit_count() < len(chosen) + 1:
+            if gain[v1]:
+                heapreplace(heap, (-gain[v1], v1))
+            else:
+                heappop(heap)
+        heappop(heap)  # every vertex picked this round ends with gain 0
+        chosen = [v1]
+        pool = [w for w in adj[v1] if live[w]]
+        b_sizes = [len(pool)]
+        while i is None or len(chosen) < i - 1:
+            v = _chain_pick(adj, pool, chosen)
+            if v < 0:
+                break
+            nbrs = set(adj[v])
+            b_next = [b for b in pool if b in nbrs]
+            if i is None and len(b_next) < len(chosen) + 1:
                 break
             chosen.append(v)
-            chosen_mask |= 1 << v
-            covered |= masks[v] & active
-            b = b_next
-            b_sizes.append(b.bit_count())
-        active &= ~covered
-        rounds.append(Round(tuple(chosen), tuple(b_sizes), covered.bit_count()))
-        pools.append(b)
+            pool = b_next
+            b_sizes.append(len(pool))
+        covered = 0
+        for v in chosen:
+            covered += _dominate(adj, live, gain, v)
+        left -= covered
+        rounds.append(Round(tuple(chosen), tuple(b_sizes), covered))
+        pools.append(pool)
     return rounds, pools
 
 
-def _assemble(algorithm: str, tmask: int, rounds: list[Round], **extra) -> SolveResult:
+def _run(
+    g: Graph, targets: Iterable[int] | None, i: int | None
+) -> tuple[tuple[int, ...], list[Round], list[list[int]]]:
+    """The sorted target ids (None: every vertex), and the engine's
+    rounds and pools for them."""
+    tids = ids_of(_targets_mask(g, targets))
+    return (tids, *_greedy_rounds(g.adj, *_residual(g.adj, tids), i))
+
+
+def _assemble(algorithm: str, tids: tuple[int, ...], rounds: list[Round], **extra) -> SolveResult:
     dom = tuple(sorted(v for r in rounds for v in r.chosen))
-    trace = GreedyTrace(initial_targets=ids_of(tmask), rounds=tuple(rounds), final_set=dom)
+    trace = GreedyTrace(initial_targets=tids, rounds=tuple(rounds), final_set=dom)
     return SolveResult(algorithm, dom, trace, **extra)
 
 
 def solve_classical(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     """Plain greedy: per round, one vertex of maximum coverage."""
-    tmask = _targets_mask(g, targets)
-    return _assemble("classical", tmask, _greedy_rounds(g.closed_masks, tmask, 2)[0])
+    tids, rounds, _ = _run(g, targets, 2)
+    return _assemble("classical", tids, rounds)
 
 
 def solve_fixed_i(g: Graph, i: int, targets: Iterable[int] | None = None) -> SolveResult:
     """Chained greedy with at most i-1 picks per round (i >= 2)."""
     if i is None:  # the engine would run auto
         raise ValidationError("parameter i must be >= 2, got None")
-    tmask = _targets_mask(g, targets)
-    return _assemble("fixed", tmask, _greedy_rounds(g.closed_masks, tmask, i)[0])
+    tids, rounds, _ = _run(g, targets, i)
+    return _assemble("fixed", tids, rounds)
 
 
 def _round_depth(r: Round) -> int:
@@ -181,8 +243,7 @@ def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     certifies depth >= 1 (no edge touches a target), t_detected is 1
     and no witness exists.
     """
-    tmask = _targets_mask(g, targets)
-    rounds, pools = _greedy_rounds(g.closed_masks, tmask, None)
+    tids, rounds, pools = _run(g, targets, None)
     best_depth = 0
     best = -1
     for k, r in enumerate(rounds):
@@ -194,9 +255,9 @@ def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     if best >= 0:
         witness = BicliqueWitness(
             left=tuple(sorted(rounds[best].chosen)),
-            right=ids_of(pools[best])[:best_depth],
+            right=tuple(pools[best][:best_depth]),
         )
-    return _assemble("auto", tmask, rounds, t_detected=best_depth + 1, witness=witness)
+    return _assemble("auto", tids, rounds, t_detected=best_depth + 1, witness=witness)
 
 
 def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None = None) -> SolveResult:
@@ -207,26 +268,27 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     the classical run, so the result is never larger than classical
     greedy. Ties go to the earliest prefix.
     """
-    tmask = _targets_mask(g, targets)
-    masks = g.closed_masks
-    base, _ = _greedy_rounds(masks, tmask, i)
+    tids, base, _ = _run(g, targets, i)
+    adj = g.adj
 
     best_rounds: list[Round] | None = None
     best_size: int | None = None
     prefix_size = 0
-    residual = tmask
+    # the residual after each base prefix, carried forward round by round;
+    # each extension runs on a copy
+    live, gain = _residual(adj, tids)
     for p in range(len(base) + 1):
         if p:
             for v in base[p - 1].chosen:
-                residual &= ~masks[v]
+                _dominate(adj, live, gain, v)
             prefix_size += len(base[p - 1].chosen)
-        extension, _ = _greedy_rounds(masks, residual, 2)
+        extension, _ = _greedy_rounds(adj, live[:], gain[:], 2)
         size = prefix_size + len(extension)  # one pick per classical round
         if best_size is None or size < best_size:
             best_size = size
             best_rounds = base[:p] + extension
     assert best_rounds is not None
-    return _assemble("hybrid", tmask, best_rounds)
+    return _assemble("hybrid", tids, best_rounds)
 
 
 def verify_witness(g: Graph, w: BicliqueWitness) -> bool:

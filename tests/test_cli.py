@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -5,10 +6,12 @@ import pytest
 
 from helpers import deep_search_graph, lower_recursion_limit
 
+from domset import solvers
 from domset.cli import main
 from domset.generators import gen_grid, gen_random_tree
 from domset.graph import parse_graph, serialize_graph
 from domset.reduction import parse_set_cover
+from domset.solvers import BicliqueWitness
 
 
 @pytest.fixture()
@@ -257,6 +260,26 @@ class TestBench:
         assert int(row["ds_size"]) == doc["size"]
         assert row["t_detected"] == ("" if doc["t_detected"] is None else str(doc["t_detected"]))
         assert int(row["rounds"]) == len(doc["rounds"])
+
+    @pytest.mark.parametrize("left, right", [((0, 1), (2, 3)), ((0,), (1,))],
+                             ids=["not-biclique", "wrong-side-size"])
+    def test_bad_witness_is_error_row(self, tmp_path, monkeypatch, left, right):
+        real = solvers.solve_auto
+
+        def bad_witness(g, targets=None):
+            result = real(g, targets)
+            assert result.t_detected == 3  # on the 4-cycle; sides of 2
+            return dataclasses.replace(result, witness=BicliqueWitness(left, right))
+
+        monkeypatch.setattr(solvers, "solve_auto", bad_witness)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--gen", "grid:w=2,h=2", "--algos", "classical,auto",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row["algorithm"] for row in rows] == ["classical", "auto"]
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"] == "result failed witness check"
+        assert rows[1]["ds_size"] == ""
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["bench", "--gen", "gnp:n=22,p=0.2,seed=3",

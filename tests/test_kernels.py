@@ -1,9 +1,8 @@
-"""The two bitmask queries behind the solvers and the exact oracle:
-max-coverage pick, and packing bound with branching target in one pass.
+"""The two bitmask queries behind the exact oracle: max-coverage pick
+(the ratio bound), and packing bound with branching target in one pass.
 Every tie goes to the lowest vertex id."""
 
-from domset.oracles import _bound_and_target
-from domset.solvers import _best_cover
+from domset.oracles import _best_cover, _bound_and_target
 
 
 class TestPureKernel:

@@ -1,3 +1,7 @@
+import functools
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import brute_all_min_dominating, brute_min_dominating, check_trace
 
 from domset.errors import ValidationError
-from domset.generators import gen_gnp, gen_grid, gen_random_tree
+from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
 from domset.graph import Graph, closed_neighborhood, is_dominating
 from domset.solvers import (
     BicliqueWitness,
@@ -165,6 +169,31 @@ random_graphs = st.builds(
     st.integers(min_value=0, max_value=2**32),
 )
 
+larger_graphs = st.builds(
+    gen_gnp,
+    st.integers(min_value=29, max_value=80),
+    st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.4]),
+    st.integers(min_value=0, max_value=2**32),
+)
+
+# algorithm -> (solver, check_trace rules)
+TRACE_RULES = {
+    "classical": (solve_classical, {"cap": 1}),
+    "fixed:3": (lambda g, targets: solve_fixed_i(g, 3, targets), {"cap": 2}),
+    "fixed:4": (lambda g, targets: solve_fixed_i(g, 4, targets), {"cap": 3}),
+    "auto": (solve_auto, {"auto_gate": True}),
+}
+
+
+def check_engine_run(g, algo, targets):
+    solve, rules = TRACE_RULES[algo]
+    r = solve(g, targets)
+    assert is_dominating(g, r.dominating_set, targets)
+    check_trace(g, r, targets, **rules)
+    if r.witness is not None:
+        assert verify_witness(g, r.witness)
+        assert len(r.witness.left) == len(r.witness.right) == r.t_detected - 1
+
 
 class TestInvariants:
     @given(random_graphs)
@@ -215,6 +244,22 @@ class TestInvariants:
             solve_hybrid(g, None, targets),
         ):
             assert is_dominating(g, r.dominating_set, targets)
+
+    # Larger graphs and subset targets: stale heap entries are common
+    # from n ~ 30 on, and non-target vertices enter the engine with a
+    # gain of 0 or only their target neighbors.
+    @pytest.mark.parametrize("algo", TRACE_RULES)
+    @given(g=st.one_of(random_graphs, larger_graphs), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_trace_with_subset_targets(self, algo, g, data):
+        targets = [v for v in range(g.n) if data.draw(st.booleans())]
+        check_engine_run(g, algo, targets)
+
+    @pytest.mark.parametrize("algo", TRACE_RULES)
+    @given(larger_graphs)
+    @settings(max_examples=60, deadline=None)
+    def test_trace_on_larger_graphs(self, algo, g):
+        check_engine_run(g, algo, None)
 
 
 class TestFirstRoundHitsEveryOptimum:
@@ -307,3 +352,78 @@ class TestEngineIdentities:
             targets = list(range(0, g.n, 2)) if with_targets else None
             got = solve_hybrid(g, i, targets).trace.rounds
             assert got == hybrid_reference(g, i, targets), name
+
+
+@functools.lru_cache(maxsize=None)
+def sparse_family(n):
+    """A random tree, a square grid, a 3-degenerate graph and G(n, 4/n)
+    at about n vertices, as in the benchmark's solve workloads."""
+    side = round(n ** 0.5)
+    return {
+        "tree": gen_random_tree(n, 11),
+        "grid": gen_grid(side, side),
+        "deg3": gen_d_degenerate(n, 3, 12),
+        "gnp": gen_gnp(n, 4.0 / n, 13),
+    }
+
+
+FROZEN_CASES = [
+    (family, n, algo, i)
+    for n, algos in ((1200, (("classical", None), ("fixed", 3), ("auto", None))),
+                     (350, (("hybrid", None), ("hybrid", 3))))
+    for family in ("tree", "grid", "deg3", "gnp")
+    for algo, i in algos
+]
+
+
+def frozen_case_id(case):
+    family, n, algo, i = case
+    return f"{family}_n{n}-{algo}" + ("" if i is None else f":{i}")
+
+
+def frozen_document_digest(family, n, algo, i):
+    g = sparse_family(n)[family]
+    result = {
+        "classical": lambda: solve_classical(g),
+        "fixed": lambda: solve_fixed_i(g, i),
+        "auto": lambda: solve_auto(g),
+        "hybrid": lambda: solve_hybrid(g, i),
+    }[algo]()
+    text = json.dumps(result.as_document(), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of each compact as_document() JSON, frozen from the bitmask-scan
+# engine; any change to a pick, a pool size, a witness or t_detected
+# changes the digest.
+FROZEN_DIGESTS = {
+    "tree_n1200-classical": "67dcd838ccb9d279bf590dcabae287ede04226180b245e9aadb266b101704cbb",
+    "tree_n1200-fixed:3": "d5001d5d3b3bb2073bc4160d3f23062f4cc7558a7c6035b4ec801095086a0e83",
+    "tree_n1200-auto": "39fb5184de19ac768593deb43dbd6291b638fc95ed183255dcd145a0e1acb380",
+    "grid_n1200-classical": "42da80673b1eb9884668c0590a91aeee445b852f891ed9b113054f67545b2c77",
+    "grid_n1200-fixed:3": "c1fa0f4e5dda8c1d3f510e622169b3f3b2ba37b81a30c053cea757e5d0d08f8b",
+    "grid_n1200-auto": "4b05440f043977abcb1024006b97bb887676c6350a68fad1c902da3132b3d2ad",
+    "deg3_n1200-classical": "8fca3617aca2fce9fa1bbcd68f1a6b7e1ddb60ded1261faf1c2b90d27f84f619",
+    "deg3_n1200-fixed:3": "44b98539bc80fd18aeff016e2ee4b08e79f589fd98b4527a4a04a45af1a86e57",
+    "deg3_n1200-auto": "d948bb3a86fa7a4bcdfee943932b75ab3776f37505b732b9378b57d4a451e7b1",
+    "gnp_n1200-classical": "442f3523936858e7c3fdf09619775937616a014e238948769f5eb009784abcc6",
+    "gnp_n1200-fixed:3": "582ba335f77f3542a5767e51236722d861c07abf4bc3df5de5cc3172b2244f98",
+    "gnp_n1200-auto": "bdd6c2a274b7f0b516cbbec6544b109d38f83a14f2fdae9b4e58d28d21b5e7d8",
+    "tree_n350-hybrid": "c07107fcb7dc2ab1d61c5984928de43cbd3d948b03e67831167357a801de8262",
+    "tree_n350-hybrid:3": "8431a0b1ac699ba822e9c74674aefa3d7a4c9e718f19972bfca8af02d7a67ebf",
+    "grid_n350-hybrid": "5cebb3dc2dbb0ec79d7810211ee00a90a6d898648835fb53f022f3401de8ea05",
+    "grid_n350-hybrid:3": "5cebb3dc2dbb0ec79d7810211ee00a90a6d898648835fb53f022f3401de8ea05",
+    "deg3_n350-hybrid": "897217d83fda255bdb8b7102001e89eaafb6961944f81074124cc7667f0fab47",
+    "deg3_n350-hybrid:3": "f669c657ae4c066425b3af52fb2e6e564eec3b611c13345d72721167cbc43771",
+    "gnp_n350-hybrid": "717d6b07f55cd99dbeaffb17ea8db9c342e67e8b755a93f6753d6832d75f083b",
+    "gnp_n350-hybrid:3": "717d6b07f55cd99dbeaffb17ea8db9c342e67e8b755a93f6753d6832d75f083b",
+}
+
+
+class TestFrozenDigests:
+    """Byte identity of solver documents at sizes where stale heap
+    entries and long chains are common."""
+
+    @pytest.mark.parametrize("case", FROZEN_CASES, ids=frozen_case_id)
+    def test_document_digest(self, case):
+        assert frozen_document_digest(*case) == FROZEN_DIGESTS[frozen_case_id(case)]
