@@ -2,9 +2,9 @@
 
 Solvers, exact oracles, biclique detection, an approximation-preserving
 set-cover reduction, seeded instance generators, and a CLI/benchmark
-harness. Pure Python with no runtime dependencies: the greedy engine
-works on adjacency lists, and the oracles and checks on vertex sets
-held as Python ints used as bitmasks.
+harness. Pure Python with no runtime dependencies. A graph is its
+adjacency lists only, and the solvers and checks work on them; the
+exact oracles alone use bit sets (Python ints), built per call.
 """
 
 from .errors import (

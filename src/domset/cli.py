@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import generators, oracles, reduction, solvers
 from .errors import DomsetError, ParseError, ResourceLimitError, ValidationError
-from .graph import Graph, _undominated, ids_of, is_dominating, parse_graph, serialize_graph
+from .graph import Graph, _undominated, is_dominating, parse_graph, serialize_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
     if not missing:
         print("OK")
         return EXIT_OK
-    print(f"FAIL undominated: {' '.join(map(str, ids_of(missing)))}")
+    print(f"FAIL undominated: {' '.join(map(str, missing))}")
     return EXIT_VALIDATION
 
 

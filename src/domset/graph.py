@@ -1,7 +1,7 @@
 """Immutable simple undirected graphs and the edge-list text format.
 
-Vertices are dense integers 0..n-1 so that isolated vertices are
-representable and membership tests can use bitmasks. The file format:
+Vertices are dense integers 0..n-1, so that isolated vertices are
+representable and per-vertex state fits in flat arrays. The file format:
 
     c optional comment lines anywhere
     p ds <n> <m>
@@ -16,22 +16,29 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import ParseError, RangeError, ValidationError
+from .errors import ParseError, RangeError, ResourceLimitError, ValidationError
+
+# Largest vertex count a Graph accepts. It is checked before any
+# per-vertex storage is allocated, so a short header such as
+# "p ds 1000000000 0" is refused (exit 3) instead of exhausting memory.
+MAX_VERTICES = 10**7
 
 
 class Graph:
     """Simple undirected graph with sorted adjacency lists.
 
-    Immutable after construction; all queries are pure reads, so
-    instances are safe to share across concurrent workers.
-    `closed_masks[v]` is N[v] (v and its neighbors) as a bitmask.
+    Holds only `n`, `m` and `adj` (memory O(n + m)). Immutable after
+    construction; all queries are pure reads, so instances are safe to
+    share across concurrent workers.
     """
 
-    __slots__ = ("n", "m", "adj", "closed_masks", "full_mask")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise RangeError(f"vertex count must be >= 0, got {n}")
+        if n > MAX_VERTICES:
+            raise ResourceLimitError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -43,14 +50,6 @@ class Graph:
         self.n = n
         self.m = sum(map(len, nbrs)) // 2
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
-        masks = []
-        for v in range(n):
-            mask = 1 << v
-            for u in nbrs[v]:
-                mask |= 1 << u
-            masks.append(mask)
-        self.closed_masks = tuple(masks)
-        self.full_mask = (1 << n) - 1
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -73,29 +72,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def mask_of(g: Graph, ids: Iterable[int]) -> int:
-    """Bitmask of a vertex collection, validating ranges."""
-    mask = 0
+def _vertex_ids(g: Graph, vertices: Iterable[int] | None) -> tuple[int, ...]:
+    """Sorted distinct ids of `vertices`, validating ranges in input
+    order; None means every vertex."""
+    if vertices is None:
+        return tuple(range(g.n))
+    ids = list(vertices)
     for v in ids:
         if not 0 <= v < g.n:
             raise RangeError(f"vertex {v} out of range for n={g.n}")
-        mask |= 1 << v
-    return mask
-
-
-def ids_of(mask: int) -> tuple[int, ...]:
-    """Sorted vertex ids set in a bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _targets_mask(g: Graph, targets: Iterable[int] | None) -> int:
-    """Bitmask of `targets`, validating ranges; None means every vertex."""
-    return g.full_mask if targets is None else mask_of(g, targets)
+    return tuple(sorted(set(ids)))
 
 
 def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
@@ -105,15 +91,17 @@ def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
     return tuple(sorted(g.adj[v] + (v,)))
 
 
-def _undominated(g: Graph, dominating: Iterable[int], targets: Iterable[int] | None) -> int:
-    """Bitmask of the targets (default: all vertices) outside the closed
+def _undominated(g: Graph, dominating: Iterable[int], targets: Iterable[int] | None) -> list[int]:
+    """Sorted targets (default: all vertices) outside the closed
     neighborhood of `dominating`."""
-    covered = 0
+    covered = bytearray(g.n)
     for v in dominating:
         if not 0 <= v < g.n:
             raise RangeError(f"vertex {v} out of range for n={g.n}")
-        covered |= g.closed_masks[v]
-    return _targets_mask(g, targets) & ~covered
+        covered[v] = 1
+        for u in g.adj[v]:
+            covered[u] = 1
+    return [u for u in _vertex_ids(g, targets) if not covered[u]]
 
 
 def is_dominating(g: Graph, dominating: Iterable[int], targets: Iterable[int] | None = None) -> bool:
@@ -121,7 +109,7 @@ def is_dominating(g: Graph, dominating: Iterable[int], targets: Iterable[int] | 
 
     `targets` defaults to all vertices.
     """
-    return _undominated(g, dominating, targets) == 0
+    return not _undominated(g, dominating, targets)
 
 
 def validate(g: Graph) -> None:

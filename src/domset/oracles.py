@@ -6,6 +6,10 @@ The exact solver is a branch and bound over "which vertex dominates
 the hardest remaining target"; with the packing lower bound it is
 comfortable up to roughly 30 vertices. Everything here is deterministic
 so oracle outputs can be frozen into fixtures.
+
+Vertex sets here are Python ints used as bit sets: each call builds the
+closed-neighborhood masks it needs from the adjacency lists. Nothing
+outside this module uses bit sets.
 """
 
 from __future__ import annotations
@@ -16,8 +20,21 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import ResourceLimitError, ValidationError
-from .graph import Graph, _targets_mask, ids_of
+from .graph import Graph, _vertex_ids
 from .solvers import BicliqueWitness, solve_classical
+
+
+def _mask(ids: Iterable[int]) -> int:
+    """Bit set of the vertex ids `ids`."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
+
+
+def _closed_masks(g: Graph) -> list[int]:
+    """N[v] (v and its neighbors) as a bit set, for every vertex v."""
+    return [_mask((v, *row)) for v, row in enumerate(g.adj)]
 
 
 def _best_cover(masks, active: int, excluded: int = 0) -> tuple[int, int]:
@@ -105,16 +122,16 @@ def exact_min_dominating_set(
     trying dominators in decreasing-coverage order and banning each
     tried dominator from the rest of its sibling subtrees.
     """
-    tmask = _targets_mask(g, targets)
-    masks = g.closed_masks
-
-    if tmask == 0:
+    tids = _vertex_ids(g, targets)
+    if not tids:
         opt = 0 if budget is None or budget >= 0 else None
         if opt is None:
             return OracleResult(None, None, 0, exceeded=True)
         return OracleResult(0, (), 0)
 
-    seed = solve_classical(g, targets).dominating_set
+    adj = g.adj
+    masks = _closed_masks(g)
+    seed = solve_classical(g, tids).dominating_set
     best_size = len(seed)
     best_set: tuple[int, ...] | None = seed
     if budget is not None and budget + 1 < best_size:
@@ -140,8 +157,9 @@ def exact_min_dominating_set(
         lb = max(lb, -(-active.bit_count() // c))
         if depth + lb >= best_size:
             return
-        cands = ids_of(masks[u] & ~banned)
-        cands = sorted(cands, key=lambda v: (-(masks[v] & active).bit_count(), v))
+        # the key is a total order, so the order of N[u] does not matter
+        cands = [v for v in (u, *adj[u]) if not banned >> v & 1]
+        cands.sort(key=lambda v: (-(masks[v] & active).bit_count(), v))
         local_banned = banned
         for v in cands:
             chosen.append(v)
@@ -151,7 +169,7 @@ def exact_min_dominating_set(
         return
 
     try:
-        search(tmask, 0, [])
+        search(_mask(tids), 0, [])
     except RecursionError:  # one frame per chosen vertex
         raise ResourceLimitError(
             f"exact search on n={g.n} exceeded the recursion limit; the instance is too large"
@@ -169,12 +187,13 @@ def enumerate_min_dominating_sets(
     """All sets of minimum cardinality dominating `targets`, in
     lexicographic order. Exhaustive over size-k subsets; meant for
     small graphs (n up to about 16)."""
-    tmask = _targets_mask(g, targets)
-    if tmask == 0:
+    tids = _vertex_ids(g, targets)
+    if not tids:
         return [()]
-    k = exact_min_dominating_set(g, targets).opt_size
+    k = exact_min_dominating_set(g, tids).opt_size
     assert k is not None
-    masks = g.closed_masks
+    tmask = _mask(tids)
+    masks = _closed_masks(g)
     out = []
     for combo in combinations(range(g.n), k):
         covered = 0
@@ -199,13 +218,13 @@ def has_biclique(g: Graph, a: int, b: int, max_left: int = 4) -> BicliqueWitness
     if a > max_left:
         raise ResourceLimitError(f"left side {a} exceeds the cap {max_left}")
     n = g.n
-    open_masks = [g.closed_masks[v] & ~(1 << v) for v in range(n)]
+    open_masks = [_mask(row) for row in g.adj]
 
     def extend(start: int, left: list[int], left_mask: int, common: int):
         if len(left) == a:
             cand = common & ~left_mask
             if cand.bit_count() >= b:
-                return BicliqueWitness(tuple(left), ids_of(cand)[:b])
+                return BicliqueWitness(tuple(left), tuple(v for v in range(n) if cand >> v & 1)[:b])
             return None
         for v in range(start, n - (a - len(left)) + 1):
             nxt = open_masks[v] if not left else common & open_masks[v]

@@ -46,7 +46,7 @@ from heapq import heapify, heappop, heapreplace
 from typing import Iterable
 
 from .errors import ValidationError
-from .graph import Graph, _targets_mask, ids_of, mask_of
+from .graph import Graph, _vertex_ids
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _run(
 ) -> tuple[tuple[int, ...], list[Round], list[list[int]]]:
     """The sorted target ids (None: every vertex), and the engine's
     rounds and pools for them."""
-    tids = ids_of(_targets_mask(g, targets))
+    tids = _vertex_ids(g, targets)
     return (tids, *_greedy_rounds(g.adj, *_residual(g.adj, tids), i))
 
 
@@ -293,12 +293,7 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
 
 def verify_witness(g: Graph, w: BicliqueWitness) -> bool:
     """True iff the sides are disjoint and every cross pair is an edge."""
-    lmask = mask_of(g, w.left)
-    rmask = mask_of(g, w.right)
-    if lmask & rmask:
-        return False
-    for v in w.left:
-        open_mask = g.closed_masks[v] & ~(1 << v)
-        if rmask & ~open_mask:
-            return False
-    return True
+    left = _vertex_ids(g, w.left)
+    right = set(_vertex_ids(g, w.right))
+    # no vertex is its own neighbor, so this also makes the sides disjoint
+    return all(right.issubset(g.adj[v]) for v in left)

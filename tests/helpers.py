@@ -9,7 +9,23 @@ import sys
 from itertools import combinations
 
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
-from domset.graph import Graph, ids_of, mask_of
+from domset.graph import Graph
+
+
+def target_mask(g: Graph, targets=None) -> int:
+    """Bit set of the targets; None means every vertex."""
+    if targets is None:
+        return (1 << g.n) - 1
+    mask = 0
+    for v in targets:
+        assert 0 <= v < g.n
+        mask |= 1 << v
+    return mask
+
+
+def ids_in(mask: int) -> tuple:
+    """Sorted ids of the bits set in `mask`."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def closed_mask(g: Graph, v: int) -> int:
@@ -28,7 +44,7 @@ def covers(g: Graph, subset, tmask: int) -> bool:
 
 def brute_min_dominating(g: Graph, targets=None):
     """(size, lexicographically first witness) by exhaustive search."""
-    tmask = g.full_mask if targets is None else mask_of(g, targets)
+    tmask = target_mask(g, targets)
     if tmask == 0:
         return 0, ()
     for k in range(1, g.n + 1):
@@ -39,7 +55,7 @@ def brute_min_dominating(g: Graph, targets=None):
 
 
 def brute_all_min_dominating(g: Graph, targets=None):
-    tmask = g.full_mask if targets is None else mask_of(g, targets)
+    tmask = target_mask(g, targets)
     if tmask == 0:
         return [()]
     k, _ = brute_min_dominating(g, targets)
@@ -118,8 +134,8 @@ def check_trace(g: Graph, result, targets=None, cap=None, auto_gate=False):
     every step: lowest-id maximality for each pick, nested pools with
     recorded sizes, per-round progress, and an empty final residual."""
     masks = [closed_mask(g, v) for v in range(g.n)]
-    tmask = g.full_mask if targets is None else mask_of(g, targets)
-    assert result.trace.initial_targets == ids_of(tmask)
+    tmask = target_mask(g, targets)
+    assert result.trace.initial_targets == ids_in(tmask)
     active = tmask
     all_chosen = []
     for rnd in result.trace.rounds:

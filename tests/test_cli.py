@@ -6,7 +6,7 @@ import pytest
 
 from helpers import deep_search_graph, lower_recursion_limit
 
-from domset import solvers
+from domset import graph, solvers
 from domset.cli import main
 from domset.generators import gen_grid, gen_random_tree
 from domset.graph import parse_graph, serialize_graph
@@ -72,6 +72,17 @@ class TestSolve:
         bad = tmp_path / "bad.gr"
         bad.write_text("p ds x y\n")
         assert main(["solve", "--algo", "classical", str(bad)]) == 1
+
+    def test_vertex_limit_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 10)
+        path = tmp_path / "g.gr"
+        path.write_text("p ds 11 0\n")
+        assert main(["solve", "--algo", "classical", str(path)]) == 3
+        assert capsys.readouterr().err == "error: vertex count 11 exceeds the limit 10\n"
+        path.write_text("p ds 10 0\n")
+        code, doc = run_json(capsys, ["solve", "--algo", "classical", str(path)])
+        assert code == 0
+        assert doc["size"] == 10
 
     def test_targets_file(self, tmp_path, capsys, p4_file):
         targets = tmp_path / "targets.txt"
@@ -361,3 +372,94 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["solve"])  # missing required --algo
         assert exc.value.code == 1
+
+
+def _range_error(v):
+    return 2, "", f"error: vertex {v} out of range for n=4\n"
+
+
+_P4_CLASSICAL_0_2 = {
+    "algorithm": "classical",
+    "dominating_set": [0, 2],
+    "size": 2,
+    "t_detected": None,
+    "witness": None,
+    "rounds": [
+        {"chosen": [0], "b_sizes": [1], "newly_dominated": 2},
+        {"chosen": [2], "b_sizes": [1], "newly_dominated": 1},
+    ],
+}
+_EMPTY_CLASSICAL = dict(_P4_CLASSICAL_0_2, dominating_set=[], size=0, rounds=[])
+_NOT_BICLIQUE = (2, "FAIL: not a complete bipartite subgraph\n", "")
+
+
+class TestVertexListErrorPaths:
+    """Exit code, stdout and stderr of every command that reads vertex
+    ids, on the path 0-1-2-3 (witnesses: the 4-cycle 0-1-3-2). Ids may
+    repeat and come in any order; the first out-of-range id in input
+    order is reported, and `--ds` is checked before `--targets`, `left`
+    before `right`. A JSON document stands for its indented dump."""
+
+    SOLVE_EXACT = [
+        ("3 1 3 0", (0, _P4_CLASSICAL_0_2, ""),
+         (0, {"opt_size": 2, "witness_set": [0, 2], "node_count": 1, "exceeded": False}, "")),
+        ("c no targets\n", (0, _EMPTY_CLASSICAL, ""),
+         (0, {"opt_size": 0, "witness_set": [], "node_count": 0, "exceeded": False}, "")),
+        ("1 -1 2", _range_error(-1), _range_error(-1)),
+        ("0 1 2 9", _range_error(9), _range_error(9)),
+        ("0 7 -3", _range_error(7), _range_error(7)),
+    ]
+    VERIFY_DS = [
+        ("2 1 1 2", None, (0, "OK\n", "")),
+        ("0 0 0", None, (2, "FAIL undominated: 2 3\n", "")),
+        ("0 0", "3 2 3 0", (2, "FAIL undominated: 2 3\n", "")),
+        ("1", "", (0, "OK\n", "")),
+        ("0 4", None, _range_error(4)),
+        ("-1", None, _range_error(-1)),
+        ("1 2", "0 1 5", _range_error(5)),
+        ("0 6", "-4", _range_error(6)),
+        ("0", "2 2 -1", _range_error(-1)),
+    ]
+    WITNESS = [
+        ([3, 0, 0], [2, 1], (0, "OK\n", "")),
+        ([0, 3], [1, 2, 1], (0, "OK\n", "")),
+        ([0], [0, 1], _NOT_BICLIQUE),
+        ([0, 0], [3], _NOT_BICLIQUE),
+        ([0, 9], [1], _range_error(9)),
+        ([0], [-1], _range_error(-1)),
+        ([5], [-1], _range_error(5)),
+    ]
+
+    @staticmethod
+    def check(capsys, argv, expected):
+        code, out, err = expected
+        if isinstance(out, dict):
+            out = json.dumps(out, indent=2) + "\n"
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("cmd", ["solve", "exact"])
+    @pytest.mark.parametrize("ids,solve_expected,exact_expected", SOLVE_EXACT)
+    def test_targets(self, tmp_path, capsys, p4_file, cmd, ids, solve_expected, exact_expected):
+        targets = tmp_path / "targets.txt"
+        targets.write_text(ids)
+        algo = ["--algo", "classical"] if cmd == "solve" else []
+        expected = solve_expected if cmd == "solve" else exact_expected
+        self.check(capsys, [cmd, *algo, "--targets", str(targets), p4_file], expected)
+
+    @pytest.mark.parametrize("ds_ids,target_ids,expected", VERIFY_DS)
+    def test_verify_ds(self, tmp_path, capsys, p4_file, ds_ids, target_ids, expected):
+        ds = tmp_path / "ds.txt"
+        ds.write_text(ds_ids)
+        argv = ["verify", "--ds", str(ds), p4_file]
+        if target_ids is not None:
+            targets = tmp_path / "targets.txt"
+            targets.write_text(target_ids)
+            argv[1:1] = ["--targets", str(targets)]
+        self.check(capsys, argv, expected)
+
+    @pytest.mark.parametrize("left,right,expected", WITNESS)
+    def test_verify_witness(self, tmp_path, capsys, c4_file, left, right, expected):
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({"left": left, "right": right}))
+        self.check(capsys, ["verify", "--witness", str(w), c4_file], expected)

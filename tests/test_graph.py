@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domset.errors import ParseError, RangeError, ValidationError
-from domset.generators import gen_gnp
+from domset import graph
+from domset.errors import ParseError, RangeError, ResourceLimitError, ValidationError
+from domset.generators import gen_gnp, gen_random_tree
 from domset.graph import (
     Graph,
     closed_neighborhood,
@@ -149,3 +152,30 @@ class TestRoundTripAndValidate:
         setattr(g, field, value)
         with pytest.raises(ValidationError, match=message):
             validate(g)
+
+
+class TestSize:
+    def test_memory_is_linear(self):
+        # adjacency lists take about 6 MiB here; one n-bit mask per
+        # vertex would take about 40 MiB
+        edges = gen_random_tree(20000, 1).edges()
+        tracemalloc.start()
+        try:
+            Graph(20000, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_vertex_limit_checked_before_allocation(self, monkeypatch):
+        # 10^5 vertices would take about 20 MiB of neighbor sets
+        monkeypatch.setattr(graph, "MAX_VERTICES", 10)
+        assert parse_graph("p ds 10 0").n == 10
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="vertex count 100000 exceeds the limit 10"):
+                parse_graph("p ds 100000 0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -17,6 +17,8 @@ from domset.errors import ResourceLimitError, ValidationError
 from domset.generators import gen_gnp, gen_grid, gen_random_tree
 from domset.graph import Graph, is_dominating
 from domset.oracles import (
+    _best_cover,
+    _bound_and_target,
     enumerate_min_dominating_sets,
     exact_min_dominating_set,
     harmonic,
@@ -31,6 +33,37 @@ def p4():
 
 def star6():
     return Graph(6, [(0, i) for i in range(1, 6)])
+
+
+class TestBitmaskQueries:
+    """The two bit-set queries behind the exact oracle: max-coverage pick
+    (the ratio bound), and packing bound with branching target in one
+    pass. Every tie goes to the lowest vertex id."""
+
+    def test_best_cover_ties_go_low(self):
+        assert _best_cover([0b011, 0b110, 0b101], 0b111) == (0, 2)
+
+    def test_best_cover_excluded(self):
+        assert _best_cover([0b011, 0b110, 0b101], 0b111, excluded=0b001) == (1, 2)
+
+    def test_best_cover_all_excluded(self):
+        assert _best_cover([0b1], 0b1, excluded=0b1) == (-1, 0)
+
+    def test_best_cover_empty_active(self):
+        assert _best_cover([0b11, 0b10], 0) == (0, 0)
+
+    def test_pack_bound_disjoint(self):
+        # two vertices with disjoint closed neighborhoods
+        assert _bound_and_target([0b0011, 0b0011, 0b1100, 0b1100], 0b1111)[0] == 2
+
+    def test_pack_bound_infeasible(self):
+        assert _bound_and_target([0b01, 0b10], 0b11, banned=0b10)[0] == -1
+
+    def test_pick_target_prefers_fewest_dominators(self):
+        assert _bound_and_target([0b001, 0b111, 0b110], 0b111)[1] == 0
+
+    def test_pick_target_empty(self):
+        assert _bound_and_target([0b1], 0)[1] == -1
 
 
 class TestExact:
@@ -88,6 +121,11 @@ class TestExact:
             assert opt <= greedy <= harmonic(g.n) * opt + 1e-9
             for i in (2, 3):
                 assert opt <= len(solve_fixed_i(g, i).dominating_set)
+
+    def test_targets_iterator_read_once(self):
+        # the greedy seed must see the same targets as the search
+        assert exact_min_dominating_set(p4(), iter(range(4))) == exact_min_dominating_set(p4())
+        assert enumerate_min_dominating_sets(p4(), iter(range(4))) == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
 
 class TestEnumerate:
