@@ -35,7 +35,13 @@ pool. A run costs O((n + m) log n) for the v_1 picks and gain updates.
 A chain step costs the degree sum of its pool, and each vertex enters
 one round's pool only, so chains of at most c picks add O(c (n + m)).
 Hybrid carries the live/gain state of the residual along the base
-rounds, so each extension starts from a copy of it.
+rounds, so each extension starts from a copy of it. It extends only the
+prefixes that can change the answer. A prefix whose next base round has
+a single pick is skipped: that round is the classical round on the same
+residual, so the prefix and the one after it give the same rounds and
+the same size. An extension stops as soon as it provably cannot end
+strictly below the best size so far, which a later prefix needs to win.
+Both skips leave the result unchanged.
 """
 
 from __future__ import annotations
@@ -147,12 +153,17 @@ def _chain_pick(adj, pool: list[int], chosen: list[int]) -> int:
 
 
 def _greedy_rounds(
-    adj, live: bytearray, gain: list[int], i: int | None
-) -> tuple[list[Round], list[list[int]]]:
+    adj, live: bytearray, gain: list[int], i: int | None, cutoff: int | None = None
+) -> tuple[list[Round], list[list[int]]] | None:
     """Run rounds until no live target remains, consuming `live` and
     `gain`. An integer i >= 2 allows at most i-1 picks per round (i = 2
     is classical); i None chains while |B_{s+1}| >= s+1 (auto). Returns
-    the rounds and, in parallel, each round's final chain pool, sorted."""
+    the rounds and, in parallel, each round's final chain pool, sorted.
+
+    With a round limit `cutoff`, returns None as soon as the run cannot
+    finish in fewer than `cutoff` rounds: a round removes at most the
+    current maximum gain, and gains only fall, so at least
+    ceil(left / max gain) rounds remain."""
     if i is not None and i < 2:
         raise ValidationError(f"parameter i must be >= 2, got {i}")
     heap = [(-c, v) for v, c in enumerate(gain) if c]
@@ -171,6 +182,8 @@ def _greedy_rounds(
                 heapreplace(heap, (-gain[v1], v1))
             else:
                 heappop(heap)
+        if cutoff is not None and len(rounds) - (-left // gain[v1]) >= cutoff:
+            return None
         heappop(heap)  # every vertex picked this round ends with gain 0
         chosen = [v1]
         pool = [w for w in adj[v1] if live[w]]
@@ -267,6 +280,17 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     The empty prefix is always a candidate and its extension is exactly
     the classical run, so the result is never larger than classical
     greedy. Ties go to the earliest prefix.
+
+    Two kinds of prefix are not extended, and neither changes the result:
+
+    * a prefix p whose base round p has a single pick. That round picks
+      the lowest-id vertex of maximum gain on the residual after the
+      prefix, exactly as classical greedy would, so extension(p) is
+      [base[p]] + extension(p+1): prefix p + 1 gives the same rounds at
+      the same size, and wins wherever p would have.
+    * the rest of an extension once it cannot end strictly below the
+      best size so far (`cutoff` of `_greedy_rounds`); at best it would
+      tie, and a tie keeps the earlier prefix.
     """
     tids, base, _ = _run(g, targets, i)
     adj = g.adj
@@ -282,7 +306,13 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
             for v in base[p - 1].chosen:
                 _dominate(adj, live, gain, v)
             prefix_size += len(base[p - 1].chosen)
-        extension, _ = _greedy_rounds(adj, live[:], gain[:], 2)
+        if p < len(base) and len(base[p].chosen) == 1:
+            continue
+        cutoff = None if best_size is None else best_size - prefix_size
+        run = _greedy_rounds(adj, live[:], gain[:], 2, cutoff)
+        if run is None:
+            continue
+        extension = run[0]
         size = prefix_size + len(extension)  # one pick per classical round
         if best_size is None or size < best_size:
             best_size = size
@@ -292,8 +322,11 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
 
 
 def verify_witness(g: Graph, w: BicliqueWitness) -> bool:
-    """True iff the sides are disjoint and every cross pair is an edge."""
+    """True iff neither side repeats an id, the sides are disjoint and
+    every cross pair is an edge."""
     left = _vertex_ids(g, w.left)
     right = set(_vertex_ids(g, w.right))
+    if len(left) != len(w.left) or len(right) != len(w.right):
+        return False  # a repeated id would count one vertex twice
     # no vertex is its own neighbor, so this also makes the sides disjoint
     return all(right.issubset(g.adj[v]) for v in left)

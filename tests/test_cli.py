@@ -272,8 +272,8 @@ class TestBench:
         assert row["t_detected"] == ("" if doc["t_detected"] is None else str(doc["t_detected"]))
         assert int(row["rounds"]) == len(doc["rounds"])
 
-    @pytest.mark.parametrize("left, right", [((0, 1), (2, 3)), ((0,), (1,))],
-                             ids=["not-biclique", "wrong-side-size"])
+    @pytest.mark.parametrize("left, right", [((0, 1), (2, 3)), ((0,), (1,)), ((0, 0), (1, 2))],
+                             ids=["not-biclique", "wrong-side-size", "repeated-id"])
     def test_bad_witness_is_error_row(self, tmp_path, monkeypatch, left, right):
         real = solvers.solve_auto
 
@@ -421,13 +421,14 @@ class TestVertexListErrorPaths:
         ("0", "2 2 -1", _range_error(-1)),
     ]
     WITNESS = [
-        ([3, 0, 0], [2, 1], (0, "OK\n", "")),
-        ([0, 3], [1, 2, 1], (0, "OK\n", "")),
+        ([3, 0, 0], [2, 1], _NOT_BICLIQUE),
+        ([0, 3], [1, 2, 1], _NOT_BICLIQUE),
         ([0], [0, 1], _NOT_BICLIQUE),
         ([0, 0], [3], _NOT_BICLIQUE),
         ([0, 9], [1], _range_error(9)),
         ([0], [-1], _range_error(-1)),
         ([5], [-1], _range_error(5)),
+        ([0, 0], [9], _range_error(9)),
     ]
 
     @staticmethod

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_all_min_dominating, brute_min_dominating, check_trace
 
+from domset import solvers
 from domset.errors import ValidationError
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
 from domset.graph import Graph, closed_neighborhood, is_dominating
@@ -138,6 +139,33 @@ class TestHybrid:
             classical = len(solve_classical(g).dominating_set)
             assert len(solve_hybrid(g).dominating_set) <= classical
             assert len(solve_hybrid(g, 3).dominating_set) <= classical
+
+    def test_single_pick_prefixes_are_not_extended(self, monkeypatch):
+        # a tree holds no 4-cycle, so every auto round has one pick and
+        # only the full prefix is extended after the base run
+        g = gen_random_tree(300, 1)
+        assert all(len(r.chosen) == 1 for r in solve_auto(g).trace.rounds)
+        real = solvers._greedy_rounds
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_greedy_rounds", counting)
+        solve_hybrid(g)
+        assert calls == [None, 2]
+
+    def test_tie_keeps_earliest_prefix(self):
+        # two 4-cycles: fixed:3 takes (0, 2) and (4, 6), and each of the
+        # three prefixes extends to 4 vertices; the empty prefix (the
+        # classical run) is the earliest, so it is the result
+        g = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+        assert [r.chosen for r in solve_fixed_i(g, 3).trace.rounds] == [(0, 2), (4, 6)]
+        classical = solve_classical(g).trace.rounds
+        assert [r.chosen for r in classical] == [(0,), (4,), (1,), (5,)]
+        assert solve_hybrid(g, 3).trace.rounds == classical
+        assert hybrid_reference(g, 3, None) == classical
 
     def test_trace_composes_to_valid_run(self):
         g = gen_gnp(20, 0.2, 9)
@@ -345,13 +373,26 @@ class TestEngineIdentities:
         for name, g in validity_suite:
             assert solve_fixed_i(g, 2).trace.rounds == solve_classical(g).trace.rounds, name
 
-    @pytest.mark.parametrize("i", [None, 2, 3])
+    @pytest.mark.parametrize("i", [None, 2, 3, 4])
     @pytest.mark.parametrize("with_targets", [False, True], ids=["all", "targets"])
     def test_hybrid_is_earliest_smallest_prefix(self, validity_suite, i, with_targets):
-        for name, g in validity_suite[::4]:
+        for name, g in validity_suite:
             targets = list(range(0, g.n, 2)) if with_targets else None
             got = solve_hybrid(g, i, targets).trace.rounds
             assert got == hybrid_reference(g, i, targets), name
+
+    def test_cutoff_prunes_exactly_the_runs_that_reach_it(self, validity_suite):
+        # the bound is admissible: a run of L rounds is cut off for every
+        # limit <= L, and runs to the same rounds for a limit above L
+        for name, g in validity_suite:
+            tids = tuple(range(g.n))
+            rounds, _ = solvers._greedy_rounds(g.adj, *solvers._residual(g.adj, tids), 2)
+            for cutoff in range(len(rounds) + 2):
+                got = solvers._greedy_rounds(g.adj, *solvers._residual(g.adj, tids), 2, cutoff)
+                if cutoff <= len(rounds):
+                    assert got is None, (name, cutoff)
+                else:
+                    assert got[0] == rounds, (name, cutoff)
 
 
 @functools.lru_cache(maxsize=None)
