@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -307,6 +308,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# Built on the first main() call, not at import, and kept: parse_args
+# returns a fresh Namespace each call and no default is mutable.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="domset", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,7 +321,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--i", type=int, default=None, help="round cap parameter (fixed/hybrid)")
     p.add_argument("--targets", default=None, help="file of target vertex ids")
     p.add_argument("--out", default=None, help="write the result document here")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("exact", help="exact minimum dominating set (small graphs)")
     p.add_argument("graph")
@@ -326,14 +329,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=30, dest="max_n")
     p.add_argument("--force", action="store_true", help="ignore the --max-n guard")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("verify", help="check a dominating set or biclique witness")
     p.add_argument("graph")
     p.add_argument("--ds", default=None, help="file of dominating-set vertex ids")
     p.add_argument("--targets", default=None)
     p.add_argument("--witness", default=None, help="JSON file with 'left'/'right' vertex lists")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run algorithms over instances, emit CSV")
     p.add_argument("--graphs", default=None, help="directory of *.gr files")
@@ -346,7 +347,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--timings", action="store_true",
                    help="fill elapsed_micros (breaks byte-for-byte determinism)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("reduce", help="reduce an intersection-1 set cover to dominating set")
     p.add_argument("setcover", help="JSON file with 'universe' and 'sets'")
@@ -354,7 +354,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--map", default=None, help="vertex-map JSON output path")
     p.add_argument("--check-free", action="store_true", dest="check_free",
                    help="verify the reduced graph has no K_3,3 subgraph")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("gen", help="generate a graph or set-cover instance")
     p.add_argument("--model", required=True, choices=generators.GEN_MODELS)
@@ -362,16 +361,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--" + key.replace("_", "-"), type=float if key == "p" else int)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up on the module at each call, like the solvers in _ALGORITHMS,
+    # so wrappers installed after the parser was built see the call
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except DomsetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

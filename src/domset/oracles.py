@@ -3,9 +3,12 @@ of all minimum dominating sets, brute-force biclique detection, and
 the harmonic-number helper.
 
 The exact solver is a branch and bound over "which vertex dominates
-the hardest remaining target"; with the packing lower bound it is
-comfortable up to roughly 30 vertices. Everything here is deterministic
-so oracle outputs can be frozen into fixtures.
+the hardest remaining target". Each search node makes one pass over the
+undominated targets that yields the packing lower bound, the branching
+target and the set of vertices that can still cover something; only if
+the packing bound does not prune does it try the ratio bound over that
+set. Everything here is deterministic so oracle outputs can be frozen
+into fixtures.
 
 Vertex sets here are Python ints used as bit sets: each call builds the
 closed-neighborhood masks it needs from the adjacency lists. Nothing
@@ -37,25 +40,7 @@ def _closed_masks(g: Graph) -> list[int]:
     return [_mask((v, *row)) for v, row in enumerate(g.adj)]
 
 
-def _best_cover(masks, active: int, excluded: int = 0) -> tuple[int, int]:
-    """Vertex maximizing |masks[v] & active| over v not in `excluded`.
-
-    Returns (vertex, count); (-1, 0) when every vertex is excluded.
-    Ties break to the lowest vertex id.
-    """
-    best_v = -1
-    best_c = 0
-    for v, m in enumerate(masks):
-        if excluded >> v & 1:
-            continue
-        c = (m & active).bit_count()
-        if best_v < 0 or c > best_c:
-            best_c = c
-            best_v = v
-    return best_v, best_c
-
-
-def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int]:
+def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, int]:
     """One pass over the bits of `active`, each dominated by the
     non-banned vertices of its closed neighborhood. Returns:
 
@@ -64,15 +49,19 @@ def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int]:
       pairwise disjoint are packed greedily, and each packed bit needs
       its own vertex;
     * the active bit with the fewest allowed dominators (tie: lowest id),
-      or -1 when `active` is empty.
+      or -1 when `active` is empty;
+    * the union of the allowed dominator sets: by symmetry of N[.], the
+      non-banned vertices that cover at least one active bit.
 
-    Returns (-1, -1) as soon as some active bit has no allowed dominator.
+    Returns (-1, -1, 0) as soon as some active bit has no allowed
+    dominator.
     """
     allowed = ~banned
     used = 0
     count = 0
     best_u = -1
     best_c = -1
+    reach = 0
     a = active
     while a:
         low = a & -a
@@ -80,15 +69,33 @@ def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int]:
         a ^= low
         dom = masks[u] & allowed
         if dom == 0:
-            return -1, -1
+            return -1, -1, 0
         if dom & used == 0:
             count += 1
             used |= dom
+        reach |= dom
         c = dom.bit_count()
         if best_u < 0 or c < best_c:
             best_c = c
             best_u = u
-    return count, best_u
+    return count, best_u, reach
+
+
+def _ratio_prunes(masks, active: int, reach: int, slots: int) -> bool:
+    """Whether `slots` (>= 1) more picks from `reach` cannot cover
+    `active`, because each covers fewer than |active| / slots of its bits.
+
+    This is the ratio bound ceil(|active| / c) > slots, with c the largest
+    coverage |masks[v] & active| over v in `reach`, decided without
+    finding c: the scan stops at the first v that covers enough.
+    """
+    need = -(-active.bit_count() // slots)
+    while reach:
+        low = reach & -reach
+        if (masks[low.bit_length() - 1] & active).bit_count() >= need:
+            return False
+        reach ^= low
+    return True
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,17 @@ def exact_min_dominating_set(
     Branches on the remaining target with the fewest allowed dominators,
     trying dominators in decreasing-coverage order and banning each
     tried dominator from the rest of its sibling subtrees.
+
+    A node with undominated set A at depth d is pruned when d + lb >=
+    best size, by two bounds in this order: the packing bound (targets
+    with pairwise disjoint allowed dominator sets each need their own
+    pick), then the ratio bound ceil(|A| / c), c the largest coverage of
+    A by an allowed vertex. The ratio bound needs only to know whether
+    some allowed vertex covers at least |A| / slots targets, with slots
+    the picks left before the best size, so its scan stops at the first
+    one that does. Either way the node is pruned exactly when the larger
+    of the two bounds reaches the best size, so the visited nodes, and
+    with them node_count, do not depend on the order or the early exit.
     """
     tids = _vertex_ids(g, targets)
     if not tids:
@@ -148,14 +166,11 @@ def exact_min_dominating_set(
                 best_set = tuple(sorted(chosen))
             return
         depth = len(chosen)
-        lb, u = _bound_and_target(masks, active, banned)
-        if lb < 0:
+        lb, u, reach = _bound_and_target(masks, active, banned)
+        if lb < 0 or depth + lb >= best_size:
             return
-        # c >= 1: as lb >= 0, each active bit u has an allowed w in N[u],
-        # and by symmetry u is in N[w]
-        _, c = _best_cover(masks, active, banned)
-        lb = max(lb, -(-active.bit_count() // c))
-        if depth + lb >= best_size:
+        # lb >= 1 as active != 0, so at least one slot is left
+        if _ratio_prunes(masks, active, reach, best_size - depth - 1):
             return
         # the key is a total order, so the order of N[u] does not matter
         cands = [v for v in (u, *adj[u]) if not banned >> v & 1]

@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import deep_search_graph, lower_recursion_limit
 
-from domset import graph, solvers
+from domset import cli, graph, solvers
 from domset.cli import main
 from domset.generators import gen_grid, gen_random_tree
 from domset.graph import parse_graph, serialize_graph
@@ -372,6 +375,41 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["solve"])  # missing required --algo
         assert exc.value.code == 1
+
+
+class TestParser:
+    """One parser per process, built on the first main() call."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_not_built_at_import(self):
+        code = "import domset.cli as c; print(c._build_parser.cache_info().currsize)"
+        src = str(Path(cli.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "0\n"
+
+    def test_no_option_carries_over(self, capsys):
+        assert main(["bench", "--gen", "gnp:n=10,p=0.3,seed=1", "--algos", "classical"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert main(["bench", "--algos", "classical"]) == 0
+        assert capsys.readouterr().out == ",".join(cli.BENCH_COLUMNS) + "\n"
+
+    def test_usage_error_after_a_successful_call(self, capsys, p4_file):
+        assert main(["solve", "--algo", "classical", p4_file]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", p4_file])  # missing required --algo
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: domset solve")
+
+    def test_command_looked_up_at_each_call(self, capsys, monkeypatch, p4_file):
+        main(["solve", "--algo", "classical", p4_file])
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: 7)
+        assert main(["solve", "--algo", "classical", p4_file]) == 7
 
 
 def _range_error(v):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import sys
 
@@ -13,12 +15,14 @@ from helpers import (
     lower_recursion_limit,
 )
 
+from domset import oracles
 from domset.errors import ResourceLimitError, ValidationError
-from domset.generators import gen_gnp, gen_grid, gen_random_tree
+from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
 from domset.graph import Graph, is_dominating
 from domset.oracles import (
-    _best_cover,
     _bound_and_target,
+    _closed_masks,
+    _ratio_prunes,
     enumerate_min_dominating_sets,
     exact_min_dominating_set,
     harmonic,
@@ -36,34 +40,67 @@ def star6():
 
 
 class TestBitmaskQueries:
-    """The two bit-set queries behind the exact oracle: max-coverage pick
-    (the ratio bound), and packing bound with branching target in one
-    pass. Every tie goes to the lowest vertex id."""
-
-    def test_best_cover_ties_go_low(self):
-        assert _best_cover([0b011, 0b110, 0b101], 0b111) == (0, 2)
-
-    def test_best_cover_excluded(self):
-        assert _best_cover([0b011, 0b110, 0b101], 0b111, excluded=0b001) == (1, 2)
-
-    def test_best_cover_all_excluded(self):
-        assert _best_cover([0b1], 0b1, excluded=0b1) == (-1, 0)
-
-    def test_best_cover_empty_active(self):
-        assert _best_cover([0b11, 0b10], 0) == (0, 0)
+    """The two bit-set queries behind the exact oracle: packing bound,
+    branching target and reach in one pass, then the ratio bound over
+    reach. Every tie goes to the lowest vertex id."""
 
     def test_pack_bound_disjoint(self):
         # two vertices with disjoint closed neighborhoods
         assert _bound_and_target([0b0011, 0b0011, 0b1100, 0b1100], 0b1111)[0] == 2
 
     def test_pack_bound_infeasible(self):
-        assert _bound_and_target([0b01, 0b10], 0b11, banned=0b10)[0] == -1
+        assert _bound_and_target([0b01, 0b10], 0b11, banned=0b10) == (-1, -1, 0)
 
     def test_pick_target_prefers_fewest_dominators(self):
         assert _bound_and_target([0b001, 0b111, 0b110], 0b111)[1] == 0
 
     def test_pick_target_empty(self):
-        assert _bound_and_target([0b1], 0)[1] == -1
+        assert _bound_and_target([0b1], 0) == (0, -1, 0)
+
+    def test_reach_is_allowed_dominators_of_active(self):
+        # P4 with only vertex 0 active: its dominators are 0 and 1
+        masks = [0b0011, 0b0111, 0b1110, 0b1100]
+        assert _bound_and_target(masks, 0b0001)[2] == 0b0011
+        assert _bound_and_target(masks, 0b0001, banned=0b0010)[2] == 0b0001
+
+    # masks[v] & 0b1111 covers 2, 2, 2 and 1 bits; of 0b0111: 2, 2, 1, 0
+    MASKS = [0b0011, 0b0110, 0b1100, 0b1000]
+
+    def test_ratio_no_prune_when_cover_times_slots_equals_active(self):
+        assert not _ratio_prunes(self.MASKS, 0b1111, 0b1111, 2)  # 2 * 2 == 4
+
+    def test_ratio_prunes_when_cover_times_slots_is_one_short(self):
+        assert _ratio_prunes(self.MASKS, 0b0111, 0b1111, 1)  # 2 * 1 == 3 - 1
+        assert _ratio_prunes(self.MASKS, 0b1111, 0b1000, 3)  # 1 * 3 == 4 - 1
+
+    def test_ratio_looks_only_at_reach(self):
+        assert not _ratio_prunes(self.MASKS, 0b1111, 0b0100, 2)
+        assert _ratio_prunes(self.MASKS, 0b1111, 0b1000, 2)
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0.1, 0.3, 0.6]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**12 - 1),
+        st.integers(min_value=0, max_value=2**12 - 1),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_max_coverage_ratio_bound(self, n, p, seed, active, banned, slots):
+        # reach holds exactly the non-banned vertices of nonzero coverage,
+        # so the scan decides ceil(|active| / c) > slots for the largest
+        # coverage c over all non-banned vertices
+        masks = _closed_masks(gen_gnp(n, p, seed))
+        active &= (1 << n) - 1
+        lb, _, reach = _bound_and_target(masks, active, banned)
+        covers = {v: (masks[v] & active).bit_count() for v in range(n) if not banned >> v & 1}
+        if lb < 0:
+            assert reach == 0
+            return
+        assert reach == sum(1 << v for v, c in covers.items() if c)
+        if active:
+            c = max(covers.values())
+            assert _ratio_prunes(masks, active, reach, slots) == (-(-active.bit_count() // c) > slots)
 
 
 class TestExact:
@@ -234,6 +271,16 @@ class TestHardPaths:
         assert is_dominating(g, r.witness_set)
         assert exact_min_dominating_set(g, budget=3).exceeded
 
+    def test_packing_bound_prunes_before_the_ratio_scan(self, monkeypatch):
+        # P4 with budget 1: two disjoint dominator sets {0, 1} and {2, 3}
+        # give depth + lb = 2 = best_size at the root
+        def no_scan(*args):
+            raise AssertionError("ratio scan ran after the packing bound pruned")
+
+        monkeypatch.setattr(oracles, "_ratio_prunes", no_scan)
+        r = exact_min_dominating_set(p4(), budget=1)
+        assert r.exceeded and r.node_count == 1
+
     def test_budget_zero(self):
         g = gen_gnp(6, 0.5, 1)
         assert exact_min_dominating_set(g, targets=[], budget=0).opt_size == 0
@@ -256,3 +303,57 @@ class TestHardPaths:
         finally:
             sys.setrecursionlimit(old)
         assert exact_min_dominating_set(g) == expected
+
+
+ORACLE_FAMILIES = {
+    "tree": lambda seed: gen_random_tree(40, seed),
+    "deg2": lambda seed: gen_d_degenerate(40, 2, seed),
+}
+
+
+def oracle_digests(family):
+    """SHA-256 over the compact as_document() JSON of seeds 0..19, per
+    mode: plain, even-id targets, budget 3 (pruned at the root at n = 40)
+    and a budget one below the optimum (a full search that ends in
+    exceeded)."""
+    hashes = {mode: hashlib.sha256() for mode in ("plain", "even", "budget3", "below_opt")}
+    for seed in range(20):
+        g = ORACLE_FAMILIES[family](seed)
+        plain = exact_min_dominating_set(g)
+        for mode, r in (
+            ("plain", plain),
+            ("even", exact_min_dominating_set(g, range(0, g.n, 2))),
+            ("budget3", exact_min_dominating_set(g, budget=3)),
+            ("below_opt", exact_min_dominating_set(g, budget=plain.opt_size - 1)),
+        ):
+            text = json.dumps(r.as_document(), separators=(",", ":"))
+            hashes[mode].update(text.encode() + b"\n")
+    return {mode: h.hexdigest() for mode, h in hashes.items()}
+
+
+# Frozen from the oracle that ran a separate max-coverage scan per node;
+# node_count is in each document, so any change to a prune decision
+# changes a digest.
+FROZEN_ORACLE_DIGESTS = {
+    "deg2": {
+        "plain": "0e5c5ab059843cddc23766a4eb1ae13f72cd1c24ffd7998cf8cfdc5a19425906",
+        "even": "bd3682c64308d38f605a7440fc50e5a5b9fd7018e218ffee87f22485f8000564",
+        "budget3": "f15af2b8f42a0d79aac162c012a5c4b67e0df43ce9d6dd5991c063f84b39d0f3",
+        "below_opt": "bdf84e0d0072d9adf452e20e341990b633a643d4c09947ed8f9d328df50d5fdb",
+    },
+    "tree": {
+        "plain": "8dff390d24b7bd91f3b908c7a837f1aa6c07bfc75c3199e20125e453a6e89f85",
+        "even": "da34a27efb4366c4e54ff98000b11e1da54b9ea804b6503d2289dc065cb272f2",
+        "budget3": "f15af2b8f42a0d79aac162c012a5c4b67e0df43ce9d6dd5991c063f84b39d0f3",
+        "below_opt": "899aca85b623febbb797f1a95d6cddcfad2c557ba7e096a22ca709b0b52e3b9e",
+    },
+}
+
+
+class TestFrozenOracleDigests:
+    """Byte identity of oracle documents, node_count included, at n = 40
+    (about 70k search nodes in all)."""
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_document_digests(self, family):
+        assert oracle_digests(family) == FROZEN_ORACLE_DIGESTS[family]
