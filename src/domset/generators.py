@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import GenerationError, ValidationError
-from .graph import Graph
+from .graph import Graph, _check_vertex_count
 from .reduction import SetCoverInstance, build_instance
 
 _MASK64 = (1 << 64) - 1
@@ -64,6 +64,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValidationError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {p}")
+    _check_vertex_count(n)
     rng = SplitMix64(seed)
     edges = []
     for u in range(n):
@@ -77,6 +78,7 @@ def gen_grid(w: int, h: int) -> Graph:
     """w x h grid; vertex (row r, column c) gets id r*w + c."""
     if w < 1 or h < 1:
         raise ValidationError(f"grid sides must be >= 1, got {w}x{h}")
+    _check_vertex_count(w * h)
     edges = []
     for r in range(h):
         for c in range(w):
@@ -92,6 +94,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     earlier vertex. Connected and acyclic with n-1 edges."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    _check_vertex_count(n)
     rng = SplitMix64(seed)
     edges = [(rng.next_below(v), v) for v in range(1, n)]
     return Graph(n, edges)
@@ -106,6 +109,7 @@ def gen_d_degenerate(n: int, d: int, seed: int) -> Graph:
     """
     if n < 0 or d < 0:
         raise ValidationError(f"need n, d >= 0, got n={n}, d={d}")
+    _check_vertex_count(n)
     rng = SplitMix64(seed)
     edges = []
     for v in range(1, n):

@@ -24,6 +24,24 @@ from .errors import ParseError, RangeError, ResourceLimitError, ValidationError
 MAX_VERTICES = 10**7
 
 
+def _check_vertex_count(n: int) -> None:
+    """Refuse more than MAX_VERTICES vertices. Callers run it before they
+    allocate or draw anything that grows with n."""
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
+
+
+def _as_text(text: str | bytes) -> str:
+    """`text` itself, or bytes decoded as UTF-8; undecodable bytes are a
+    ParseError."""
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 class Graph:
     """Simple undirected graph with sorted adjacency lists.
 
@@ -37,8 +55,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise RangeError(f"vertex count must be >= 0, got {n}")
-        if n > MAX_VERTICES:
-            raise ResourceLimitError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
+        _check_vertex_count(n)
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -147,11 +164,14 @@ def validate(g: Graph) -> None:
 def parse_graph(text: str | bytes) -> Graph:
     """Parse the edge-list format; see the module docstring.
 
-    Raises ParseError (malformed line), RangeError (id out of range)
-    or ValidationError (self-loop), each tagged with the line number.
+    Raises ParseError (malformed line or bytes that are not UTF-8),
+    RangeError (id out of range) or ValidationError (self-loop), each
+    tagged with the line number when there is one. The result is not
+    re-validated: `Graph` itself rejects out-of-range ids and self-loops,
+    and builds strictly increasing, symmetric rows, so `validate` cannot
+    fail on it.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _as_text(text)
     n = m_declared = None
     edges: list[tuple[int, int]] = []
     edge_lines = 0
@@ -188,9 +208,7 @@ def parse_graph(text: str | bytes) -> Graph:
         raise ParseError("missing 'p ds <n> <m>' header")
     if edge_lines != m_declared:
         raise ParseError(f"header declares {m_declared} edges, found {edge_lines}")
-    g = Graph(n, edges)
-    validate(g)
-    return g
+    return Graph(n, edges)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -7,8 +7,9 @@ the hardest remaining target". Each search node makes one pass over the
 undominated targets that yields the packing lower bound, the branching
 target and the set of vertices that can still cover something; only if
 the packing bound does not prune does it try the ratio bound over that
-set. Everything here is deterministic so oracle outputs can be frozen
-into fixtures.
+set. The search is one loop over an explicit stack of nodes, so no
+interpreter setting limits its depth. Everything here is deterministic
+so oracle outputs can be frozen into fixtures.
 
 Vertex sets here are Python ints used as bit sets: each call builds the
 closed-neighborhood masks it needs from the adjacency lists. Nothing
@@ -139,6 +140,13 @@ def exact_min_dominating_set(
     one that does. Either way the node is pruned exactly when the larger
     of the two bounds reaches the best size, so the visited nodes, and
     with them node_count, do not depend on the order or the early exit.
+
+    Nodes wait on an explicit stack, not in recursive calls. A node's
+    children are pushed in reverse candidate order, so they are popped,
+    and their subtrees searched, in candidate order: the depth-first
+    order of a recursive search. Each node is tested against the best
+    size at the moment it is popped, when a recursive search would enter
+    it, so node_count is that of the recursive search.
     """
     tids = _vertex_ids(g, targets)
     if not tids:
@@ -156,39 +164,34 @@ def exact_min_dominating_set(
         best_size = budget + 1
         best_set = None
     nodes = 0
-
-    def search(active: int, banned: int, chosen: list[int]) -> None:
-        nonlocal best_size, best_set, nodes
+    # a stack entry is (active, banned, depth, v), v the pick that led to
+    # it (-1 at the root); chosen[:depth] is the popped node's path
+    chosen: list[int] = []
+    stack = [(_mask(tids), 0, 0, -1)]
+    while stack:
+        active, banned, depth, v = stack.pop()
         nodes += 1
+        if depth:
+            chosen[depth - 1:] = (v,)
         if active == 0:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
+            if depth < best_size:
+                best_size = depth
                 best_set = tuple(sorted(chosen))
-            return
-        depth = len(chosen)
+            continue
         lb, u, reach = _bound_and_target(masks, active, banned)
         if lb < 0 or depth + lb >= best_size:
-            return
+            continue
         # lb >= 1 as active != 0, so at least one slot is left
         if _ratio_prunes(masks, active, reach, best_size - depth - 1):
-            return
+            continue
         # the key is a total order, so the order of N[u] does not matter
         cands = [v for v in (u, *adj[u]) if not banned >> v & 1]
         cands.sort(key=lambda v: (-(masks[v] & active).bit_count(), v))
-        local_banned = banned
+        children = []
         for v in cands:
-            chosen.append(v)
-            search(active & ~masks[v], local_banned, chosen)
-            chosen.pop()
-            local_banned |= 1 << v
-        return
-
-    try:
-        search(_mask(tids), 0, [])
-    except RecursionError:  # one frame per chosen vertex
-        raise ResourceLimitError(
-            f"exact search on n={g.n} exceeded the recursion limit; the instance is too large"
-        ) from None
+            children.append((active & ~masks[v], banned, depth + 1, v))
+            banned |= 1 << v
+        stack.extend(reversed(children))
     if best_set is None:
         return OracleResult(None, None, nodes, exceeded=True)
     if budget is not None and best_size > budget:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .graph import Graph, is_dominating
+from .graph import Graph, _as_text, is_dominating
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ def validate_intersection_one(sc: SetCoverInstance) -> bool:
 
 
 def parse_set_cover(text: str | bytes) -> SetCoverInstance:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(_as_text(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", exc.lineno) from None
     if not isinstance(doc, dict) or set(doc) != {"universe", "sets"}:

@@ -126,24 +126,20 @@ class TestExact:
             "error: n=40 exceeds the guard --max-n 39; pass --force to override\n"
         )
 
-    def test_recursion_limit_exits_3(self, tmp_path, capsys):
+    def test_deep_search_ignores_recursion_limit(self, tmp_path, capsys):
         g = tmp_path / "deep.gr"
         g.write_text(serialize_graph(deep_search_graph()))
         # a normal run first; it also loads what argparse imports lazily
         assert main(["exact", "--force", str(g)]) == 0
-        capsys.readouterr()
+        expected = capsys.readouterr()
+        assert json.loads(expected.out)["opt_size"] == 104
         old = lower_recursion_limit(50)
         try:
             code = main(["exact", "--force", str(g)])
         finally:
             sys.setrecursionlimit(old)
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: exact search on n=314 exceeded the recursion limit; "
-            "the instance is too large\n"
-        )
+        assert code == 0
+        assert capsys.readouterr() == expected
 
     def test_budget_exceeded_exit(self, capsys, p4_file):
         code, doc = run_json(capsys, ["exact", "--budget", "1", p4_file])
@@ -232,6 +228,23 @@ class TestBench:
         assert rows[0]["graph_name"] == "broken"
         assert "declares 5 edges" in rows[0]["error"]
         assert rows[2]["graph_name"] == "ok" and rows[2]["error"] == ""
+
+    def test_deep_exact_search_ignores_recursion_limit(self, tmp_path):
+        gdir = tmp_path / "graphs"
+        gdir.mkdir()
+        (gdir / "deep.gr").write_text(serialize_graph(deep_search_graph()))
+        argv = ["bench", "--graphs", str(gdir), "--algos", "classical", "--with-exact",
+                "--max-n", "400", "--out"]
+        assert main(argv + [str(tmp_path / "normal.csv")]) == 0
+        old = lower_recursion_limit(50)
+        try:
+            code = main(argv + [str(tmp_path / "lowered.csv")])
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 0
+        rows = read_csv(tmp_path / "lowered.csv")
+        assert [(row["opt_size"], row["error"]) for row in rows] == [("104", "")]
+        assert (tmp_path / "lowered.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()
 
     def test_graphs_dir_must_exist(self, tmp_path, capsys):
         (tmp_path / "file.gr").write_text("p ds 1 0\n")

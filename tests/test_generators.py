@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
 from helpers import degeneracy
 
-from domset.errors import ValidationError
+from domset import generators, graph
+from domset.errors import ResourceLimitError, ValidationError
 from domset.generators import (
     GenSpec,
     SplitMix64,
@@ -218,3 +220,43 @@ class TestDeterminismAndSpecs:
         out = serialize_graph(built) if isinstance(built, Graph) else serialize_set_cover(built)
         assert spec.name() == name
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+class TestVertexLimit:
+    """With the limit patched to 10, a generator refuses a larger graph
+    before it builds edges or draws random values."""
+
+    @pytest.mark.parametrize(
+        "make, n",
+        [
+            (lambda: gen_grid(300, 300), 90000),
+            (lambda: gen_random_tree(90000, 1), 90000),
+            (lambda: gen_d_degenerate(90000, 3, 1), 90000),
+        ],
+        ids=["grid", "random_tree", "d_degenerate"],
+    )
+    def test_refused_before_edges_are_built(self, monkeypatch, make, n):
+        # the edge lists alone would take 10-30 MiB
+        monkeypatch.setattr(graph, "MAX_VERTICES", 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"vertex count {n} exceeds the limit 10"):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_gnp_refused_before_the_first_draw(self, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("drew a random value before the vertex-count check")
+
+        monkeypatch.setattr(graph, "MAX_VERTICES", 10)
+        monkeypatch.setattr(generators.SplitMix64, "next_u64", no_draw)
+        with pytest.raises(ResourceLimitError, match="vertex count 11 exceeds the limit 10"):
+            gen_gnp(11, 0.5, 1)
+
+    def test_limit_itself_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 10)
+        assert gen_grid(5, 2).n == gen_gnp(10, 0.5, 1).n == 10
+        assert gen_random_tree(10, 1).n == gen_d_degenerate(10, 3, 1).n == 10

@@ -70,6 +70,10 @@ class TestParse:
     def test_bytes_accepted(self):
         assert parse_graph(b"p ds 2 1\ne 0 1").m == 1
 
+    def test_undecodable_bytes_are_parse_error(self):
+        with pytest.raises(ParseError, match="not UTF-8 text .* at byte 9"):
+            parse_graph(b"p ds 2 0\n\xff")
+
 
 class TestQueries:
     def test_closed_neighborhood_path(self):

@@ -291,18 +291,18 @@ class TestHardPaths:
         assert exact_min_dominating_set(g).opt_size == 0
         assert enumerate_min_dominating_sets(g) == [()]
 
-    def test_recursion_limit_is_resource_error(self):
-        # the search recurses once per chosen vertex: about 105 levels here
+    def test_deep_search_ignores_recursion_limit(self):
+        # the search goes about 105 levels deep here, more than the 50
+        # frames the lowered limit leaves
         g = deep_search_graph()
         expected = exact_min_dominating_set(g)
-        assert expected.opt_size == 104
+        assert (expected.opt_size, expected.node_count) == (104, 608)
         old = lower_recursion_limit(50)
         try:
-            with pytest.raises(ResourceLimitError, match="recursion limit"):
-                exact_min_dominating_set(g)
+            r = exact_min_dominating_set(g)
         finally:
             sys.setrecursionlimit(old)
-        assert exact_min_dominating_set(g) == expected
+        assert r == expected
 
 
 ORACLE_FAMILIES = {

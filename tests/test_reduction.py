@@ -172,6 +172,10 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             parse_set_cover("not json")
 
+    def test_parse_rejects_undecodable_bytes(self):
+        with pytest.raises(ParseError, match="not UTF-8 text .* at byte 0"):
+            parse_set_cover(b"\xff")
+
     def test_parse_rejects_wrong_shape(self):
         with pytest.raises(ParseError):
             parse_set_cover('{"universe": [1]}')
