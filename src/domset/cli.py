@@ -153,7 +153,8 @@ def cmd_verify(args) -> int:
         try:
             doc = json.loads(_read_text(args.witness))
             w = solvers.BicliqueWitness(tuple(doc["left"]), tuple(doc["right"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        # ValueError: malformed JSON, or an integer past int's digit limit
+        except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"bad witness file: {exc}") from None
         bad = [v for v in w.left + w.right if type(v) is not int]
         if bad:

@@ -90,14 +90,17 @@ def parse_set_cover(text: str | bytes) -> SetCoverInstance:
         doc = json.loads(_as_text(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", exc.lineno) from None
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or set(doc) != {"universe", "sets"}:
         raise ParseError("expected an object with fields 'universe' and 'sets'")
     universe = doc["universe"]
     sets = doc["sets"]
-    if not isinstance(universe, list) or not all(isinstance(e, int) for e in universe):
+    # type(e) is int: JSON true and false load as bool, a subclass of int
+    if not isinstance(universe, list) or not all(type(e) is int for e in universe):
         raise ParseError("'universe' must be a list of integers")
     if not isinstance(sets, list) or not all(
-        isinstance(s, list) and all(isinstance(e, int) for e in s) for s in sets
+        isinstance(s, list) and all(type(e) is int for e in s) for s in sets
     ):
         raise ParseError("'sets' must be a list of integer lists")
     return build_instance(universe, sets)

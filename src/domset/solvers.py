@@ -27,13 +27,17 @@ identical results.
 The engine works on the adjacency lists (lazy greedy, Minoux 1978). It
 keeps a live flag per target and a gain per vertex, gain[v] = |N[v] & A|;
 dominating a target u lowers gain[w] for every w in N[u]. A heap holds
-at most one entry (-gain, id) per vertex; the v_1 pick pops the
-top and re-keys it until the stored gain equals the current one, and as
-gains only fall that top is the lowest-id maximum. A chain pick counts
-|N[w] & B_s| only over w in N[B_s], the only vertices that meet the
-pool. A run costs O((n + m) log n) for the v_1 picks and gain updates.
-A chain step costs the degree sum of its pool, and each vertex enters
-one round's pool only, so chains of at most c picks add O(c (n + m)).
+at most one entry per vertex, the int key v - gain[v] * n (n the vertex
+count). Min-heap order on it is gain descending, then id ascending (the
+order of (-gain, id)), and v = key % n. The v_1 pick re-keys the top
+until its key is current, and as gains only fall that top is the
+lowest-id maximum. A chain pick counts |N[w] & B_s| only over w in
+N[B_s], the only vertices that meet the pool. Rounds are recorded as
+plain (chosen, b_sizes, newly_dominated) tuples; `Round` objects are
+built only for the rounds a result returns. A run costs O((n + m) log n)
+for the v_1 picks and gain updates. A chain step costs the degree sum of
+its pool, and each vertex enters one round's pool only, so chains of at
+most c picks add O(c (n + m)).
 Hybrid carries the live/gain state of the residual along the base
 rounds, so each extension starts from a copy of it. It extends only the
 prefixes that can change the answer. A prefix whose next base round has
@@ -152,9 +156,14 @@ def _chain_pick(adj, pool: list[int], chosen: list[int]) -> int:
     return min(w for w, c in cnt.items() if c == top)
 
 
+# A round as the engine records it: (chosen, b_sizes, newly_dominated),
+# the fields of `Round` in order.
+RoundRecord = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
 def _greedy_rounds(
     adj, live: bytearray, gain: list[int], i: int | None, cutoff: int | None = None
-) -> tuple[list[Round], list[list[int]]] | None:
+) -> tuple[list[RoundRecord], list[list[int]]] | None:
     """Run rounds until no live target remains, consuming `live` and
     `gain`. An integer i >= 2 allows at most i-1 picks per round (i = 2
     is classical); i None chains while |B_{s+1}| >= s+1 (auto). Returns
@@ -166,23 +175,26 @@ def _greedy_rounds(
     ceil(left / max gain) rounds remain."""
     if i is not None and i < 2:
         raise ValidationError(f"parameter i must be >= 2, got {i}")
-    heap = [(-c, v) for v, c in enumerate(gain) if c]
+    n = len(adj)
+    heap = [v - c * n for v, c in enumerate(gain) if c]
     heapify(heap)
     left = live.count(1)
-    rounds: list[Round] = []
+    rounds: list[RoundRecord] = []
     pools: list[list[int]] = []
     while left:
         # Gains only fall, so a stored key is never below the current
         # one; the first top whose key is current is the lowest-id maximum.
         while True:
-            key, v1 = heap[0]
-            if -key == gain[v1]:
+            key = heap[0]
+            v1 = key % n
+            c = gain[v1]
+            if key == v1 - c * n:
                 break
-            if gain[v1]:
-                heapreplace(heap, (-gain[v1], v1))
+            if c:
+                heapreplace(heap, v1 - c * n)
             else:
                 heappop(heap)
-        if cutoff is not None and len(rounds) - (-left // gain[v1]) >= cutoff:
+        if cutoff is not None and len(rounds) - (-left // c) >= cutoff:
             return None
         heappop(heap)  # every vertex picked this round ends with gain 0
         chosen = [v1]
@@ -203,23 +215,27 @@ def _greedy_rounds(
         for v in chosen:
             covered += _dominate(adj, live, gain, v)
         left -= covered
-        rounds.append(Round(tuple(chosen), tuple(b_sizes), covered))
+        rounds.append((tuple(chosen), tuple(b_sizes), covered))
         pools.append(pool)
     return rounds, pools
 
 
 def _run(
     g: Graph, targets: Iterable[int] | None, i: int | None
-) -> tuple[tuple[int, ...], list[Round], list[list[int]]]:
+) -> tuple[tuple[int, ...], list[RoundRecord], list[list[int]]]:
     """The sorted target ids (None: every vertex), and the engine's
     rounds and pools for them."""
     tids = _vertex_ids(g, targets)
     return (tids, *_greedy_rounds(g.adj, *_residual(g.adj, tids), i))
 
 
-def _assemble(algorithm: str, tids: tuple[int, ...], rounds: list[Round], **extra) -> SolveResult:
-    dom = tuple(sorted(v for r in rounds for v in r.chosen))
-    trace = GreedyTrace(initial_targets=tids, rounds=tuple(rounds), final_set=dom)
+def _assemble(
+    algorithm: str, tids: tuple[int, ...], rounds: list[RoundRecord], **extra
+) -> SolveResult:
+    dom = tuple(sorted(v for chosen, _, _ in rounds for v in chosen))
+    trace = GreedyTrace(
+        initial_targets=tids, rounds=tuple(Round(*r) for r in rounds), final_set=dom
+    )
     return SolveResult(algorithm, dom, trace, **extra)
 
 
@@ -237,11 +253,12 @@ def solve_fixed_i(g: Graph, i: int, targets: Iterable[int] | None = None) -> Sol
     return _assemble("fixed", tids, rounds)
 
 
-def _round_depth(r: Round) -> int:
+def _round_depth(r: RoundRecord) -> int:
     """Chain depth certified by a round: its pick count, except a
     single-pick round with an empty pool certifies nothing."""
-    l = len(r.chosen)
-    if l == 1 and r.b_sizes[0] == 0:
+    chosen, b_sizes, _ = r
+    l = len(chosen)
+    if l == 1 and b_sizes[0] == 0:
         return 0
     return l
 
@@ -267,7 +284,7 @@ def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     witness = None
     if best >= 0:
         witness = BicliqueWitness(
-            left=tuple(sorted(rounds[best].chosen)),
+            left=tuple(sorted(rounds[best][0])),
             right=tuple(pools[best][:best_depth]),
         )
     return _assemble("auto", tids, rounds, t_detected=best_depth + 1, witness=witness)
@@ -295,7 +312,7 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     tids, base, _ = _run(g, targets, i)
     adj = g.adj
 
-    best_rounds: list[Round] | None = None
+    best_rounds: list[RoundRecord] | None = None
     best_size: int | None = None
     prefix_size = 0
     # the residual after each base prefix, carried forward round by round;
@@ -303,10 +320,11 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     live, gain = _residual(adj, tids)
     for p in range(len(base) + 1):
         if p:
-            for v in base[p - 1].chosen:
+            chosen = base[p - 1][0]
+            for v in chosen:
                 _dominate(adj, live, gain, v)
-            prefix_size += len(base[p - 1].chosen)
-        if p < len(base) and len(base[p].chosen) == 1:
+            prefix_size += len(chosen)
+        if p < len(base) and len(base[p][0]) == 1:
             continue
         cutoff = None if best_size is None else best_size - prefix_size
         run = _greedy_rounds(adj, live[:], gain[:], 2, cutoff)

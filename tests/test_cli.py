@@ -167,6 +167,13 @@ class TestVerify:
         w.write_text(json.dumps({"left": [0], "right": [3]}))
         assert main(["verify", "--witness", str(w), c4_file]) == 2
 
+    def test_witness_with_overlong_integer(self, tmp_path, capsys, c4_file):
+        # json.loads raises a bare ValueError past int's digit limit
+        w = tmp_path / "w.json"
+        w.write_text('{"left": [%s], "right": [1]}' % ("1" * 5000))
+        assert main(["verify", "--witness", str(w), c4_file]) == 1
+        assert capsys.readouterr().err.startswith("error: bad witness file: ")
+
 
 def read_csv(path):
     import csv
@@ -351,6 +358,24 @@ class TestReduce:
         mapping = json.loads(mapfile.read_text())
         assert mapping["x_vertex"] == 7 and mapping["y_vertex"] == 8
         assert "biclique-free" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,err", [
+        ('{"universe": [true, 2], "sets": [[true, 2]]}',
+         "error: 'universe' must be a list of integers\n"),
+        ('{"universe": [1, 2], "sets": [[true, 2]]}',
+         "error: 'sets' must be a list of integer lists\n"),
+    ], ids=["universe", "sets"])
+    def test_reduce_rejects_booleans(self, tmp_path, capsys, text, err):
+        sc = tmp_path / "sc.json"
+        sc.write_text(text)
+        assert main(["reduce", str(sc), "--check-free"]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_reduce_rejects_overlong_integer(self, tmp_path, capsys):
+        sc = tmp_path / "sc.json"
+        sc.write_text('{"universe": [%s], "sets": [[1]]}' % ("1" * 5000))
+        assert main(["reduce", str(sc), "--check-free"]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
 
     def test_reduce_rejects_bad_intersection(self, tmp_path, capsys):
         sc = tmp_path / "sc.json"

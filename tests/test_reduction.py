@@ -182,6 +182,22 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             parse_set_cover('{"universe": [1], "sets": [["x"]]}')
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"universe": [true, 2], "sets": [[1, 2]]}', "'universe' must be a list of integers"),
+        ('{"universe": [1, 2], "sets": [[true, 2]]}', "'sets' must be a list of integer lists"),
+        ('{"universe": [true, 2], "sets": [[true, 2]]}', "'universe' must be a list of integers"),
+        ('{"universe": [0, 1], "sets": [[false], [1]]}', "'sets' must be a list of integer lists"),
+    ], ids=["universe", "sets", "both", "false-in-sets"])
+    def test_parse_rejects_booleans(self, text, message):
+        # JSON booleans load as bool, a subclass of int
+        with pytest.raises(ParseError, match=message):
+            parse_set_cover(text)
+
+    def test_parse_rejects_overlong_integer(self):
+        # json.loads raises a bare ValueError past int's digit limit
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_set_cover('{"universe": [%s], "sets": [[1]]}' % ("1" * 5000))
+
     def test_parse_reports_first_violating_pair(self):
         with pytest.raises(ValidationError, match="sets 0 and 2"):
             parse_set_cover('{"universe": [1,2,3,4], "sets": [[1,2,3],[4],[1,2]]}')

@@ -14,6 +14,7 @@ from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tr
 from domset.graph import Graph, closed_neighborhood, is_dominating
 from domset.solvers import (
     BicliqueWitness,
+    Round,
     solve_auto,
     solve_classical,
     solve_fixed_i,
@@ -393,6 +394,55 @@ class TestEngineIdentities:
                     assert got is None, (name, cutoff)
                 else:
                     assert got[0] == rounds, (name, cutoff)
+
+
+class TestEngineRecords:
+    """The engine keys its heap by the int v - gain[v] * n and records
+    rounds as plain tuples; results still carry `Round` objects."""
+
+    SOLVERS = {
+        "classical": solve_classical,
+        "fixed:3": lambda g: solve_fixed_i(g, 3),
+        "auto": solve_auto,
+        "hybrid": solve_hybrid,
+        "hybrid:3": lambda g: solve_hybrid(g, 3),
+    }
+
+    @pytest.mark.parametrize("algo", SOLVERS)
+    def test_trace_rounds_are_round_objects(self, validity_suite, algo):
+        for name, g in validity_suite:
+            rounds = self.SOLVERS[algo](g).trace.rounds
+            assert type(rounds) is tuple, name
+            assert all(type(r) is Round for r in rounds), name
+
+    def test_top_tie_of_first_and_last_id_goes_to_first(self):
+        # stars on 0 and on 6 = n - 1 both have gain 3: keys -21 and -15
+        g = Graph(7, [(0, 1), (0, 2), (6, 4), (6, 5)])
+        assert [r.chosen for r in solve_classical(g).trace.rounds] == [(0,), (6,), (3,)]
+        # one more leaf on 6: its key -22 is now the lowest
+        g = Graph(7, [(0, 1), (0, 2), (6, 3), (6, 4), (6, 5)])
+        assert [r.chosen for r in solve_classical(g).trace.rounds] == [(6,), (0,)]
+
+    def test_single_vertex(self):
+        # the only key is 0 - 1 * 1 = -1, and -1 % 1 decodes to vertex 0
+        g = Graph(1)
+        for solve in self.SOLVERS.values():
+            r = solve(g)
+            assert r.dominating_set == (0,)
+            assert r.trace.rounds == (Round((0,), (0,), 1),)
+        assert solve_auto(g).t_detected == 1
+
+    @pytest.mark.parametrize("n", [3, 9])
+    @pytest.mark.parametrize("centre", ["first", "last"])
+    def test_star_centre_of_gain_n(self, n, centre):
+        # the centre c has gain n, key c - n * n; fixed:3 then chains a leaf
+        c = 0 if centre == "first" else n - 1
+        g = Graph(n, [(c, v) for v in range(n) if v != c])
+        for solve in self.SOLVERS.values():
+            (r,) = solve(g).trace.rounds
+            assert r.chosen[0] == c
+            assert r.newly_dominated == n
+        assert solve_classical(g).dominating_set == (c,)
 
 
 @functools.lru_cache(maxsize=None)
