@@ -26,15 +26,12 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    closed_neighborhood,
     is_dominating,
     parse_graph,
     serialize_graph,
-    validate,
 )
 from .oracles import (
     OracleResult,
-    enumerate_min_dominating_sets,
     exact_min_dominating_set,
     harmonic,
     has_biclique,
@@ -75,9 +72,7 @@ __all__ = [
     "Graph",
     "parse_graph",
     "serialize_graph",
-    "closed_neighborhood",
     "is_dominating",
-    "validate",
     "Round",
     "GreedyTrace",
     "SolveResult",
@@ -89,7 +84,6 @@ __all__ = [
     "verify_witness",
     "OracleResult",
     "exact_min_dominating_set",
-    "enumerate_min_dominating_sets",
     "has_biclique",
     "harmonic",
     "SetCoverInstance",

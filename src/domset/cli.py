@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import generators, oracles, reduction, solvers
 from .errors import DomsetError, ParseError, ResourceLimitError, ValidationError
-from .graph import Graph, _undominated, is_dominating, parse_graph, serialize_graph
+from .graph import Graph, _is_decimal, _undominated, is_dominating, parse_graph, serialize_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,14 +81,18 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_vertex_list(path: str) -> list[int]:
-    """Whitespace-separated vertex ids; 'c ...' comment lines allowed."""
+    """Whitespace-separated decimal vertex ids; 'c ...' comment lines
+    allowed."""
     out = []
     for lineno, line in enumerate(_read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("c"):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "c":
             continue
-        for tok in line.split():
+        for tok in tokens:
+            # int() raises ValueError too, past its digit limit
             try:
+                if not _is_decimal(tok):
+                    raise ValueError
                 out.append(int(tok))
             except ValueError:
                 raise ParseError(f"expected a vertex id, got {tok!r}", lineno) from None
@@ -131,7 +135,7 @@ def cmd_solve(args) -> int:
     targets = _read_vertex_list(args.targets) if args.targets else None
     _check_algorithm(args.algo, args.i)
     result = _run_algorithm(g, args.algo, args.i, targets)
-    _emit(result.as_document(), args.out)
+    _write(result.to_json() + "\n", args.out)
     return EXIT_OK
 
 
@@ -142,7 +146,9 @@ def cmd_exact(args) -> int:
             f"n={g.n} exceeds the guard --max-n {args.max_n}; pass --force to override"
         )
     targets = _read_vertex_list(args.targets) if args.targets else None
-    result = oracles.exact_min_dominating_set(g, targets, budget=args.budget)
+    result = oracles.exact_min_dominating_set(
+        g, targets, budget=args.budget, max_nodes=args.max_nodes
+    )
     _emit(result.as_document(), args.out)
     return EXIT_GUARD if result.exceeded else EXIT_OK
 
@@ -329,6 +335,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=None, help="report 'exceeded' if optimum > budget")
     p.add_argument("--max-n", type=int, default=30, dest="max_n")
     p.add_argument("--force", action="store_true", help="ignore the --max-n guard")
+    p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes",
+                   help="refuse (exit 3) once the search visits more than N nodes")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="check a dominating set or biclique witness")

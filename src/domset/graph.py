@@ -7,9 +7,10 @@ representable and per-vertex state fits in flat arrays. The file format:
     p ds <n> <m>
     e <u> <v>          (exactly m of these, 0 <= u,v < n, u != v)
 
-Duplicate edge lines and both orientations of an edge collapse to a
-single edge; self-loops are rejected. Serialization writes each edge
-with u < v, sorted lexicographically.
+Counts and ids are ASCII decimal integers. Duplicate edge lines and
+both orientations of an edge collapse to a single edge; self-loops are
+rejected. Serialization writes each edge with u < v, sorted
+lexicographically.
 """
 
 from __future__ import annotations
@@ -101,13 +102,6 @@ def _vertex_ids(g: Graph, vertices: Iterable[int] | None) -> tuple[int, ...]:
     return tuple(sorted(set(ids)))
 
 
-def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
-    """N[v]: the vertex v together with its neighbors, sorted."""
-    if not 0 <= v < g.n:
-        raise RangeError(f"vertex {v} out of range for n={g.n}")
-    return tuple(sorted(g.adj[v] + (v,)))
-
-
 def _undominated(g: Graph, dominating: Iterable[int], targets: Iterable[int] | None) -> list[int]:
     """Sorted targets (default: all vertices) outside the closed
     neighborhood of `dominating`."""
@@ -129,79 +123,59 @@ def is_dominating(g: Graph, dominating: Iterable[int], targets: Iterable[int] | 
     return not _undominated(g, dominating, targets)
 
 
-def validate(g: Graph) -> None:
-    """Re-check every structural invariant; raises ValidationError.
-
-    Covers strictly increasing in-range neighbor lists, absence of
-    self-loops, adjacency symmetry, and the edge-count identity, in
-    O(n + m) time.
-    """
-    if len(g.adj) != g.n:
-        raise ValidationError("adjacency length does not match vertex count")
-    degree_sum = 0
-    # reverse[v] collects every u listing v, in increasing u, so the
-    # adjacency is symmetric iff reverse[v] equals the row of v
-    reverse: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        row = g.adj[v]
-        degree_sum += len(row)
-        for i, u in enumerate(row):
-            if not 0 <= u < g.n:
-                raise ValidationError(f"neighbor {u} of {v} out of range")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {v}")
-            if i > 0 and row[i - 1] >= u:
-                raise ValidationError(f"adjacency of {v} not strictly increasing")
-            reverse[u].append(v)
-    for v in range(g.n):
-        if tuple(reverse[v]) != g.adj[v]:
-            u = min(set(reverse[v]).symmetric_difference(g.adj[v]))
-            raise ValidationError(f"asymmetric adjacency between {min(u, v)} and {max(u, v)}")
-    if degree_sum != 2 * g.m:
-        raise ValidationError("edge count does not match adjacency lists")
+def _is_decimal(tok: str) -> bool:
+    """Whether `tok` is an ASCII decimal integer, optionally negative.
+    int() alone also takes "+", "_" separators and non-ASCII digits."""
+    return tok.isascii() and tok.removeprefix("-").isdigit()
 
 
 def parse_graph(text: str | bytes) -> Graph:
     """Parse the edge-list format; see the module docstring.
 
-    Raises ParseError (malformed line or bytes that are not UTF-8),
-    RangeError (id out of range) or ValidationError (self-loop), each
-    tagged with the line number when there is one. The result is not
-    re-validated: `Graph` itself rejects out-of-range ids and self-loops,
-    and builds strictly increasing, symmetric rows, so `validate` cannot
-    fail on it.
+    Raises ParseError (malformed line, a count or id that is not a
+    decimal integer, or bytes that are not UTF-8), RangeError (id out of
+    range) or ValidationError (self-loop), each tagged with the line
+    number when there is one.
     """
     text = _as_text(text)
     n = m_declared = None
     edges: list[tuple[int, int]] = []
     edge_lines = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
         if n is None:
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "ds":
-                raise ParseError(f"expected 'p ds <n> <m>', got {line!r}", lineno)
+                raise ParseError(f"expected 'p ds <n> <m>', got {raw.strip()!r}", lineno)
+            # int() raises ValueError too, past its digit limit
             try:
+                if not (_is_decimal(fields[2]) and _is_decimal(fields[3])):
+                    raise ValueError
                 n, m_declared = int(fields[2]), int(fields[3])
             except ValueError:
-                raise ParseError(f"non-integer counts in {line!r}", lineno) from None
+                raise ParseError(f"non-integer counts in {raw.strip()!r}", lineno) from None
             if n < 0 or m_declared < 0:
                 raise ParseError("negative counts in header", lineno)
             continue
-        if fields[0] != "e" or len(fields) != 3:
-            raise ParseError(f"expected 'e <u> <v>', got {line!r}", lineno)
+        if len(fields) != 3 or fields[0] != "e":
+            raise ParseError(f"expected 'e <u> <v>', got {raw.strip()!r}", lineno)
         if edge_lines >= m_declared:
             raise ParseError(f"more than {m_declared} edge lines", lineno)
+        _, a, b = fields
         try:
-            u, v = int(fields[1]), int(fields[2])
+            # two non-negative ids on an ASCII line pass the first test;
+            # negative ones pass the second and fail the range check below
+            if not (raw.isascii() and a.isdigit() and b.isdigit()
+                    or _is_decimal(a) and _is_decimal(b)):
+                raise ValueError
+            u, v = int(a), int(b)
         except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", lineno) from None
+            raise ParseError(f"non-integer endpoint in {raw.strip()!r}", lineno) from None
         if not (0 <= u < n and 0 <= v < n):
-            raise RangeError(f"line {lineno}: endpoint out of range in {line!r}")
+            raise RangeError(f"line {lineno}: endpoint out of range in {raw.strip()!r}")
         if u == v:
-            raise ValidationError(f"line {lineno}: self-loop {line!r}")
+            raise ValidationError(f"line {lineno}: self-loop {raw.strip()!r}")
         edges.append((u, v))
         edge_lines += 1
     if n is None:

@@ -1,6 +1,5 @@
-"""Ground-truth machinery: exact minimum dominating sets, enumeration
-of all minimum dominating sets, brute-force biclique detection, and
-the harmonic-number helper.
+"""Ground-truth machinery: exact minimum dominating sets, brute-force
+biclique detection, and the harmonic-number helper.
 
 The exact solver is a branch and bound over "which vertex dominates
 the hardest remaining target". Each search node makes one pass over the
@@ -19,8 +18,8 @@ outside this module uses bit sets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .errors import ResourceLimitError, ValidationError
@@ -121,11 +120,15 @@ def exact_min_dominating_set(
     g: Graph,
     targets: Iterable[int] | None = None,
     budget: int | None = None,
+    max_nodes: int | None = None,
 ) -> OracleResult:
     """Exact minimum size of a set dominating `targets` plus one witness.
 
     With a budget b, only solutions of size <= b are searched for; if
     none exists the result reports exceeded=True instead of a value.
+    With a node limit `max_nodes`, the search raises ResourceLimitError
+    when it would visit more nodes than that; otherwise the result is
+    the same as without the limit.
     Branches on the remaining target with the fewest allowed dominators,
     trying dominators in decreasing-coverage order and banning each
     tried dominator from the rest of its sibling subtrees.
@@ -164,6 +167,8 @@ def exact_min_dominating_set(
         best_size = budget + 1
         best_set = None
     nodes = 0
+    # sys.maxsize stands in for no limit, so a node costs one int comparison
+    limit = sys.maxsize if max_nodes is None else max_nodes
     # a stack entry is (active, banned, depth, v), v the pick that led to
     # it (-1 at the root); chosen[:depth] is the popped node's path
     chosen: list[int] = []
@@ -171,6 +176,8 @@ def exact_min_dominating_set(
     while stack:
         active, banned, depth, v = stack.pop()
         nodes += 1
+        if nodes > limit:
+            raise ResourceLimitError(f"exact search exceeded the node limit {max_nodes}")
         if depth:
             chosen[depth - 1:] = (v,)
         if active == 0:
@@ -197,29 +204,6 @@ def exact_min_dominating_set(
     if budget is not None and best_size > budget:
         return OracleResult(None, None, nodes, exceeded=True)
     return OracleResult(best_size, best_set, nodes)
-
-
-def enumerate_min_dominating_sets(
-    g: Graph, targets: Iterable[int] | None = None
-) -> list[tuple[int, ...]]:
-    """All sets of minimum cardinality dominating `targets`, in
-    lexicographic order. Exhaustive over size-k subsets; meant for
-    small graphs (n up to about 16)."""
-    tids = _vertex_ids(g, targets)
-    if not tids:
-        return [()]
-    k = exact_min_dominating_set(g, tids).opt_size
-    assert k is not None
-    tmask = _mask(tids)
-    masks = _closed_masks(g)
-    out = []
-    for combo in combinations(range(g.n), k):
-        covered = 0
-        for v in combo:
-            covered |= masks[v]
-        if tmask & ~covered == 0:
-            out.append(combo)
-    return out
 
 
 def has_biclique(g: Graph, a: int, b: int, max_left: int = 4) -> BicliqueWitness | None:

@@ -50,6 +50,7 @@ Both skips leave the result unchanged.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
@@ -113,6 +114,53 @@ class SolveResult:
                 for r in self.trace.rounds
             ],
         }
+
+    def to_json(self) -> str:
+        """The text of `json.dumps(self.as_document(), indent=2)`, byte
+        for byte, formatted directly from the fixed document shape: with
+        an indent, `json` falls back to its pure-Python encoder."""
+        w = self.witness
+        rounds = [
+            _ROUND % (_JOIN8.join(map(str, r.chosen)), _JOIN8.join(map(str, r.b_sizes)),
+                      r.newly_dominated)
+            if r.chosen and r.b_sizes
+            else _ROUND_ANY % (_json_ints(r.chosen, 8), _json_ints(r.b_sizes, 8),
+                               r.newly_dominated)
+            for r in self.trace.rounds
+        ]
+        return _RESULT % (
+            json.dumps(self.algorithm),
+            _json_ints(self.dominating_set, 4),
+            len(self.dominating_set),
+            "null" if self.t_detected is None else self.t_detected,
+            "null" if w is None else _WITNESS % (_json_ints(w.left, 6), _json_ints(w.right, 6)),
+            "[\n    " + ",\n    ".join(rounds) + "\n  ]" if rounds else "[]",
+        )
+
+
+# Templates of the result document as json.dumps(indent=2) lays it out.
+_RESULT = (
+    '{\n  "algorithm": %s,\n  "dominating_set": %s,\n  "size": %d,\n'
+    '  "t_detected": %s,\n  "witness": %s,\n  "rounds": %s\n}'
+)
+_WITNESS = '{\n    "left": %s,\n    "right": %s\n  }'
+_ROUND_ANY = '{\n      "chosen": %s,\n      "b_sizes": %s,\n      "newly_dominated": %d\n    }'
+# a round whose two lists are non-empty, as every engine round's are;
+# their items are joined with _JOIN8
+_ROUND = (
+    '{\n      "chosen": [\n        %s\n      ],\n'
+    '      "b_sizes": [\n        %s\n      ],\n      "newly_dominated": %d\n    }'
+)
+_JOIN8 = ",\n        "
+
+
+def _json_ints(ints, indent: int) -> str:
+    """A list of ints as json.dumps(indent=2) lays it out with its items
+    `indent` spaces deep."""
+    if not ints:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(map(str, ints)) + pad[:-2] + "]"
 
 
 def _residual(adj, tids: tuple[int, ...]) -> tuple[bytearray, list[int]]:

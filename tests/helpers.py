@@ -2,14 +2,18 @@
 invariant checker that replays solver traces against the greedy rules.
 
 Everything here recomputes from definitions, deliberately avoiding the
-package's own search/selection code paths.
+package's own search/selection code paths; only
+`enumerate_min_dominating_sets` takes its target size from the exact
+oracle.
 """
 
 import sys
 from itertools import combinations
 
+from domset.errors import RangeError
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
 from domset.graph import Graph
+from domset.oracles import exact_min_dominating_set
 
 
 def target_mask(g: Graph, targets=None) -> int:
@@ -33,6 +37,13 @@ def closed_mask(g: Graph, v: int) -> int:
     for u in g.adj[v]:
         mask |= 1 << u
     return mask
+
+
+def closed_neighborhood(g: Graph, v: int) -> tuple:
+    """N[v]: the vertex v together with its neighbors, sorted."""
+    if not 0 <= v < g.n:
+        raise RangeError(f"vertex {v} out of range for n={g.n}")
+    return tuple(sorted(g.adj[v] + (v,)))
 
 
 def covers(g: Graph, subset, tmask: int) -> bool:
@@ -59,6 +70,19 @@ def brute_all_min_dominating(g: Graph, targets=None):
     if tmask == 0:
         return [()]
     k, _ = brute_min_dominating(g, targets)
+    return [c for c in combinations(range(g.n), k) if covers(g, c, tmask)]
+
+
+def enumerate_min_dominating_sets(g: Graph, targets=None) -> list:
+    """All sets of minimum cardinality dominating `targets`, in
+    lexicographic order: every set of the size the exact oracle finds.
+    Exhaustive over subsets of that size; meant for small graphs (n up
+    to about 16)."""
+    targets = None if targets is None else list(targets)
+    tmask = target_mask(g, targets)
+    if tmask == 0:
+        return [()]
+    k = exact_min_dominating_set(g, targets).opt_size
     return [c for c in combinations(range(g.n), k) if covers(g, c, tmask)]
 
 

@@ -12,17 +12,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import brute_min_dominating, brute_min_set_cover
+from helpers import brute_min_dominating, brute_min_set_cover, enumerate_min_dominating_sets
 
 from domset.cli import main as cli_main
 from domset.generators import gen_intersection_one, gen_random_tree
 from domset.graph import Graph, is_dominating
-from domset.oracles import (
-    enumerate_min_dominating_sets,
-    exact_min_dominating_set,
-    harmonic,
-    has_biclique,
-)
+from domset.oracles import exact_min_dominating_set, harmonic, has_biclique
 from domset.reduction import map_solution_back, reduce_set_cover
 from domset.solvers import (
     solve_auto,

@@ -76,6 +76,51 @@ class TestSolve:
         bad.write_text("p ds x y\n")
         assert main(["solve", "--algo", "classical", str(bad)]) == 1
 
+    @pytest.mark.parametrize("text, err", [
+        ("p ds 1_0 1\ne 0 3\n", "line 1: non-integer counts in 'p ds 1_0 1'"),
+        ("p ds \u0664 0\n", "line 1: non-integer counts in 'p ds \u0664 0'"),
+        ("p ds +4 0\n", "line 1: non-integer counts in 'p ds +4 0'"),
+        ("p ds 4 1\ne 0 \u0663\n", "line 2: non-integer endpoint in 'e 0 \u0663'"),
+        ("p ds 4 1\ne 0_0 1\n", "line 2: non-integer endpoint in 'e 0_0 1'"),
+        ("p ds 4 1\ne +0 1\n", "line 2: non-integer endpoint in 'e +0 1'"),
+        ("p ds 4 1\ne --1 1\n", "line 2: non-integer endpoint in 'e --1 1'"),
+        ("p ds 4 1\ne 0 1" + "0" * 5000 + "\n", None),
+    ], ids=["underscore-count", "arabic-indic-count", "plus-count", "arabic-indic-id",
+            "underscore-id", "plus-id", "double-minus-id", "past-int-digit-limit"])
+    def test_non_decimal_ids_are_parse_errors(self, tmp_path, capsys, text, err):
+        path = tmp_path / "g.gr"
+        path.write_text(text, encoding="utf-8")
+        assert main(["solve", "--algo", "classical", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if err is not None:
+            assert captured.err == f"error: {err}\n"
+
+    def test_negative_ids_are_range_errors(self, tmp_path, capsys):
+        path = tmp_path / "g.gr"
+        path.write_text("p ds 4 1\ne -1 2\n")
+        assert main(["solve", "--algo", "classical", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 2: endpoint out of range in 'e -1 2'\n"
+        path.write_text("p ds -4 0\n")
+        assert main(["solve", "--algo", "classical", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 1: negative counts in header\n"
+
+    @pytest.mark.parametrize("algo, i", [
+        ("classical", None), ("fixed", 3), ("auto", None), ("hybrid", None), ("hybrid", 3),
+    ])
+    def test_output_is_the_indented_document(self, tmp_path, capsys, algo, i):
+        g = gen_random_tree(30, 4)
+        path = tmp_path / "g.gr"
+        path.write_text(serialize_graph(g))
+        result = cli._run_algorithm(g, algo, i)
+        expected = json.dumps(result.as_document(), indent=2) + "\n"
+        argv = ["solve", "--algo", algo, str(path)] + ([] if i is None else ["--i", str(i)])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+
     def test_vertex_limit_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graph, "MAX_VERTICES", 10)
         path = tmp_path / "g.gr"
@@ -140,6 +185,20 @@ class TestExact:
             sys.setrecursionlimit(old)
         assert code == 0
         assert capsys.readouterr() == expected
+
+    def test_node_limit_exits_3(self, tmp_path, capsys):
+        # without a limit this search ran past 100 s
+        g = tmp_path / "tree.gr"
+        g.write_text(serialize_graph(gen_random_tree(100, 1)))
+        assert main(["exact", "--force", "--max-nodes", "100000", str(g)]) == 3
+        assert capsys.readouterr() == ("", "error: exact search exceeded the node limit 100000\n")
+
+    def test_node_limit_it_stays_within(self, capsys, p4_file):
+        code, doc = run_json(capsys, ["exact", p4_file])
+        assert code == 0
+        limited = run_json(capsys, ["exact", "--max-nodes", str(doc["node_count"]), p4_file])
+        assert limited == (0, doc)
+        assert main(["exact", "--max-nodes", str(doc["node_count"] - 1), p4_file]) == 3
 
     def test_budget_exceeded_exit(self, capsys, p4_file):
         code, doc = run_json(capsys, ["exact", "--budget", "1", p4_file])
@@ -454,6 +513,10 @@ def _range_error(v):
     return 2, "", f"error: vertex {v} out of range for n=4\n"
 
 
+def _not_an_id(tok, line=1):
+    return 1, "", f"error: line {line}: expected a vertex id, got {tok!r}\n"
+
+
 _P4_CLASSICAL_0_2 = {
     "algorithm": "classical",
     "dominating_set": [0, 2],
@@ -484,6 +547,9 @@ class TestVertexListErrorPaths:
         ("1 -1 2", _range_error(-1), _range_error(-1)),
         ("0 1 2 9", _range_error(9), _range_error(9)),
         ("0 7 -3", _range_error(7), _range_error(7)),
+        ("\u0660 1_0", _not_an_id("\u0660"), _not_an_id("\u0660")),
+        ("0\nc x\n1_0", _not_an_id("1_0", 3), _not_an_id("1_0", 3)),
+        ("+1", _not_an_id("+1"), _not_an_id("+1")),
     ]
     VERIFY_DS = [
         ("2 1 1 2", None, (0, "OK\n", "")),
@@ -495,6 +561,8 @@ class TestVertexListErrorPaths:
         ("1 2", "0 1 5", _range_error(5)),
         ("0 6", "-4", _range_error(6)),
         ("0", "2 2 -1", _range_error(-1)),
+        ("\u0660 1_0", None, _not_an_id("\u0660")),
+        ("0 2", "3 \u0663", _not_an_id("\u0663")),
     ]
     WITNESS = [
         ([3, 0, 0], [2, 1], _NOT_BICLIQUE),

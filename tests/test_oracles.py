@@ -12,6 +12,7 @@ from helpers import (
     brute_has_biclique,
     brute_min_dominating,
     deep_search_graph,
+    enumerate_min_dominating_sets,
     lower_recursion_limit,
 )
 
@@ -23,7 +24,6 @@ from domset.oracles import (
     _bound_and_target,
     _closed_masks,
     _ratio_prunes,
-    enumerate_min_dominating_sets,
     exact_min_dominating_set,
     harmonic,
     has_biclique,
@@ -149,6 +149,17 @@ class TestExact:
         assert r.opt_size == expect
         assert is_dominating(g, r.witness_set)
         assert len(r.witness_set) == expect
+
+    @pytest.mark.parametrize("budget", [None, 2])
+    def test_node_limit(self, budget):
+        # a limit the search stays within changes nothing; one node less
+        # ends the search with ResourceLimitError
+        for seed in range(6):
+            g = gen_random_tree(16, seed)
+            r = exact_min_dominating_set(g, budget=budget)
+            assert exact_min_dominating_set(g, budget=budget, max_nodes=r.node_count) == r
+            with pytest.raises(ResourceLimitError, match="exceeded the node limit"):
+                exact_min_dominating_set(g, budget=budget, max_nodes=r.node_count - 1)
 
     def test_sandwich_against_greedy(self):
         for seed in range(15):

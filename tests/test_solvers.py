@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_all_min_dominating, brute_min_dominating, check_trace
+from helpers import (
+    brute_all_min_dominating,
+    brute_min_dominating,
+    check_trace,
+    closed_neighborhood,
+)
 
 from domset import solvers
 from domset.errors import ValidationError
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
-from domset.graph import Graph, closed_neighborhood, is_dominating
+from domset.graph import Graph, is_dominating
 from domset.solvers import (
     BicliqueWitness,
     Round,
@@ -518,3 +523,47 @@ class TestFrozenDigests:
     @pytest.mark.parametrize("case", FROZEN_CASES, ids=frozen_case_id)
     def test_document_digest(self, case):
         assert frozen_document_digest(*case) == FROZEN_DIGESTS[frozen_case_id(case)]
+
+
+WRITER_SOLVERS = {
+    "classical": solve_classical,
+    "fixed:3": lambda g, targets: solve_fixed_i(g, 3, targets),
+    "auto": solve_auto,
+    "hybrid": lambda g, targets: solve_hybrid(g, None, targets),
+    "hybrid:3": lambda g, targets: solve_hybrid(g, 3, targets),
+}
+TARGET_MIXES = {
+    "all": lambda n: None,
+    "even-id": lambda n: range(0, n, 2),
+    "every-third": lambda n: range(0, n, 3),
+}
+
+
+class TestResultWriter:
+    """`SolveResult.to_json` is the text of json.dumps(as_document(),
+    indent=2), byte for byte."""
+
+    @pytest.mark.parametrize("targets", TARGET_MIXES)
+    @pytest.mark.parametrize("algo", WRITER_SOLVERS)
+    def test_matches_indented_dump(self, validity_suite, algo, targets):
+        for name, g in validity_suite:
+            r = WRITER_SOLVERS[algo](g, TARGET_MIXES[targets](g.n))
+            assert r.to_json() == json.dumps(r.as_document(), indent=2), name
+
+    @pytest.mark.parametrize("case", [
+        "zero-vertices", "no-targets", "edgeless-auto", "classical", "auto-witness", "empty-lists",
+    ])
+    def test_edge_cases(self, case):
+        r = {
+            "zero-vertices": lambda: solve_auto(Graph(0)),  # rounds []
+            "no-targets": lambda: solve_hybrid(p4(), 3, []),
+            "edgeless-auto": lambda: solve_auto(Graph(3)),  # witness None
+            "classical": lambda: solve_classical(p4()),  # t_detected None
+            "auto-witness": lambda: solve_auto(c4()),
+            # not an engine result: empty chosen, b_sizes and witness sides
+            "empty-lists": lambda: solvers.SolveResult(
+                'a "quoted" name', (), solvers.GreedyTrace((), (Round((), (), 0),), ()),
+                1, BicliqueWitness((), ()),
+            ),
+        }[case]()
+        assert r.to_json() == json.dumps(r.as_document(), indent=2)
