@@ -227,19 +227,31 @@ def _check_witness(g: Graph, result: solvers.SolveResult) -> None:
         raise ValidationError("result failed witness check")
 
 
+def _error_rows(name: str, g: Graph | None, algos, error: str) -> list[BenchRecord]:
+    """One error row per algorithm for an instance that cannot be run."""
+    n, m = (None, None) if g is None else (g.n, g.m)
+    return [
+        BenchRecord(graph_name=name, n=n, m=m, algorithm=a, i_param=i, error=error)
+        for a, i in algos
+    ]
+
+
 def cmd_bench(args) -> int:
     algos = _parse_algos(args.algos)
+    if args.max_nodes is not None and not args.with_exact:
+        raise ValidationError("--max-nodes limits the oracle, so it needs --with-exact")
     records: list[BenchRecord] = []
     for name, g, err in _bench_instances(args):
         if g is None:
-            records.extend(
-                BenchRecord(graph_name=name, algorithm=a, i_param=i, error=err)
-                for a, i in algos
-            )
+            records.extend(_error_rows(name, None, algos, err))
             continue
         opt: int | None = None
         if args.with_exact and g.n <= args.max_n:
-            opt = oracles.exact_min_dominating_set(g).opt_size
+            try:
+                opt = oracles.exact_min_dominating_set(g, max_nodes=args.max_nodes).opt_size
+            except DomsetError as exc:
+                records.extend(_error_rows(name, g, algos, str(exc)))
+                continue
         for algo, i in algos:
             try:
                 start = time.perf_counter()
@@ -265,10 +277,7 @@ def cmd_bench(args) -> int:
                     )
                 )
             except DomsetError as exc:
-                records.append(
-                    BenchRecord(graph_name=name, n=g.n, m=g.m, algorithm=algo,
-                                i_param=i, error=str(exc))
-                )
+                records.extend(_error_rows(name, g, [(algo, i)], str(exc)))
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(BENCH_COLUMNS)
@@ -353,6 +362,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--with-exact", action="store_true", dest="with_exact")
     p.add_argument("--max-n", type=int, default=30, dest="max_n",
                    help="oracle guard for --with-exact")
+    p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes",
+                   help="oracle node limit for --with-exact; an instance over it gets error rows")
     p.add_argument("--timings", action="store_true",
                    help="fill elapsed_micros (breaks byte-for-byte determinism)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")

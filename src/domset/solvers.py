@@ -43,9 +43,15 @@ rounds, so each extension starts from a copy of it. It extends only the
 prefixes that can change the answer. A prefix whose next base round has
 a single pick is skipped: that round is the classical round on the same
 residual, so the prefix and the one after it give the same rounds and
-the same size. An extension stops as soon as it provably cannot end
-strictly below the best size so far, which a later prefix needs to win.
-Both skips leave the result unchanged.
+the same size. A prefix is also skipped, before its state is copied,
+when its size plus a lower bound on any extension already reaches the
+best size so far. The bound is the number of live members of a
+2-packing of the targets (targets with pairwise disjoint closed
+neighborhoods, so each needs its own pick), built greedily once per call
+and counted down in O(1) per pick. An extension stops as soon as it
+provably cannot end strictly below the best size so far, which a later
+prefix needs to win: by the maximum gain, or by that packing count. All
+three skips leave the result unchanged.
 """
 
 from __future__ import annotations
@@ -190,6 +196,25 @@ def _dominate(adj, live: bytearray, gain: list[int], v: int) -> int:
     return k
 
 
+def _packing(adj, tids: tuple[int, ...]) -> tuple[list[int], int]:
+    """A greedy 2-packing P of the targets `tids` (members' closed
+    neighborhoods pairwise disjoint), as its `owner` table and its size:
+    owner[v] is the member of P in N[v], or -1; it is unique because P
+    is a 2-packing, and P is the set of u with owner[u] == u. Targets
+    join in (degree, id) order, so leaves go first, as in a tree's
+    largest 2-packing."""
+    owner = [-1] * len(adj)
+    size = 0
+    degree = list(map(len, adj))
+    for u in sorted(tids, key=degree.__getitem__):  # stable: ids stay sorted
+        hood = (u, *adj[u])
+        if max(map(owner.__getitem__, hood)) < 0:  # N[u] meets no member's
+            for w in hood:
+                owner[w] = u
+            size += 1
+    return owner, size
+
+
 def _chain_pick(adj, pool: list[int], chosen: list[int]) -> int:
     """Unchosen vertex maximizing |N[w] & pool|, lowest id on ties; -1
     when none meets the pool. Only w in N[pool] can meet it."""
@@ -210,7 +235,13 @@ RoundRecord = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 def _greedy_rounds(
-    adj, live: bytearray, gain: list[int], i: int | None, cutoff: int | None = None
+    adj,
+    live: bytearray,
+    gain: list[int],
+    i: int | None,
+    cutoff: int | None = None,
+    owner: list[int] | None = None,
+    packed: int = 0,
 ) -> tuple[list[RoundRecord], list[list[int]]] | None:
     """Run rounds until no live target remains, consuming `live` and
     `gain`. An integer i >= 2 allows at most i-1 picks per round (i = 2
@@ -220,9 +251,14 @@ def _greedy_rounds(
     With a round limit `cutoff`, returns None as soon as the run cannot
     finish in fewer than `cutoff` rounds: a round removes at most the
     current maximum gain, and gains only fall, so at least
-    ceil(left / max gain) rounds remain."""
+    ceil(left / max gain) rounds remain. A classical run (i = 2) may also
+    be given a 2-packing of the targets (see `_packing`): its `owner`
+    table and `packed`, the number of its members still live. Each pick
+    dominates at most one member, so at least `packed` rounds remain."""
     if i is not None and i < 2:
         raise ValidationError(f"parameter i must be >= 2, got {i}")
+    if owner is not None and i != 2:
+        raise ValueError("a packing bounds picks, so only classical runs (i = 2) take one")
     n = len(adj)
     heap = [v - c * n for v, c in enumerate(gain) if c]
     heapify(heap)
@@ -242,7 +278,7 @@ def _greedy_rounds(
                 heapreplace(heap, v1 - c * n)
             else:
                 heappop(heap)
-        if cutoff is not None and len(rounds) - (-left // c) >= cutoff:
+        if cutoff is not None and len(rounds) + max(-(-left // c), packed) >= cutoff:
             return None
         heappop(heap)  # every vertex picked this round ends with gain 0
         chosen = [v1]
@@ -259,6 +295,10 @@ def _greedy_rounds(
             chosen.append(v)
             pool = b_next
             b_sizes.append(len(pool))
+        if owner is not None:  # i = 2: v1 is the round's only pick
+            o = owner[v1]
+            if o >= 0 and live[o]:
+                packed -= 1
         covered = 0
         for v in chosen:
             covered += _dominate(adj, live, gain, v)
@@ -346,19 +386,26 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     the classical run, so the result is never larger than classical
     greedy. Ties go to the earliest prefix.
 
-    Two kinds of prefix are not extended, and neither changes the result:
+    Three kinds of work are skipped, and none changes the result:
 
     * a prefix p whose base round p has a single pick. That round picks
       the lowest-id vertex of maximum gain on the residual after the
       prefix, exactly as classical greedy would, so extension(p) is
       [base[p]] + extension(p+1): prefix p + 1 gives the same rounds at
       the same size, and wins wherever p would have.
+    * a prefix whose size plus `packed` is at least the best size so
+      far. `packed` counts the live members of a 2-packing P of the
+      targets, built once per call (`_packing`): each needs its own
+      dominator, so any extension has at least `packed` picks, and the
+      prefix could at best tie.
     * the rest of an extension once it cannot end strictly below the
-      best size so far (`cutoff` of `_greedy_rounds`); at best it would
-      tie, and a tie keeps the earlier prefix.
+      best size so far (`cutoff` of `_greedy_rounds`, which also gets
+      the packing); at best it would tie, and a tie keeps the earlier
+      prefix.
     """
     tids, base, _ = _run(g, targets, i)
     adj = g.adj
+    owner, packed = _packing(adj, tids)
 
     best_rounds: list[RoundRecord] | None = None
     best_size: int | None = None
@@ -370,12 +417,17 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
         if p:
             chosen = base[p - 1][0]
             for v in chosen:
+                o = owner[v]
+                if o >= 0 and live[o]:
+                    packed -= 1
                 _dominate(adj, live, gain, v)
             prefix_size += len(chosen)
         if p < len(base) and len(base[p][0]) == 1:
             continue
         cutoff = None if best_size is None else best_size - prefix_size
-        run = _greedy_rounds(adj, live[:], gain[:], 2, cutoff)
+        if cutoff is not None and packed >= cutoff:
+            continue
+        run = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
         if run is None:
             continue
         extension = run[0]

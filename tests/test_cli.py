@@ -312,6 +312,38 @@ class TestBench:
         assert [(row["opt_size"], row["error"]) for row in rows] == [("104", "")]
         assert (tmp_path / "lowered.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()
 
+    def test_oracle_node_limit_gives_error_rows(self, tmp_path, capsys):
+        # the oracle needs far more than 1000 nodes on this tree; its
+        # refusal fills that instance's rows and the next one still runs
+        out = tmp_path / "bench.csv"
+        args = ["bench", "--gen", "random_tree:n=100,seed=1", "--gen", "grid:w=3,h=3",
+                "--algos", "classical,hybrid:3", "--with-exact", "--max-n", "100"]
+        assert main(args + ["--max-nodes", "1000", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out)
+        refusal = "exact search exceeded the node limit 1000"
+        assert [(r["graph_name"], r["n"], r["opt_size"], r["error"]) for r in rows] == [
+            ("random_tree:n=100,seed=1", "100", "", refusal),
+            ("random_tree:n=100,seed=1", "100", "", refusal),
+            ("grid:h=3,w=3", "9", "3", ""),
+            ("grid:h=3,w=3", "9", "3", ""),
+        ]
+        assert all(r["ds_size"] == "" for r in rows[:2])
+
+    def test_oracle_node_limit_above_the_search_changes_nothing(self, tmp_path):
+        args = ["bench", "--gen", "grid:w=3,h=4", "--algos", "classical,auto", "--with-exact"]
+        plain, limited = tmp_path / "plain.csv", tmp_path / "limited.csv"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--max-nodes", "100000", "--out", str(limited)]) == 0
+        assert limited.read_bytes() == plain.read_bytes()
+
+    def test_node_limit_needs_with_exact(self, capsys):
+        assert main(["bench", "--gen", "grid:w=2,h=2", "--algos", "classical",
+                     "--max-nodes", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-nodes limits the oracle, so it needs --with-exact\n"
+
     def test_graphs_dir_must_exist(self, tmp_path, capsys):
         (tmp_path / "file.gr").write_text("p ds 1 0\n")
         for path in (tmp_path / "missing", tmp_path / "file.gr"):

@@ -146,11 +146,9 @@ class TestHybrid:
             assert len(solve_hybrid(g).dominating_set) <= classical
             assert len(solve_hybrid(g, 3).dominating_set) <= classical
 
-    def test_single_pick_prefixes_are_not_extended(self, monkeypatch):
-        # a tree holds no 4-cycle, so every auto round has one pick and
-        # only the full prefix is extended after the base run
-        g = gen_random_tree(300, 1)
-        assert all(len(r.chosen) == 1 for r in solve_auto(g).trace.rounds)
+    @staticmethod
+    def engine_calls(monkeypatch, g, i):
+        """The i of every `_greedy_rounds` call made by solve_hybrid(g, i)."""
         real = solvers._greedy_rounds
         calls = []
 
@@ -159,8 +157,22 @@ class TestHybrid:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "_greedy_rounds", counting)
-        solve_hybrid(g)
-        assert calls == [None, 2]
+        solve_hybrid(g, i)
+        return calls
+
+    def test_single_pick_prefixes_are_not_extended(self, monkeypatch):
+        # a tree holds no 4-cycle, so every auto round has one pick and
+        # only the full prefix is extended after the base run
+        g = gen_random_tree(300, 1)
+        assert all(len(r.chosen) == 1 for r in solve_auto(g).trace.rounds)
+        assert self.engine_calls(monkeypatch, g, None) == [None, 2]
+
+    def test_packing_skips_chained_prefixes(self, monkeypatch):
+        # fixed:3 chains two picks per round on a tree, so every prefix
+        # is a candidate; the packing bound skips all but a few of them
+        # (94 engine calls without it)
+        g = gen_random_tree(300, 1)
+        assert self.engine_calls(monkeypatch, g, 3) == [3] + [2] * 9
 
     def test_tie_keeps_earliest_prefix(self):
         # two 4-cycles: fixed:3 takes (0, 2) and (4, 6), and each of the
@@ -372,6 +384,48 @@ def hybrid_reference(g, i, targets):
     return best
 
 
+class TestPacking:
+    """`_packing` returns the owner table of a 2-packing of the targets."""
+
+    @given(
+        g=st.builds(
+            gen_gnp,
+            st.integers(min_value=0, max_value=40),
+            st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.4, 1.0]),
+            st.integers(min_value=0, max_value=2**32),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_owner_table_of_a_2_packing(self, g, data):
+        tids = tuple(v for v in range(g.n) if data.draw(st.booleans()))
+        owner, size = solvers._packing(g.adj, tids)
+        members = [u for u in range(g.n) if owner[u] == u]
+        assert size == len(members)
+        assert set(members) <= set(tids)
+        hoods = [set(closed_neighborhood(g, u)) for u in members]
+        for a in range(len(hoods)):
+            for b in range(a):
+                assert not hoods[a] & hoods[b], (members[a], members[b])
+        for v in range(g.n):
+            inside = [u for u in members if v in closed_neighborhood(g, u)]
+            assert owner[v] == (inside[0] if inside else -1), v
+            assert len(inside) <= 1
+        # greedy, so maximal: every other target meets a member's N[u]
+        for u in set(tids) - set(members):
+            assert any(owner[w] >= 0 for w in closed_neighborhood(g, u)), u
+
+    def test_leaves_go_first(self):
+        # the path 1-2-0-3-4: by (degree, id) the leaves 1 and 4 join, a
+        # packing as large as the domination number 2; in id order the
+        # middle vertex 0 would join first and block both
+        packing = solvers._packing(Graph(5, [(1, 2), (2, 0), (0, 3), (3, 4)]).adj, range(5))
+        assert packing == ([-1, 1, 1, 4, 4], 2)
+        # a star's packing is one leaf: every closed neighborhood holds 0
+        packing = solvers._packing(star6().adj, tuple(range(6)))
+        assert packing == ([1, 1, -1, -1, -1, -1], 1)
+
+
 class TestEngineIdentities:
     """Identities the single round engine relies on."""
 
@@ -388,17 +442,40 @@ class TestEngineIdentities:
             assert got == hybrid_reference(g, i, targets), name
 
     def test_cutoff_prunes_exactly_the_runs_that_reach_it(self, validity_suite):
-        # the bound is admissible: a run of L rounds is cut off for every
-        # limit <= L, and runs to the same rounds for a limit above L
+        # the bound is admissible, with and without a packing: a run of L
+        # rounds is cut off for every limit <= L, and runs to the same
+        # rounds for a limit above L
         for name, g in validity_suite:
             tids = tuple(range(g.n))
+            packing = solvers._packing(g.adj, tids)
             rounds, _ = solvers._greedy_rounds(g.adj, *solvers._residual(g.adj, tids), 2)
             for cutoff in range(len(rounds) + 2):
-                got = solvers._greedy_rounds(g.adj, *solvers._residual(g.adj, tids), 2, cutoff)
-                if cutoff <= len(rounds):
-                    assert got is None, (name, cutoff)
-                else:
-                    assert got[0] == rounds, (name, cutoff)
+                for extra in ((), packing):
+                    got = solvers._greedy_rounds(
+                        g.adj, *solvers._residual(g.adj, tids), 2, cutoff, *extra
+                    )
+                    if cutoff <= len(rounds):
+                        assert got is None, (name, cutoff, bool(extra))
+                    else:
+                        assert got[0] == rounds, (name, cutoff, bool(extra))
+
+    def test_packing_cuts_off_before_the_first_round(self):
+        # on a tree one high-degree vertex keeps ceil(left / max gain)
+        # low; the packing bound alone ends the run before any pick
+        g = gen_random_tree(300, 1)
+        tids = tuple(range(g.n))
+        owner, packed = solvers._packing(g.adj, tids)
+        live, gain = solvers._residual(g.adj, tids)
+        assert -(-g.n // max(gain)) < packed
+        assert solvers._greedy_rounds(g.adj, live, gain, 2, packed, owner, packed) is None
+        assert live.count(1) == g.n  # no round ran
+
+    @pytest.mark.parametrize("i", [None, 3])
+    def test_packing_only_for_classical_runs(self, i):
+        adj, tids = p4().adj, (0, 1, 2, 3)
+        owner, packed = solvers._packing(adj, tids)
+        with pytest.raises(ValueError):
+            solvers._greedy_rounds(adj, *solvers._residual(adj, tids), i, 5, owner, packed)
 
 
 class TestEngineRecords:
@@ -477,16 +554,19 @@ def frozen_case_id(case):
     return f"{family}_n{n}-{algo}" + ("" if i is None else f":{i}")
 
 
+def document_digest(result):
+    text = json.dumps(result.as_document(), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def frozen_document_digest(family, n, algo, i):
     g = sparse_family(n)[family]
-    result = {
+    return document_digest({
         "classical": lambda: solve_classical(g),
         "fixed": lambda: solve_fixed_i(g, i),
         "auto": lambda: solve_auto(g),
         "hybrid": lambda: solve_hybrid(g, i),
-    }[algo]()
-    text = json.dumps(result.as_document(), separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    }[algo]())
 
 
 # SHA-256 of each compact as_document() JSON, frozen from the bitmask-scan
@@ -516,6 +596,28 @@ FROZEN_DIGESTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def large_hybrid_graph(family):
+    return {
+        "tree_n4000": lambda: gen_random_tree(4000, 1),
+        "deg3_n4000": lambda: gen_d_degenerate(4000, 3, 1),
+        "grid_60x60": lambda: gen_grid(60, 60),
+    }[family]()
+
+
+# SHA-256 of compact as_document() JSON for hybrid at n = 3600-4000, frozen
+# from the engine before the hybrid packing bound; on the tree, hybrid:3
+# extends thousands of chained prefixes.
+LARGE_HYBRID_DIGESTS = {
+    "tree_n4000-hybrid": "93078d4bbdb3b8400e9ed345570af8e3e3a909d44d0c4e145aee17db0abc4d11",
+    "tree_n4000-hybrid:3": "93078d4bbdb3b8400e9ed345570af8e3e3a909d44d0c4e145aee17db0abc4d11",
+    "deg3_n4000-hybrid": "2af339042bad5e70b565a3724b351f1b8c24406a1e6d31b5ad547ac32fa0fdbd",
+    "deg3_n4000-hybrid:3": "ccd846683379a8a04089e5191b8204347995aa5612aea86998ad3df8c5852579",
+    "grid_60x60-hybrid": "8a259e3c612386ab61291191eaf1cb7ae8dedd796ff0d259ec659c3156c705f4",
+    "grid_60x60-hybrid:3": "8a259e3c612386ab61291191eaf1cb7ae8dedd796ff0d259ec659c3156c705f4",
+}
+
+
 class TestFrozenDigests:
     """Byte identity of solver documents at sizes where stale heap
     entries and long chains are common."""
@@ -523,6 +625,13 @@ class TestFrozenDigests:
     @pytest.mark.parametrize("case", FROZEN_CASES, ids=frozen_case_id)
     def test_document_digest(self, case):
         assert frozen_document_digest(*case) == FROZEN_DIGESTS[frozen_case_id(case)]
+
+    @pytest.mark.parametrize("case", LARGE_HYBRID_DIGESTS)
+    def test_large_hybrid_digest(self, case):
+        family, algo = case.split("-")
+        i = None if algo == "hybrid" else int(algo.partition(":")[2])
+        result = solve_hybrid(large_hybrid_graph(family), i)
+        assert document_digest(result) == LARGE_HYBRID_DIGESTS[case]
 
 
 WRITER_SOLVERS = {
