@@ -10,6 +10,12 @@ set. The search is one loop over an explicit stack of nodes, so no
 interpreter setting limits its depth. Everything here is deterministic
 so oracle outputs can be frozen into fixtures.
 
+That per-node pass reads only the undominated set A and the bans inside
+N[A], so each search keeps a memo of passes keyed by both: a tree
+search meets each independent part again under every choice made
+elsewhere. The memo stores pass results, never prune decisions, so the
+nodes visited, and node_count, are those of a search without it.
+
 Vertex sets here are Python ints used as bit sets: each call builds the
 closed-neighborhood masks it needs from the adjacency lists. Nothing
 outside this module uses bit sets.
@@ -26,6 +32,9 @@ from .errors import ResourceLimitError, ValidationError
 from .graph import Graph, _vertex_ids
 from .solvers import BicliqueWitness, solve_classical
 
+# The exact search clears its memo of bound passes when it holds this many.
+_MEMO_CAP = 1 << 16
+
 
 def _mask(ids: Iterable[int]) -> int:
     """Bit set of the vertex ids `ids`."""
@@ -40,7 +49,7 @@ def _closed_masks(g: Graph) -> list[int]:
     return [_mask((v, *row)) for v, row in enumerate(g.adj)]
 
 
-def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, int]:
+def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, int, int]:
     """One pass over the bits of `active`, each dominated by the
     non-banned vertices of its closed neighborhood. Returns:
 
@@ -51,9 +60,11 @@ def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, in
     * the active bit with the fewest allowed dominators (tie: lowest id),
       or -1 when `active` is empty;
     * the union of the allowed dominator sets: by symmetry of N[.], the
-      non-banned vertices that cover at least one active bit.
+      non-banned vertices that cover at least one active bit;
+    * the hood N[active], banned vertices included: the only vertices
+      whose ban the pass reads.
 
-    Returns (-1, -1, 0) as soon as some active bit has no allowed
+    Returns (-1, -1, 0, 0) as soon as some active bit has no allowed
     dominator.
     """
     allowed = ~banned
@@ -61,24 +72,25 @@ def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, in
     count = 0
     best_u = -1
     best_c = -1
-    reach = 0
+    hood = 0
     a = active
     while a:
         low = a & -a
         u = low.bit_length() - 1
         a ^= low
-        dom = masks[u] & allowed
+        m = masks[u]
+        hood |= m
+        dom = m & allowed
         if dom == 0:
-            return -1, -1, 0
+            return -1, -1, 0, 0
         if dom & used == 0:
             count += 1
             used |= dom
-        reach |= dom
         c = dom.bit_count()
         if best_u < 0 or c < best_c:
             best_c = c
             best_u = u
-    return count, best_u, reach
+    return count, best_u, hood & allowed, hood
 
 
 def _ratio_prunes(masks, active: int, reach: int, slots: int) -> bool:
@@ -150,6 +162,19 @@ def exact_min_dominating_set(
     order of a recursive search. Each node is tested against the best
     size at the moment it is popped, when a recursive search would enter
     it, so node_count is that of the recursive search.
+
+    The packing bound, branching target and reach of a node come from
+    `_bound_and_target`, which reads only A and the bans inside N[A]. A
+    child's A is a subset of its parent's, so its N[A] lies inside the
+    parent's hood S = N[A_parent], which the child carries on the stack;
+    the key (banned & S) << n | A thus fixes the pass's result, and a
+    node whose key was seen before takes the stored result instead of
+    making the pass. Only the pass is stored: the prune tests, the ratio
+    scan and the candidate sort run at every node against its own depth,
+    bans and the best size at that moment, so the visited nodes,
+    node_count and the witness are those of a search without the memo.
+    The memo lives for one call and is cleared when it reaches
+    `_MEMO_CAP` entries, which bounds its memory.
     """
     tids = _vertex_ids(g, targets)
     if not tids:
@@ -169,12 +194,16 @@ def exact_min_dominating_set(
     nodes = 0
     # sys.maxsize stands in for no limit, so a node costs one int comparison
     limit = sys.maxsize if max_nodes is None else max_nodes
-    # a stack entry is (active, banned, depth, v), v the pick that led to
-    # it (-1 at the root); chosen[:depth] is the popped node's path
+    n = g.n
+    cap = _MEMO_CAP
+    memo: dict[int, tuple[int, int, int, int]] = {}
+    # a stack entry is (active, banned, depth, v, hood), v the pick that
+    # led to it and hood its parent's N[active] (-1 and -1 at the root);
+    # chosen[:depth] is the popped node's path
     chosen: list[int] = []
-    stack = [(_mask(tids), 0, 0, -1)]
+    stack = [(_mask(tids), 0, 0, -1, -1)]
     while stack:
-        active, banned, depth, v = stack.pop()
+        active, banned, depth, v, hood = stack.pop()
         nodes += 1
         if nodes > limit:
             raise ResourceLimitError(f"exact search exceeded the node limit {max_nodes}")
@@ -185,7 +214,14 @@ def exact_min_dominating_set(
                 best_size = depth
                 best_set = tuple(sorted(chosen))
             continue
-        lb, u, reach = _bound_and_target(masks, active, banned)
+        # hood contains this node's N[active], so the key fixes the pass
+        key = (banned & hood) << n | active
+        done = memo.get(key)
+        if done is None:
+            if len(memo) >= cap:
+                memo.clear()
+            done = memo[key] = _bound_and_target(masks, active, banned)
+        lb, u, reach, hood = done
         if lb < 0 or depth + lb >= best_size:
             continue
         # lb >= 1 as active != 0, so at least one slot is left
@@ -196,7 +232,7 @@ def exact_min_dominating_set(
         cands.sort(key=lambda v: (-(masks[v] & active).bit_count(), v))
         children = []
         for v in cands:
-            children.append((active & ~masks[v], banned, depth + 1, v))
+            children.append((active & ~masks[v], banned, depth + 1, v, hood))
             banned |= 1 << v
         stack.extend(reversed(children))
     if best_set is None:

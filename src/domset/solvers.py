@@ -395,7 +395,8 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
       the same size, and wins wherever p would have.
     * a prefix whose size plus `packed` is at least the best size so
       far. `packed` counts the live members of a 2-packing P of the
-      targets, built once per call (`_packing`): each needs its own
+      targets (`_packing`), built when a prefix first has a best size
+      to beat, since nothing reads it before: each member needs its own
       dominator, so any extension has at least `packed` picks, and the
       prefix could at best tie.
     * the rest of an extension once it cannot end strictly below the
@@ -405,7 +406,8 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     """
     tids, base, _ = _run(g, targets, i)
     adj = g.adj
-    owner, packed = _packing(adj, tids)
+    owner: list[int] | None = None
+    packed = 0
 
     best_rounds: list[RoundRecord] | None = None
     best_size: int | None = None
@@ -417,16 +419,23 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
         if p:
             chosen = base[p - 1][0]
             for v in chosen:
-                o = owner[v]
-                if o >= 0 and live[o]:
-                    packed -= 1
+                if owner is not None:
+                    o = owner[v]
+                    if o >= 0 and live[o]:
+                        packed -= 1
                 _dominate(adj, live, gain, v)
             prefix_size += len(chosen)
         if p < len(base) and len(base[p][0]) == 1:
             continue
-        cutoff = None if best_size is None else best_size - prefix_size
-        if cutoff is not None and packed >= cutoff:
-            continue
+        if best_size is None:
+            cutoff = None
+        else:
+            if owner is None:  # the first prefix that reads the packing
+                owner, _ = _packing(adj, tids)
+                packed = sum(live[u] for u in tids if owner[u] == u)
+            cutoff = best_size - prefix_size
+            if packed >= cutoff:
+                continue
         run = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
         if run is None:
             continue

@@ -4,16 +4,17 @@ invariant checker that replays solver traces against the greedy rules.
 Everything here recomputes from definitions, deliberately avoiding the
 package's own search/selection code paths; only
 `enumerate_min_dominating_sets` takes its target size from the exact
-oracle.
+oracle, and `reference_exact` its greedy seed from classical greedy.
 """
 
 import sys
 from itertools import combinations
 
-from domset.errors import RangeError
+from domset.errors import RangeError, ResourceLimitError
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
-from domset.graph import Graph
-from domset.oracles import exact_min_dominating_set
+from domset.graph import Graph, _vertex_ids
+from domset.oracles import OracleResult, exact_min_dominating_set
+from domset.solvers import solve_classical
 
 
 def target_mask(g: Graph, targets=None) -> int:
@@ -84,6 +85,63 @@ def enumerate_min_dominating_sets(g: Graph, targets=None) -> list:
         return [()]
     k = exact_min_dominating_set(g, targets).opt_size
     return [c for c in combinations(range(g.n), k) if covers(g, c, tmask)]
+
+
+def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None) -> OracleResult:
+    """The exact oracle's branch and bound without any memo: every node
+    recomputes its packing bound, branching target and ratio bound from
+    the masks. Same node order, prunes and tie-breaks as
+    `exact_min_dominating_set`, so the whole OracleResult, node_count
+    included, must match it."""
+    tids = _vertex_ids(g, targets)
+    if not tids:
+        if budget is not None and budget < 0:
+            return OracleResult(None, None, 0, exceeded=True)
+        return OracleResult(0, (), 0)
+    masks = [closed_mask(g, v) for v in range(g.n)]
+    seed = solve_classical(g, tids).dominating_set
+    best_size, best_set = len(seed), seed
+    if budget is not None and budget + 1 < best_size:
+        best_size, best_set = budget + 1, None
+    nodes = 0
+    chosen = []
+    stack = [(target_mask(g, tids), 0, 0, -1)]
+    while stack:
+        active, banned, depth, v = stack.pop()
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise ResourceLimitError(f"exact search exceeded the node limit {max_nodes}")
+        if depth:
+            chosen[depth - 1:] = (v,)
+        if active == 0:
+            if depth < best_size:
+                best_size, best_set = depth, tuple(sorted(chosen))
+            continue
+        # packing bound and the target with the fewest allowed dominators
+        doms = [(masks[u] & ~banned, u) for u in ids_in(active)]
+        if any(dom == 0 for dom, _ in doms):
+            continue
+        used, lb = 0, 0
+        for dom, _ in doms:
+            if dom & used == 0:
+                lb, used = lb + 1, used | dom
+        if depth + lb >= best_size:
+            continue
+        # ratio bound: ceil(|A| / c), c the best coverage by an allowed vertex
+        c = max((masks[w] & active).bit_count() for w in range(g.n) if not banned >> w & 1)
+        if depth + -(-active.bit_count() // c) >= best_size:
+            continue
+        u = min(doms, key=lambda d: (d[0].bit_count(), d[1]))[1]
+        cands = [w for w in ids_in(masks[u]) if not banned >> w & 1]
+        cands.sort(key=lambda w: (-(masks[w] & active).bit_count(), w))
+        children = []
+        for w in cands:
+            children.append((active & ~masks[w], banned, depth + 1, w))
+            banned |= 1 << w
+        stack.extend(reversed(children))
+    if best_set is None or budget is not None and best_size > budget:
+        return OracleResult(None, None, nodes, exceeded=True)
+    return OracleResult(best_size, best_set, nodes)
 
 
 def brute_has_biclique(g: Graph, a: int, b: int) -> bool:

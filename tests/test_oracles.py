@@ -14,6 +14,7 @@ from helpers import (
     deep_search_graph,
     enumerate_min_dominating_sets,
     lower_recursion_limit,
+    reference_exact,
 )
 
 from domset import oracles
@@ -46,22 +47,28 @@ class TestBitmaskQueries:
 
     def test_pack_bound_disjoint(self):
         # two vertices with disjoint closed neighborhoods
-        assert _bound_and_target([0b0011, 0b0011, 0b1100, 0b1100], 0b1111)[0] == 2
+        masks = [0b0011, 0b0011, 0b1100, 0b1100]
+        assert _bound_and_target(masks, 0b1111) == (2, 0, 0b1111, 0b1111)
+        assert _bound_and_target(masks, 0b0011) == (1, 0, 0b0011, 0b0011)
 
     def test_pack_bound_infeasible(self):
-        assert _bound_and_target([0b01, 0b10], 0b11, banned=0b10) == (-1, -1, 0)
+        assert _bound_and_target([0b01, 0b10], 0b11, banned=0b10) == (-1, -1, 0, 0)
 
     def test_pick_target_prefers_fewest_dominators(self):
-        assert _bound_and_target([0b001, 0b111, 0b110], 0b111)[1] == 0
+        # bit 2's dominators {1, 2} miss bit 0's {0}, so both are packed
+        assert _bound_and_target([0b001, 0b111, 0b110], 0b111) == (2, 0, 0b111, 0b111)
+        assert _bound_and_target([0b001, 0b111, 0b110], 0b110) == (1, 2, 0b111, 0b111)
 
     def test_pick_target_empty(self):
-        assert _bound_and_target([0b1], 0) == (0, -1, 0)
+        assert _bound_and_target([0b1], 0) == (0, -1, 0, 0)
 
     def test_reach_is_allowed_dominators_of_active(self):
-        # P4 with only vertex 0 active: its dominators are 0 and 1
+        # P4 with only vertex 0 active: its dominators are 0 and 1, and
+        # its hood keeps a banned dominator
         masks = [0b0011, 0b0111, 0b1110, 0b1100]
-        assert _bound_and_target(masks, 0b0001)[2] == 0b0011
-        assert _bound_and_target(masks, 0b0001, banned=0b0010)[2] == 0b0001
+        assert _bound_and_target(masks, 0b0001) == (1, 0, 0b0011, 0b0011)
+        assert _bound_and_target(masks, 0b0001, banned=0b0010) == (1, 0, 0b0001, 0b0011)
+        assert _bound_and_target(masks, 0b0001, banned=0b1100) == (1, 0, 0b0011, 0b0011)
 
     # masks[v] & 0b1111 covers 2, 2, 2 and 1 bits; of 0b0111: 2, 2, 1, 0
     MASKS = [0b0011, 0b0110, 0b1100, 0b1000]
@@ -92,7 +99,7 @@ class TestBitmaskQueries:
         # coverage c over all non-banned vertices
         masks = _closed_masks(gen_gnp(n, p, seed))
         active &= (1 << n) - 1
-        lb, _, reach = _bound_and_target(masks, active, banned)
+        lb, _, reach, _ = _bound_and_target(masks, active, banned)
         covers = {v: (masks[v] & active).bit_count() for v in range(n) if not banned >> v & 1}
         if lb < 0:
             assert reach == 0
@@ -101,6 +108,45 @@ class TestBitmaskQueries:
         if active:
             c = max(covers.values())
             assert _ratio_prunes(masks, active, reach, slots) == (-(-active.bit_count() // c) > slots)
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0.1, 0.3, 0.6]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**12 - 1),
+        st.integers(min_value=0, max_value=2**12 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hood_is_closed_neighborhood_of_active(self, n, p, seed, active, banned):
+        masks = _closed_masks(gen_gnp(n, p, seed))
+        active &= (1 << n) - 1
+        lb, _, reach, hood = _bound_and_target(masks, active, banned)
+        if lb < 0:
+            assert (reach, hood) == (0, 0)
+            return
+        expect = 0
+        for u in range(n):
+            if active >> u & 1:
+                expect |= masks[u]
+        assert hood == expect
+        assert reach == hood & ~banned
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0.1, 0.3, 0.6]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**12 - 1),
+        st.integers(min_value=0, max_value=2**12 - 1),
+        st.integers(min_value=0, max_value=2**12 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bans_outside_the_hood_do_not_matter(self, n, p, seed, active, banned, other):
+        # the search's memo keys a pass by active and banned & N[active]
+        masks = _closed_masks(gen_gnp(n, p, seed))
+        active &= (1 << n) - 1
+        hood = _bound_and_target(masks, active)[3]  # no ban: never infeasible
+        twin = banned & hood | other & ~hood
+        assert _bound_and_target(masks, active, banned) == _bound_and_target(masks, active, twin)
 
 
 class TestExact:
@@ -174,6 +220,62 @@ class TestExact:
         # the greedy seed must see the same targets as the search
         assert exact_min_dominating_set(p4(), iter(range(4))) == exact_min_dominating_set(p4())
         assert enumerate_min_dominating_sets(p4(), iter(range(4))) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+class TestMatchesReferenceSearch:
+    """The oracle against `reference_exact`, a memo-free copy of its
+    search: same result document, node_count included, and the same
+    node limit behaviour."""
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([0.1, 0.2, 0.35, 0.6]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**16 - 1),
+        st.sampled_from(["none", "below_opt", "opt"]),
+    )
+    @pytest.mark.parametrize("memo_cap", [oracles._MEMO_CAP, 4])
+    @settings(max_examples=150, deadline=None)
+    def test_whole_result(self, memo_cap, n, p, seed, target_bits, budget_kind):
+        g = gen_gnp(n, p, seed)
+        targets = [v for v in range(n) if target_bits >> v & 1]
+        opt = reference_exact(g, targets).opt_size
+        budget = {"none": None, "below_opt": opt - 1, "opt": opt}[budget_kind]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "_MEMO_CAP", memo_cap)
+            r = exact_min_dominating_set(g, targets, budget)
+            assert r == reference_exact(g, targets, budget)
+            assert exact_min_dominating_set(g, targets, budget, max_nodes=r.node_count) == r
+            if r.node_count:
+                with pytest.raises(ResourceLimitError, match="exceeded the node limit"):
+                    exact_min_dominating_set(g, targets, budget, max_nodes=r.node_count - 1)
+
+    def test_memo_skips_repeated_passes(self, monkeypatch):
+        # a tree search meets each independent part again under every
+        # choice made elsewhere; the memo runs each distinct pass once
+        calls = []
+        pass_ = oracles._bound_and_target
+
+        def counted(*args):
+            calls.append(args)
+            return pass_(*args)
+
+        monkeypatch.setattr(oracles, "_bound_and_target", counted)
+        g = gen_random_tree(60, 1)
+        r = exact_min_dominating_set(g)
+        assert r.node_count == 5265
+        passes = len(calls)
+        assert passes < r.node_count // 2
+        # a memo cleared every 4 entries forgets most of what repeats
+        monkeypatch.setattr(oracles, "_MEMO_CAP", 4)
+        del calls[:]
+        assert exact_min_dominating_set(g) == r
+        assert len(calls) > passes
+
+    @pytest.mark.parametrize("n, opt, nodes", [(60, 23, 5265), (80, 31, 340327)])
+    def test_pinned_trees(self, n, opt, nodes):
+        r = exact_min_dominating_set(gen_random_tree(n, 1))
+        assert (r.opt_size, r.node_count) == (opt, nodes)
 
 
 class TestEnumerate:
@@ -367,4 +469,9 @@ class TestFrozenOracleDigests:
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_document_digests(self, family):
+        assert oracle_digests(family) == FROZEN_ORACLE_DIGESTS[family]
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_document_digests_with_a_memo_cleared_every_4_passes(self, family, monkeypatch):
+        monkeypatch.setattr(oracles, "_MEMO_CAP", 4)
         assert oracle_digests(family) == FROZEN_ORACLE_DIGESTS[family]

@@ -174,6 +174,18 @@ class TestHybrid:
         g = gen_random_tree(300, 1)
         assert self.engine_calls(monkeypatch, g, 3) == [3] + [2] * 9
 
+    def test_packing_built_only_when_read(self, monkeypatch):
+        # auto takes one pick per round on a tree, so only the full prefix
+        # is extended, with no best size to beat and no packing to read
+        g = gen_random_tree(40, 1)
+        expected = solve_hybrid(g)
+
+        def refuse(*args):
+            raise AssertionError("built a packing nothing reads")
+
+        monkeypatch.setattr(solvers, "_packing", refuse)
+        assert solve_hybrid(g) == expected
+
     def test_tie_keeps_earliest_prefix(self):
         # two 4-cycles: fixed:3 takes (0, 2) and (4, 6), and each of the
         # three prefixes extends to 4 vertices; the empty prefix (the
