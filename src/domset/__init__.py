@@ -45,7 +45,6 @@ from .reduction import (
     parse_set_cover,
     reduce_set_cover,
     serialize_set_cover,
-    validate_intersection_one,
 )
 from .solvers import (
     BicliqueWitness,
@@ -89,7 +88,6 @@ __all__ = [
     "SetCoverInstance",
     "ReducedInstance",
     "build_instance",
-    "validate_intersection_one",
     "parse_set_cover",
     "serialize_set_cover",
     "reduce_set_cover",

@@ -107,10 +107,6 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    _write(json.dumps(doc, indent=2) + "\n", out)
-
-
 def _check_algorithm(algo: str, i: int | None) -> None:
     """Reject an unknown algorithm, and an i it needs but lacks or would
     ignore. The range of i is the solver's to check."""
@@ -149,7 +145,7 @@ def cmd_exact(args) -> int:
     result = oracles.exact_min_dominating_set(
         g, targets, budget=args.budget, max_nodes=args.max_nodes
     )
-    _emit(result.as_document(), args.out)
+    _write(json.dumps(result.as_document(), indent=2) + "\n", args.out)
     return EXIT_GUARD if result.exceeded else EXIT_OK
 
 

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 from .errors import GenerationError, ValidationError
 from .graph import Graph, _check_vertex_count
-from .reduction import SetCoverInstance, build_instance
+from .reduction import SetCoverInstance, _clash
 
 _MASK64 = (1 << 64) - 1
 
@@ -139,9 +139,12 @@ def gen_intersection_one(
     """
     if universe_size < 1 or set_count < 1 or max_set_size < 1:
         raise ValidationError("generator parameters must be >= 1")
+    _check_vertex_count(universe_size + set_count)
     rng = SplitMix64(seed)
     top = min(max_set_size, universe_size)
-    accepted: list[tuple[int, ...]] = []
+    # insertion-ordered, with an O(1) repeat test; holders indexes it by element
+    accepted: dict[tuple[int, ...], None] = {}
+    holders: dict[int, set[int]] = {}
     proposal_cap = 64 * set_count
     for _ in range(proposal_cap):
         if len(accepted) >= set_count:
@@ -153,15 +156,15 @@ def gen_intersection_one(
             if e not in elems:
                 elems.append(e)
         cand = tuple(sorted(elems))
-        if cand in accepted:
+        if cand in accepted or _clash(cand, holders) >= 0:
             continue
-        if all(len(set(cand) & set(a)) <= 1 for a in accepted):
-            accepted.append(cand)
+        for e in cand:
+            holders.setdefault(e, set()).add(len(accepted))
+        accepted[cand] = None
     if not accepted:
         raise GenerationError("proposal cap exhausted before any acceptance")
-    covered = set().union(*accepted)
-    singletons = [(e,) for e in range(universe_size) if e not in covered]
-    return build_instance(range(universe_size), accepted + singletons)
+    singletons = [(e,) for e in range(universe_size) if e not in holders]
+    return SetCoverInstance(tuple(range(universe_size)), (*accepted, *singletons))
 
 
 class _Model(NamedTuple):

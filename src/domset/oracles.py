@@ -178,8 +178,7 @@ def exact_min_dominating_set(
     """
     tids = _vertex_ids(g, targets)
     if not tids:
-        opt = 0 if budget is None or budget >= 0 else None
-        if opt is None:
+        if budget is not None and budget < 0:
             return OracleResult(None, None, 0, exceeded=True)
         return OracleResult(0, (), 0)
 
@@ -188,7 +187,8 @@ def exact_min_dominating_set(
     seed = solve_classical(g, tids).dominating_set
     best_size = len(seed)
     best_set: tuple[int, ...] | None = seed
-    if budget is not None and budget + 1 < best_size:
+    # a seed over the budget is no answer: search below budget + 1 with none in hand
+    if budget is not None and budget < best_size:
         best_size = budget + 1
         best_set = None
     nodes = 0
@@ -236,8 +236,6 @@ def exact_min_dominating_set(
             banned |= 1 << v
         stack.extend(reversed(children))
     if best_set is None:
-        return OracleResult(None, None, nodes, exceeded=True)
-    if budget is not None and best_size > budget:
         return OracleResult(None, None, nodes, exceeded=True)
     return OracleResult(best_size, best_set, nodes)
 

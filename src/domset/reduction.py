@@ -8,6 +8,12 @@ size s correspond to dominating sets of size s+1 (the set vertices
 plus x), and the intersection-1 property keeps the graph free of
 complete bipartite K_{3,3} subgraphs.
 
+A SetCoverInstance is valid by construction: it runs every check when
+built, so the reduction and the solution maps need none of their own.
+The shared-pair check indexes the sets by element and costs the input
+size plus at most the total size of the pairwise intersections, not a
+scan of every pair of sets; the generator draws under the same rule.
+
 File format (JSON): {"universe": [ints], "sets": [[ints], ...]}.
 """
 
@@ -21,10 +27,72 @@ from .errors import ParseError, ValidationError
 from .graph import Graph, _as_text, is_dominating
 
 
+def _clash(s: tuple[int, ...], holders: dict[int, set[int]]) -> int:
+    """Lowest index of a set sharing two or more elements with `s`, or -1,
+    among the sets in `holders` (element -> indices of the sets holding it).
+
+    Reads the holders of each element of s but the most held one, which
+    it only probes; so the work is at most sum |S_p & s| over those sets,
+    and O(|s|) when s meets the others in one hub element.
+    """
+    rows = [holders[e] for e in s if e in holders]
+    big = max(rows, key=len, default=None)
+    seen: set[int] = set()
+    clash = -1
+    for row in rows:
+        if row is not big:
+            for p in row:
+                if (p in seen or p in big) and (clash < 0 or p < clash):
+                    clash = p
+                seen.add(p)
+    return clash
+
+
 @dataclass(frozen=True)
 class SetCoverInstance:
+    """A set family with pairwise intersections of size <= 1, checked on
+    construction: a nonempty universe without duplicates, nonempty sets
+    each strictly increasing and drawn from the universe, every element
+    covered, no duplicate sets, and no two sets sharing two elements (the
+    lexicographically first such pair is reported). The checks cost the
+    input size plus, at most, the total size of the pairwise intersections.
+    """
+
     universe: tuple[int, ...]
     sets: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        uni, fam = self.universe, self.sets
+        uni_set = set(uni)
+        if len(uni_set) != len(uni):
+            raise ValidationError("duplicate elements in universe")
+        if not uni:
+            raise ValidationError("empty universe")
+        for idx, s in enumerate(fam):
+            if not s:
+                raise ValidationError(f"set {idx} is empty")
+            if any(a >= b for a, b in zip(s, s[1:])):
+                raise ValidationError(f"set {idx} is not strictly increasing")
+            extra = [e for e in s if e not in uni_set]
+            if extra:
+                raise ValidationError(f"set {idx} contains {extra} outside the universe")
+        union = set().union(*fam)
+        if union != uni_set:
+            raise ValidationError(f"elements {sorted(uni_set - union)} are covered by no set")
+        if len(set(fam)) != len(fam):
+            raise ValidationError("duplicate sets in family")
+        holders: dict[int, set[int]] = {}
+        clashes = []
+        for q, s in enumerate(fam):
+            p = _clash(s, holders)
+            if p >= 0:
+                clashes.append((p, q))
+            for e in s:
+                holders.setdefault(e, set()).add(q)
+        if clashes:
+            p, q = min(clashes)
+            shared = sorted(set(fam[p]) & set(fam[q]))
+            raise ValidationError(f"sets {p} and {q} share {shared} (intersection > 1)")
 
 
 @dataclass(frozen=True)
@@ -37,52 +105,9 @@ class ReducedInstance:
 
 
 def build_instance(universe: Iterable[int], sets: Iterable[Iterable[int]]) -> SetCoverInstance:
-    """Normalize and fully validate a set-cover instance.
-
-    Enforces: nonempty universe without duplicates, nonempty member
-    sets drawn from the universe, universe equal to the union of the
-    sets, no duplicate sets, and pairwise intersections of size <= 1
-    (the first violating pair is reported).
-    """
-    uni = tuple(universe)
-    fam = tuple(tuple(sorted(set(s))) for s in sets)
-    if len(set(uni)) != len(uni):
-        raise ValidationError("duplicate elements in universe")
-    if not uni:
-        raise ValidationError("empty universe")
-    uni_set = set(uni)
-    for idx, s in enumerate(fam):
-        if not s:
-            raise ValidationError(f"set {idx} is empty")
-        extra = set(s) - uni_set
-        if extra:
-            raise ValidationError(f"set {idx} contains {sorted(extra)} outside the universe")
-    union = set().union(*fam) if fam else set()
-    if union != uni_set:
-        raise ValidationError(f"elements {sorted(uni_set - union)} are covered by no set")
-    if len({frozenset(s) for s in fam}) != len(fam):
-        raise ValidationError("duplicate sets in family")
-    sc = SetCoverInstance(uni, fam)
-    p, q = _first_intersection_violation(sc)
-    if p >= 0:
-        shared = sorted(set(fam[p]) & set(fam[q]))
-        raise ValidationError(f"sets {p} and {q} share {shared} (intersection > 1)")
-    return sc
-
-
-def _first_intersection_violation(sc: SetCoverInstance) -> tuple[int, int]:
-    members = [set(s) for s in sc.sets]
-    for p in range(len(members)):
-        for q in range(p + 1, len(members)):
-            if len(members[p] & members[q]) > 1:
-                return p, q
-    return -1, -1
-
-
-def validate_intersection_one(sc: SetCoverInstance) -> bool:
-    """True iff every pair of sets shares at most one element."""
-    p, _ = _first_intersection_violation(sc)
-    return p < 0
+    """The instance with each set sorted and its repeats dropped; the
+    instance checks itself (see SetCoverInstance)."""
+    return SetCoverInstance(tuple(universe), tuple(tuple(sorted(set(s))) for s in sets))
 
 
 def parse_set_cover(text: str | bytes) -> SetCoverInstance:
@@ -118,9 +143,6 @@ def reduce_set_cover(sc: SetCoverInstance) -> ReducedInstance:
     then set vertices in family order, then x, then y. The graph has
     |universe| + |sets| + 2 vertices and sum(|set|) + |sets| + 1 edges.
     """
-    p, q = _first_intersection_violation(sc)
-    if p >= 0:
-        raise ValidationError(f"sets {p} and {q} intersect in more than one element")
     n_elem = len(sc.universe)
     n_sets = len(sc.sets)
     elem_vertex = {e: idx for idx, e in enumerate(sc.universe)}

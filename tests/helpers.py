@@ -10,7 +10,7 @@ oracle, and `reference_exact` its greedy seed from classical greedy.
 import sys
 from itertools import combinations
 
-from domset.errors import RangeError, ResourceLimitError
+from domset.errors import RangeError, ResourceLimitError, ValidationError
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
 from domset.graph import Graph, _vertex_ids
 from domset.oracles import OracleResult, exact_min_dominating_set
@@ -168,6 +168,46 @@ def brute_min_set_cover(sc) -> int:
             if got == uni:
                 return k
     raise AssertionError("the family covers its own union")
+
+
+def first_intersection_violation(sets) -> tuple:
+    """(p, q), the lexicographically first pair of sets sharing two or
+    more elements, or (-1, -1); an all-pairs scan."""
+    members = [set(s) for s in sets]
+    for p in range(len(members)):
+        for q in range(p + 1, len(members)):
+            if len(members[p] & members[q]) > 1:
+                return p, q
+    return -1, -1
+
+
+def reference_set_cover(universe, sets) -> tuple:
+    """(universe, sets) normalized as `build_instance` does, checked from
+    the definitions in `build_instance`'s order and with its messages;
+    the shared-pair check is the all-pairs scan above."""
+    uni = tuple(universe)
+    fam = tuple(tuple(sorted(set(s))) for s in sets)
+    if len(set(uni)) != len(uni):
+        raise ValidationError("duplicate elements in universe")
+    if not uni:
+        raise ValidationError("empty universe")
+    uni_set = set(uni)
+    for idx, s in enumerate(fam):
+        if not s:
+            raise ValidationError(f"set {idx} is empty")
+        extra = set(s) - uni_set
+        if extra:
+            raise ValidationError(f"set {idx} contains {sorted(extra)} outside the universe")
+    union = set().union(*fam) if fam else set()
+    if union != uni_set:
+        raise ValidationError(f"elements {sorted(uni_set - union)} are covered by no set")
+    if len({frozenset(s) for s in fam}) != len(fam):
+        raise ValidationError("duplicate sets in family")
+    p, q = first_intersection_violation(fam)
+    if p >= 0:
+        shared = sorted(set(fam[p]) & set(fam[q]))
+        raise ValidationError(f"sets {p} and {q} share {shared} (intersection > 1)")
+    return uni, fam
 
 
 def degeneracy(g: Graph) -> int:

@@ -488,6 +488,16 @@ class TestGen:
         sc = parse_set_cover(capsys.readouterr().out)
         assert sc.universe == tuple(range(8))
 
+    def test_gen_set_cover_vertex_limit_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 10)
+        out = tmp_path / "sc.json"
+        argv = ["gen", "--model", "intersection_one_sc", "--universe-size", "10",
+                "--max-set-size", "1", "--seed", "1", "--out", str(out)]
+        assert main(argv + ["--set-count", "1"]) == 3
+        assert capsys.readouterr().err == "error: vertex count 11 exceeds the limit 10\n"
+        assert not out.exists()
+        assert main(argv + ["--set-count", "0"]) == 2
+
     def test_gen_rejects_seed_for_unseeded_model(self, tmp_path, capsys):
         out = tmp_path / "g.gr"
         argv = ["gen", "--model", "grid", "--w", "3", "--h", "2", "--out", str(out)]

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import degeneracy
+from helpers import degeneracy, first_intersection_violation
 
 from domset import generators, graph
 from domset.errors import ResourceLimitError, ValidationError
@@ -20,7 +20,7 @@ from domset.generators import (
 )
 from domset.graph import Graph, serialize_graph
 from domset.oracles import has_biclique
-from domset.reduction import serialize_set_cover, validate_intersection_one
+from domset.reduction import SetCoverInstance, serialize_set_cover
 
 # frozen outputs of the documented draw procedures (generated once,
 # asserted forever; any PRNG or draw-order change must show up here)
@@ -31,6 +31,14 @@ DEGEN_8_2_3 = [
     (2, 7), (3, 4), (4, 5), (4, 6), (5, 7),
 ]
 SC_8_4_3_11 = ((2,), (1, 4), (0, 6), (1, 7), (3,), (5,))
+# (universe_size, set_count, max_set_size) for the sweep digest; the
+# seed is the position in this list
+SC_SWEEP = [
+    (u, c, m)
+    for u in (1, 2, 3, 5, 8, 13, 40, 200)
+    for c in (1, 3, 7, 15, 30)
+    for m in (1, 2, 3, 5, 9)
+]
 
 
 class TestSplitMix64:
@@ -150,8 +158,19 @@ class TestIntersectionOne:
     def test_always_valid_and_covering(self):
         for seed in range(25):
             sc = gen_intersection_one(10, 4, 4, seed)
-            assert validate_intersection_one(sc)
+            assert SetCoverInstance(sc.universe, sc.sets) == sc
+            assert first_intersection_violation(sc.sets) == (-1, -1)
             assert set().union(*map(set, sc.sets)) == set(sc.universe)
+
+    def test_sweep_digest(self):
+        # SHA-256 over the 200 serialized instances, frozen from the
+        # all-pairs acceptance rule the element index replaced
+        digest = hashlib.sha256()
+        for seed, (u, c, m) in enumerate(SC_SWEEP):
+            digest.update(serialize_set_cover(gen_intersection_one(u, c, m, seed)).encode())
+        assert digest.hexdigest() == (
+            "7948ae3e8d98621ee63442c63fb2249bf85cc44fdbfc24ae22c89e818c1aeac0"
+        )
 
     def test_singleton_only(self):
         sc = gen_intersection_one(5, 3, 1, 2)
@@ -232,8 +251,9 @@ class TestVertexLimit:
             (lambda: gen_grid(300, 300), 90000),
             (lambda: gen_random_tree(90000, 1), 90000),
             (lambda: gen_d_degenerate(90000, 3, 1), 90000),
+            (lambda: gen_intersection_one(90000, 1, 1, 1), 90001),
         ],
-        ids=["grid", "random_tree", "d_degenerate"],
+        ids=["grid", "random_tree", "d_degenerate", "intersection_one_sc"],
     )
     def test_refused_before_edges_are_built(self, monkeypatch, make, n):
         # the edge lists alone would take 10-30 MiB
@@ -260,3 +280,4 @@ class TestVertexLimit:
         monkeypatch.setattr(graph, "MAX_VERTICES", 10)
         assert gen_grid(5, 2).n == gen_gnp(10, 0.5, 1).n == 10
         assert gen_random_tree(10, 1).n == gen_d_degenerate(10, 3, 1).n == 10
+        assert len(gen_intersection_one(9, 1, 1, 1).universe) == 9

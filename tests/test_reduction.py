@@ -1,19 +1,23 @@
-import pytest
+import json
 
-from helpers import brute_min_set_cover
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import brute_min_set_cover, reference_set_cover
 
 from domset.errors import ParseError, ValidationError
 from domset.generators import gen_intersection_one
 from domset.graph import is_dominating
 from domset.oracles import exact_min_dominating_set, has_biclique
 from domset.reduction import (
+    SetCoverInstance,
     build_instance,
     forward_solution,
     map_solution_back,
     parse_set_cover,
     reduce_set_cover,
     serialize_set_cover,
-    validate_intersection_one,
 )
 
 
@@ -27,14 +31,15 @@ def three_family():
 
 class TestValidation:
     def test_pairwise_singletons_ok(self):
-        assert validate_intersection_one(triangle_family())
+        sc = triangle_family()
+        assert SetCoverInstance(sc.universe, sc.sets) == sc
 
     def test_shared_pair_rejected_at_build(self):
         with pytest.raises(ValidationError, match="0 and 1"):
             build_instance([1, 2, 3, 4], [(1, 2, 3), (1, 2, 4)])
 
     def test_single_set_vacuous(self):
-        assert validate_intersection_one(build_instance([1, 2, 3], [(1, 2, 3)]))
+        assert SetCoverInstance((1, 2, 3), ((1, 2, 3),)).sets == ((1, 2, 3),)
 
     def test_duplicate_sets_rejected(self):
         with pytest.raises(ValidationError, match="duplicate sets"):
@@ -55,6 +60,25 @@ class TestValidation:
     def test_element_outside_universe_rejected(self):
         with pytest.raises(ValidationError):
             build_instance([1, 2], [(1, 2), (3,)])
+
+    # built directly, without build_instance: reduce_set_cover and
+    # map_solution_back rely on these checks and make none of their own
+    @pytest.mark.parametrize("universe, sets, message", [
+        ((1, 2), ((1,), (3,)), "set 1 contains [3] outside the universe"),
+        ((1, 1), ((1,),), "duplicate elements in universe"),
+        ((1, 2), ((1,),), "elements [2] are covered by no set"),
+        ((1, 2), ((2, 1),), "set 0 is not strictly increasing"),
+        ((1, 2), ((1, 1, 2),), "set 0 is not strictly increasing"),
+        ((1, 2, 3), ((1, 2), (1, 2, 3)), "sets 0 and 1 share [1, 2] (intersection > 1)"),
+        ((1, 2), ((1, 2), (1, 2)), "duplicate sets in family"),
+        ((), (), "empty universe"),
+        ((1,), ((), (1,)), "set 0 is empty"),
+    ], ids=["outside", "repeated-element", "uncovered", "unsorted", "repeat-in-set",
+            "shared-pair", "duplicate-set", "empty-universe", "empty-set"])
+    def test_direct_construction_checked(self, universe, sets, message):
+        with pytest.raises(ValidationError) as exc:
+            SetCoverInstance(universe, sets)
+        assert str(exc.value) == message
 
 
 class TestReduce:
@@ -201,3 +225,63 @@ class TestFileFormat:
     def test_parse_reports_first_violating_pair(self):
         with pytest.raises(ValidationError, match="sets 0 and 2"):
             parse_set_cover('{"universe": [1,2,3,4], "sets": [[1,2,3],[4],[1,2]]}')
+
+    def test_first_pair_is_lexicographic(self):
+        # sets 1 and 2 clash before set 3 is read, but (0, 3) comes first
+        with pytest.raises(ValidationError, match=r"^sets 0 and 3 share \[1, 2\] "):
+            build_instance(range(1, 7), [(1, 2), (3, 4), (3, 4, 5), (1, 2, 6)])
+
+
+elements = st.integers(min_value=0, max_value=6)
+
+
+@st.composite
+def raw_families(draw):
+    """(universe, sets) as lists. Small distinct sets over 7 elements
+    share pairs often; the universe is their union, and about half the
+    families get one more fault: a shuffled universe, an empty or
+    repeated set, a universe element added or dropped, or a free universe."""
+    sets = draw(st.lists(st.lists(elements, min_size=1, max_size=4),
+                         max_size=8, unique_by=frozenset))
+    universe = sorted({e for s in sets for e in s})
+    fault = draw(st.sampled_from(
+        ("none",) * 6 + ("shuffle", "empty set", "repeat set", "add", "drop", "free")))
+    if fault == "shuffle":
+        universe = draw(st.permutations(universe))
+    elif fault == "empty set":
+        sets.insert(draw(st.integers(0, len(sets))), [])
+    elif fault == "repeat set" and sets:
+        sets.append(draw(st.sampled_from(sets))[::-1])
+    elif fault == "add":
+        universe.append(draw(elements))
+    elif fault == "drop" and universe:
+        universe.remove(draw(st.sampled_from(universe)))
+    elif fault == "free":
+        universe = draw(st.lists(elements, max_size=8))
+    return universe, sets
+
+
+def outcome(make, *args):
+    """The (universe, sets) built, or the exception's type and message."""
+    try:
+        got = make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return got if isinstance(got, tuple) else (got.universe, got.sets)
+
+
+class TestMatchesReferenceValidation:
+    """build_instance and parse_set_cover agree with the definitions and
+    the all-pairs scan in tests/helpers.py: same instance, or same
+    exception type and message."""
+
+    @given(raw_families())
+    @settings(max_examples=500, deadline=None)
+    def test_build_instance(self, family):
+        assert outcome(build_instance, *family) == outcome(reference_set_cover, *family)
+
+    @given(raw_families())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_set_cover(self, family):
+        text = json.dumps({"universe": family[0], "sets": family[1]})
+        assert outcome(parse_set_cover, text) == outcome(reference_set_cover, *family)
