@@ -14,7 +14,7 @@ from domset.errors import RangeError, ResourceLimitError, ValidationError
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
 from domset.graph import Graph, _vertex_ids
 from domset.oracles import OracleResult, exact_min_dominating_set
-from domset.solvers import solve_classical
+from domset.solvers import BicliqueWitness, solve_classical
 
 
 def target_mask(g: Graph, targets=None) -> int:
@@ -154,6 +154,33 @@ def brute_has_biclique(g: Graph, a: int, b: int) -> bool:
             if all(r in adj[l] for l in left for r in right):
                 return True
     return False
+
+
+def reference_has_biclique(g: Graph, a: int, b: int):
+    """`oracles.has_biclique` as it was on per-vertex n-bit neighbour
+    masks, without the cap on `a`: the same a-subset enumeration, prune
+    and witness, kept to compare the adjacency-set search with."""
+    if a < 1 or b < a:
+        raise ValidationError(f"need 1 <= a <= b, got a={a}, b={b}")
+    n = g.n
+    open_masks = [sum(1 << u for u in row) for row in g.adj]
+
+    def extend(start, left, left_mask, common):
+        if len(left) == a:
+            cand = common & ~left_mask
+            if cand.bit_count() >= b:
+                return BicliqueWitness(tuple(left), ids_in(cand)[:b])
+            return None
+        for v in range(start, n - (a - len(left)) + 1):
+            nxt = open_masks[v] if not left else common & open_masks[v]
+            if (nxt & ~(left_mask | 1 << v)).bit_count() < b:
+                continue
+            found = extend(v + 1, left + [v], left_mask | 1 << v, nxt)
+            if found is not None:
+                return found
+        return None
+
+    return extend(0, [], 0, 0)
 
 
 def brute_min_set_cover(sc) -> int:

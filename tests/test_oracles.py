@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -15,11 +16,18 @@ from helpers import (
     enumerate_min_dominating_sets,
     lower_recursion_limit,
     reference_exact,
+    reference_has_biclique,
 )
 
 from domset import oracles
 from domset.errors import ResourceLimitError, ValidationError
-from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
+from domset.generators import (
+    gen_d_degenerate,
+    gen_gnp,
+    gen_grid,
+    gen_intersection_one,
+    gen_random_tree,
+)
 from domset.graph import Graph, is_dominating
 from domset.oracles import (
     _bound_and_target,
@@ -29,6 +37,7 @@ from domset.oracles import (
     harmonic,
     has_biclique,
 )
+from domset.reduction import reduce_set_cover
 from domset.solvers import solve_classical, solve_fixed_i, verify_witness
 
 
@@ -354,6 +363,27 @@ class TestHasBiclique:
         g = gen_grid(4, 4)
         assert has_biclique(g, 2, 3) is None
         assert has_biclique(g, 2, 2) is not None  # any unit square
+
+    def test_matches_bit_set_reference(self, validity_suite):
+        # witness by witness, None included, against the search on n-bit masks
+        rng = random.Random(15)
+        graphs = [g for _, g in validity_suite]
+        for _ in range(40):
+            graphs.append(gen_gnp(rng.randrange(1, 25), rng.choice((0.3, 0.5, 0.7, 0.9)),
+                                  rng.randrange(2**32)))
+            graphs.append(gen_random_tree(rng.randrange(1, 40), rng.randrange(2**32)))
+            graphs.append(gen_d_degenerate(rng.randrange(1, 40), 2, rng.randrange(2**32)))
+            sc = gen_intersection_one(rng.randrange(1, 15), rng.randrange(1, 10),
+                                      rng.randrange(1, 5), rng.randrange(2**32))
+            graphs.append(reduce_set_cover(sc).graph)
+        outcomes = [0, 0]
+        for g in graphs:
+            for a in range(1, 5):
+                for b in range(a, a + 3):
+                    w = has_biclique(g, a, b)
+                    assert w == reference_has_biclique(g, a, b), (g, a, b)
+                    outcomes[w is None] += 1
+        assert min(outcomes) > 1000  # the families reach both outcomes
 
 
 class TestHarmonic:
