@@ -3,13 +3,13 @@
 Solvers, exact oracles, biclique detection, an approximation-preserving
 set-cover reduction, seeded instance generators, and a CLI/benchmark
 harness. Pure Python with no runtime dependencies. A graph is its
-adjacency lists only, and the solvers and checks work on them; the
-exact oracles alone use bit sets (Python ints), built per call.
+adjacency lists only, and the solvers, checks and biclique search work
+on them; the exact minimum dominating set search alone uses bit sets
+(Python ints), built per call.
 """
 
 from .errors import (
     DomsetError,
-    GenerationError,
     ParseError,
     RangeError,
     ResourceLimitError,
@@ -66,7 +66,6 @@ __all__ = [
     "ParseError",
     "RangeError",
     "ValidationError",
-    "GenerationError",
     "ResourceLimitError",
     "Graph",
     "parse_graph",

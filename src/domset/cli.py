@@ -155,8 +155,9 @@ def cmd_verify(args) -> int:
         try:
             doc = json.loads(_read_text(args.witness))
             w = solvers.BicliqueWitness(tuple(doc["left"]), tuple(doc["right"]))
-        # ValueError: malformed JSON, or an integer past int's digit limit
-        except (ValueError, KeyError, TypeError) as exc:
+        # ValueError: malformed JSON, or an integer past int's digit limit;
+        # RecursionError: nesting past the recursion limit
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise ParseError(f"bad witness file: {exc}") from None
         bad = [v for v in w.left + w.right if type(v) is not int]
         if bad:
@@ -303,12 +304,8 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-# Every generator parameter, each a `gen` option, in first-use order.
-_GEN_PARAMS = tuple(dict.fromkeys(k for m in generators._MODELS.values() for k in m.params))
-
-
 def cmd_gen(args) -> int:
-    params = {k: getattr(args, k) for k in _GEN_PARAMS if getattr(args, k) is not None}
+    params = {k: getattr(args, k) for k in generators._PARAM_TYPES if getattr(args, k) is not None}
     if args.seed is not None:
         generators._check_seeded(args.model)
     built = generators.build(generators.GenSpec(args.model, params, args.seed or 0))
@@ -373,8 +370,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a graph or set-cover instance")
     p.add_argument("--model", required=True, choices=generators.GEN_MODELS)
-    for key in _GEN_PARAMS:
-        p.add_argument("--" + key.replace("_", "-"), type=float if key == "p" else int)
+    for key, kind in generators._PARAM_TYPES.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 

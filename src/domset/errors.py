@@ -32,12 +32,6 @@ class ValidationError(DomsetError):
     exit_code = 2
 
 
-class GenerationError(DomsetError):
-    """An instance generator could not produce a valid instance."""
-
-    exit_code = 3
-
-
 class ResourceLimitError(DomsetError):
     """A configured size guard refused the computation."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .errors import GenerationError, ValidationError
+from .errors import ValidationError
 from .graph import Graph, _check_vertex_count
 from .reduction import SetCoverInstance, _clash
 
@@ -161,29 +161,32 @@ def gen_intersection_one(
         for e in cand:
             holders.setdefault(e, set()).add(len(accepted))
         accepted[cand] = None
-    if not accepted:
-        raise GenerationError("proposal cap exhausted before any acceptance")
     singletons = [(e,) for e in range(universe_size) if e not in holders]
     return SetCoverInstance(tuple(range(universe_size)), (*accepted, *singletons))
 
 
 class _Model(NamedTuple):
     make: Callable
-    params: tuple[str, ...]  # in the order `make` takes them
-    seeded: bool             # `make` takes the seed after its params
+    params: tuple[tuple[str, type], ...]  # (name, type) in the order `make` takes them
+    seeded: bool                          # `make` takes the seed after its params
 
 
 _MODELS = {
-    "gnp": _Model(gen_gnp, ("n", "p"), True),
-    "grid": _Model(gen_grid, ("w", "h"), False),
-    "random_tree": _Model(gen_random_tree, ("n",), True),
-    "d_degenerate": _Model(gen_d_degenerate, ("n", "d"), True),
+    "gnp": _Model(gen_gnp, (("n", int), ("p", float)), True),
+    "grid": _Model(gen_grid, (("w", int), ("h", int)), False),
+    "random_tree": _Model(gen_random_tree, (("n", int),), True),
+    "d_degenerate": _Model(gen_d_degenerate, (("n", int), ("d", int)), True),
     "intersection_one_sc": _Model(
-        gen_intersection_one, ("universe_size", "set_count", "max_set_size"), True
+        gen_intersection_one,
+        (("universe_size", int), ("set_count", int), ("max_set_size", int)), True
     ),
 }
 
 GEN_MODELS = tuple(_MODELS)
+
+# Every generator parameter and its type, in first-use order; each is a
+# `gen` option, and a genspec value is converted with its type.
+_PARAM_TYPES = dict(pair for m in _MODELS.values() for pair in m.params)
 
 
 def _check_seeded(model: str) -> None:
@@ -215,10 +218,9 @@ def parse_genspec(text: str) -> GenSpec:
                 if key == "seed":
                     _check_seeded(model)
                     seed = int(value)
-                elif key == "p":
-                    params[key] = float(value)
                 else:
-                    params[key] = int(value)
+                    # an unknown key is read as an int; build() rejects it
+                    params[key] = _PARAM_TYPES.get(key, int)(value)
             except ValueError:
                 raise ValidationError(f"bad value for {key!r} in genspec: {value!r}") from None
     return GenSpec(model, params, seed)
@@ -230,14 +232,14 @@ def build(spec: GenSpec) -> Graph | SetCoverInstance:
     entry = _MODELS.get(model)
     if entry is None:
         raise ValidationError(f"unknown model {model!r}; expected one of {GEN_MODELS}")
-    expected = set(entry.params)
-    missing = sorted(expected - params.keys())
-    unknown = sorted(params.keys() - expected)
+    expected = dict(entry.params)  # name -> type, in the order `make` takes them
+    missing = sorted(expected.keys() - params.keys())
+    unknown = sorted(params.keys() - expected.keys())
     if missing:
         raise ValidationError(f"model {model!r} is missing parameters {missing}")
     if unknown:
         raise ValidationError(f"unknown parameters for {model!r}: {unknown}")
-    args = [params[k] for k in entry.params]
+    args = [params[k] for k in expected]
     if entry.seeded:
         args.append(spec.seed)
     return entry.make(*args)

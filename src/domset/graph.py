@@ -106,9 +106,7 @@ def _undominated(g: Graph, dominating: Iterable[int], targets: Iterable[int] | N
     """Sorted targets (default: all vertices) outside the closed
     neighborhood of `dominating`."""
     covered = bytearray(g.n)
-    for v in dominating:
-        if not 0 <= v < g.n:
-            raise RangeError(f"vertex {v} out of range for n={g.n}")
+    for v in _vertex_ids(g, dominating):
         covered[v] = 1
         for u in g.adj[v]:
             covered[u] = 1

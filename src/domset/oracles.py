@@ -16,9 +16,10 @@ search meets each independent part again under every choice made
 elsewhere. The memo stores pass results, never prune decisions, so the
 nodes visited, and node_count, are those of a search without it.
 
-Vertex sets here are Python ints used as bit sets: each call builds the
-closed-neighborhood masks it needs from the adjacency lists. Nothing
-outside this module uses bit sets.
+Vertex sets in the exact search are Python ints used as bit sets: each
+call builds one closed-neighborhood mask per vertex from the adjacency
+lists. Nothing else in the package uses bit sets; the biclique search
+works on adjacency sets, so its memory is O(n + m).
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .solvers import BicliqueWitness, solve_classical
 
 # The exact search clears its memo of bound passes when it holds this many.
 _MEMO_CAP = 1 << 16
+# has_biclique refuses a left side larger than this; its work grows as n^a.
+_MAX_LEFT = 4
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -240,38 +243,40 @@ def exact_min_dominating_set(
     return OracleResult(best_size, best_set, nodes)
 
 
-def has_biclique(g: Graph, a: int, b: int, max_left: int = 4) -> BicliqueWitness | None:
+def has_biclique(g: Graph, a: int, b: int) -> BicliqueWitness | None:
     """Search for a complete bipartite subgraph with side sizes a <= b
     (sides disjoint, all cross edges present; sides need not be
     independent). Returns the witness with the lexicographically first
-    left side, or None.
+    left side, its right side the first b common neighbours in id order,
+    or None.
 
-    Enumerates a-subsets and intersects open neighborhoods, so `a` is
-    capped (default 4) to guard against combinatorial blow-up.
+    Enumerates a-subsets in increasing id order over adjacency sets, so
+    memory is O(n + m); a vertex is skipped as soon as the left side
+    with it has fewer than b common neighbours. The enumeration grows
+    as n^a, so a above `_MAX_LEFT` is refused with ResourceLimitError.
     """
     if a < 1 or b < a:
         raise ValidationError(f"need 1 <= a <= b, got a={a}, b={b}")
-    if a > max_left:
-        raise ResourceLimitError(f"left side {a} exceeds the cap {max_left}")
+    if a > _MAX_LEFT:
+        raise ResourceLimitError(f"left side {a} exceeds the cap {_MAX_LEFT}")
     n = g.n
-    open_masks = [_mask(row) for row in g.adj]
+    nbrs = [set(row) for row in g.adj]
 
-    def extend(start: int, left: list[int], left_mask: int, common: int):
-        if len(left) == a:
-            cand = common & ~left_mask
-            if cand.bit_count() >= b:
-                return BicliqueWitness(tuple(left), tuple(v for v in range(n) if cand >> v & 1)[:b])
-            return None
+    def extend(start: int, left: list[int], common: set[int]):
         for v in range(start, n - (a - len(left)) + 1):
-            nxt = open_masks[v] if not left else common & open_masks[v]
-            if (nxt & ~(left_mask | 1 << v)).bit_count() < b:
+            # no vertex is its own neighbour, so no common neighbour of
+            # left + [v] lies on the left side
+            nxt = common & nbrs[v] if left else nbrs[v]
+            if len(nxt) < b:
                 continue
-            found = extend(v + 1, left + [v], left_mask | 1 << v, nxt)
+            if len(left) + 1 == a:
+                return BicliqueWitness((*left, v), tuple(sorted(nxt)[:b]))
+            found = extend(v + 1, left + [v], nxt)
             if found is not None:
                 return found
         return None
 
-    return extend(0, [], 0, 0)
+    return extend(0, [], set())
 
 
 def harmonic(n: int) -> float:

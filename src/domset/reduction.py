@@ -115,7 +115,8 @@ def parse_set_cover(text: str | bytes) -> SetCoverInstance:
         doc = json.loads(_as_text(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", exc.lineno) from None
-    except ValueError as exc:  # an integer literal past int's digit limit
+    # an integer literal past int's digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or set(doc) != {"universe", "sets"}:
         raise ParseError("expected an object with fields 'universe' and 'sets'")

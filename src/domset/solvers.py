@@ -100,7 +100,8 @@ class SolveResult:
     witness: BicliqueWitness | None = None
 
     def as_document(self) -> dict:
-        """JSON-shaped view used by the CLI and result files."""
+        """JSON-shaped view for library callers and tests; `solve` writes
+        `to_json()`, the same document as indented text."""
         return {
             "algorithm": self.algorithm,
             "dominating_set": list(self.dominating_set),

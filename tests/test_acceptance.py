@@ -177,7 +177,7 @@ class TestAcceptance:
                 continue
             if g.n <= 14:
                 independent += 1
-                if has_biclique(g, side, side, max_left=max(4, side)) is None:
+                if has_biclique(g, side, side) is None:
                     violations.append(name)
         report(
             6,

@@ -226,6 +226,18 @@ class TestVerify:
         w.write_text(json.dumps({"left": [0], "right": [3]}))
         assert main(["verify", "--witness", str(w), c4_file]) == 2
 
+    def test_witness_with_deep_nesting(self, tmp_path, capsys, c4_file):
+        w = tmp_path / "w.json"
+        w.write_text("[" * 200_000)
+        assert main(["verify", "--witness", str(w), c4_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad witness file: maximum recursion depth exceeded")
+
+    def test_needs_ds_or_witness(self, capsys, p4_file):
+        assert main(["verify", p4_file]) == 2
+        assert capsys.readouterr() == ("", "error: verify needs --ds or --witness\n")
+
     def test_witness_with_overlong_integer(self, tmp_path, capsys, c4_file):
         # json.loads raises a bare ValueError past int's digit limit
         w = tmp_path / "w.json"
@@ -406,6 +418,22 @@ class TestBench:
         assert rows[1]["error"] == "result failed witness check"
         assert rows[1]["ds_size"] == ""
 
+    def test_non_dominating_result_is_error_row(self, tmp_path, monkeypatch):
+        real = solvers.solve_classical
+
+        def drop_one(g, targets=None):
+            result = real(g, targets)
+            return dataclasses.replace(result, dominating_set=result.dominating_set[1:])
+
+        monkeypatch.setattr(solvers, "solve_classical", drop_one)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--gen", "grid:w=2,h=2", "--algos", "classical,auto",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [(row["algorithm"], row["error"]) for row in rows] == [
+            ("classical", "result failed domination check"), ("auto", "")]
+        assert rows[0]["ds_size"] == ""
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["bench", "--gen", "gnp:n=22,p=0.2,seed=3",
                 "--gen", "d_degenerate:n=18,d=2,seed=5",
@@ -422,8 +450,11 @@ class TestBench:
             ("gnp:n=5,p=0.5,n=7", "repeated key 'n' in genspec 'gnp:n=5,p=0.5,n=7'"),
             ("gnp:n=5,p=0.5,seed=1,seed=2",
              "repeated key 'seed' in genspec 'gnp:n=5,p=0.5,seed=1,seed=2'"),
+            ("intersection_one_sc:universe_size=4,set_count=2,max_set_size=2",
+             "genspec 'intersection_one_sc:universe_size=4,set_count=2,max_set_size=2'"
+             " does not produce a graph"),
         ],
-        ids=["unseeded-model-seed", "repeated-param", "repeated-seed"],
+        ids=["unseeded-model-seed", "repeated-param", "repeated-seed", "set-cover-model"],
     )
     def test_genspec_it_would_drop_is_validation_error(self, capsys, spec, err):
         assert main(["bench", "--gen", spec, "--algos", "classical"]) == 2
@@ -467,6 +498,28 @@ class TestReduce:
         sc.write_text('{"universe": [%s], "sets": [[1]]}' % ("1" * 5000))
         assert main(["reduce", str(sc), "--check-free"]) == 1
         assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+    def test_check_free_failure(self, tmp_path, capsys, monkeypatch):
+        # the reduction never yields a K_3,3, so a stand-in search reports one
+        def found(g, a, b):
+            return BicliqueWitness((0, 1, 2), (3, 4, 5))
+
+        monkeypatch.setattr(cli.oracles, "has_biclique", found)
+        sc = tmp_path / "sc.json"
+        sc.write_text('{"universe": [1,2,3,4], "sets": [[1,2],[3,4],[1,3]]}')
+        out = tmp_path / "red.gr"
+        assert main(["reduce", str(sc), "--out", str(out), "--check-free"]) == 2
+        assert capsys.readouterr() == (
+            "FAIL: found K_3,3 with sides (0, 1, 2) / (3, 4, 5)\n", "")
+        assert parse_graph(out.read_text()).n == 9
+
+    def test_reduce_rejects_deep_nesting(self, tmp_path, capsys):
+        sc = tmp_path / "sc.json"
+        sc.write_text("[" * 200_000)
+        assert main(["reduce", str(sc), "--check-free"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON: maximum recursion depth exceeded")
 
     def test_reduce_rejects_bad_intersection(self, tmp_path, capsys):
         sc = tmp_path / "sc.json"

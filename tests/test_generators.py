@@ -181,6 +181,19 @@ class TestIntersectionOne:
             gen_intersection_one(0, 1, 1, 0)
 
 
+@pytest.mark.parametrize("make, args, message", [
+    (gen_grid, (0, 3), "grid sides must be >= 1, got 0x3"),
+    (gen_grid, (3, 0), "grid sides must be >= 1, got 3x0"),
+    (gen_random_tree, (0, 1), "n must be >= 1, got 0"),
+    (gen_d_degenerate, (-1, 2, 0), "need n, d >= 0, got n=-1, d=2"),
+    (gen_d_degenerate, (5, -1, 0), "need n, d >= 0, got n=5, d=-1"),
+], ids=["grid-w", "grid-h", "tree-n", "degenerate-n", "degenerate-d"])
+def test_bad_arguments(make, args, message):
+    with pytest.raises(ValidationError) as exc:
+        make(*args)
+    assert str(exc.value) == message
+
+
 class TestDeterminismAndSpecs:
     def test_repeat_runs_identical(self):
         a = gen_gnp(30, 0.2, 9)
@@ -208,6 +221,11 @@ class TestDeterminismAndSpecs:
             build(parse_genspec("gnp:n=3"))
         with pytest.raises(ValidationError):
             build(parse_genspec("grid:w=3,h=4,zz=1"))
+
+    def test_build_rejects_an_unknown_model(self):
+        # parse_genspec refuses it first, so only a directly built GenSpec gets here
+        with pytest.raises(ValidationError, match="^unknown model 'mystery'; expected one of"):
+            build(GenSpec("mystery", {"n": 3}))
 
     def test_parse_genspec_drops_nothing(self):
         with pytest.raises(ValidationError, match="grid takes no seed"):

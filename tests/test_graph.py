@@ -56,6 +56,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_graph("e 0 1")
 
+    @pytest.mark.parametrize("text", ["", "c only a comment\n\n"], ids=["empty", "comments"])
+    def test_no_header_line_at_all(self, text):
+        with pytest.raises(ParseError, match="^missing 'p ds <n> <m>' header$"):
+            parse_graph(text)
+
     def test_wrong_edge_count(self):
         with pytest.raises(ParseError):
             parse_graph("p ds 3 2\ne 0 1")
@@ -68,6 +73,20 @@ class TestParse:
     def test_undecodable_bytes_are_parse_error(self):
         with pytest.raises(ParseError, match="not UTF-8 text .* at byte 9"):
             parse_graph(b"p ds 2 0\n\xff")
+
+
+class TestConstructor:
+    # parse_graph checks first, so only a directly built Graph reaches these
+    @pytest.mark.parametrize("n, edges, error, message", [
+        (-1, [], RangeError, "vertex count must be >= 0, got -1"),
+        (3, [(0, 3)], RangeError, "edge (0,3) out of range for n=3"),
+        (3, [(-1, 0)], RangeError, "edge (-1,0) out of range for n=3"),
+        (3, [(0, 1), (2, 2)], ValidationError, "self-loop at vertex 2"),
+    ], ids=["negative-n", "endpoint-above", "endpoint-below", "self-loop"])
+    def test_checks_its_own_input(self, n, edges, error, message):
+        with pytest.raises(error) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == message
 
 
 class TestQueries:

@@ -86,7 +86,6 @@ class TestCliFlagCombinations:
             (domset.RangeError, 2),
             (domset.ValidationError, 2),
             (domset.ResourceLimitError, 3),
-            (domset.GenerationError, 3),
         ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )

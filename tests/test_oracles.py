@@ -324,9 +324,10 @@ class TestHasBiclique:
         assert verify_witness(g, w)
 
     def test_cap_guard(self):
-        with pytest.raises(ResourceLimitError):
+        assert oracles._MAX_LEFT == 4
+        with pytest.raises(ResourceLimitError, match="^left side 5 exceeds the cap 4$"):
             has_biclique(Graph(12), 5, 5)
-        assert has_biclique(Graph(12, [(0, 1)]), 5, 5, max_left=5) is None
+        assert has_biclique(Graph(12, [(0, 1)]), 4, 4) is None
 
     def test_bad_sides(self):
         with pytest.raises(ValidationError):

@@ -222,6 +222,11 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_set_cover('{"universe": [%s], "sets": [[1]]}' % ("1" * 5000))
 
+    def test_parse_rejects_deep_nesting(self):
+        # json.loads raises RecursionError past the interpreter's recursion limit
+        with pytest.raises(ParseError, match="^invalid JSON: maximum recursion depth exceeded"):
+            parse_set_cover("[" * 200_000)
+
     def test_parse_reports_first_violating_pair(self):
         with pytest.raises(ValidationError, match="sets 0 and 2"):
             parse_set_cover('{"universe": [1,2,3,4], "sets": [[1,2,3],[4],[1,2]]}')
