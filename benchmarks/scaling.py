@@ -1,0 +1,200 @@
+"""Scaling benchmark: fixed seeded workloads timed in-process, written as
+one `BENCH_<label>.json` file. Standard library only.
+
+So far it holds the exact oracle's cells: 100 random trees and 60
+2-degenerate graphs at n = 40 (the graph families of the perfbench
+`exact_check` corpus), and the pinned random trees at n = 60 and 80.
+
+    python3 benchmarks/scaling.py --label NAME            # writes BENCH_NAME.json
+    python3 benchmarks/scaling.py --label NAME --src DIR  # measures DIR/domset
+    python3 benchmarks/scaling.py --label NAME --against DIR
+    python3 benchmarks/scaling.py --smoke                 # a few graphs, JSON on stdout
+
+One repetition of a cell runs `exact_min_dominating_set` once on each
+of its graphs and times the total with `perf_counter`; the cell reports
+the median and quartiles over `REPS` repetitions. Outside the timed
+repetitions, one counting run records node_count and the distinct bound
+passes (calls of `oracles._bound_and_target`: one per distinct memo key
+while the memo is not cleared), both summed over the cell's graphs, and
+one run under `tracemalloc` records the largest peak of a single search.
+A SHA-256 over the result documents pins the outputs.
+
+With `--against DIR`, a second copy of the package is loaded from DIR
+and timed in the same process, alternating with the first: in even
+repetitions the measured copy runs first, in odd ones the other. Each
+cell then also gives, under "against", the other copy's quartiles, the
+median of the per-repetition time ratios (measured / other) and the
+number of repetitions the measured copy was faster; the run stops with
+exit 1 if the two copies' documents differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# timed repetitions per cell: enough for quartiles and a win count
+REPS = 21
+SMOKE_REPS = 3
+
+# cell name -> graphs, as (generator name, args); smoke cells are prefixes
+CELLS = {
+    "oracle/random_tree/n40/seeds0-99": [("gen_random_tree", (40, s)) for s in range(100)],
+    "oracle/d_degenerate/n40/d2/seeds0-59": [("gen_d_degenerate", (40, 2, s)) for s in range(60)],
+    "oracle/random_tree/n60/seed1": [("gen_random_tree", (60, 1))],
+    "oracle/random_tree/n80/seed1": [("gen_random_tree", (80, 1))],
+}
+SMOKE_CELLS = {
+    "oracle/random_tree/n40/seeds0-4": CELLS["oracle/random_tree/n40/seeds0-99"][:5],
+    "oracle/d_degenerate/n40/d2/seeds0-4": CELLS["oracle/d_degenerate/n40/d2/seeds0-59"][:5],
+    "oracle/random_tree/n60/seed1": CELLS["oracle/random_tree/n60/seed1"],
+}
+
+
+def load_package(src: Path, name: str) -> None:
+    """Import the domset package found in `src` under the module name `name`."""
+    init = src / "domset" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no domset package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+
+
+class Subject:
+    """One copy of the package and the graphs of every cell, built by its
+    own generators so the search sees its own Graph type."""
+
+    def __init__(self, src: Path, name: str, cells: dict):
+        load_package(src, name)
+        self.oracles = importlib.import_module(f"{name}.oracles")
+        gens = importlib.import_module(f"{name}.generators")
+        self.graphs = {
+            cell: [getattr(gens, fn)(*args) for fn, args in specs] for cell, specs in cells.items()
+        }
+
+    def run(self, cell: str) -> float:
+        exact = self.oracles.exact_min_dominating_set
+        start = time.perf_counter()
+        for g in self.graphs[cell]:
+            exact(g)
+        return time.perf_counter() - start
+
+    def count(self, cell: str) -> dict:
+        """node_count, distinct passes and the documents' digest, from one
+        run with the bound pass wrapped in a counter."""
+        oracles = self.oracles
+        pass_ = oracles._bound_and_target
+        passes = 0
+
+        def counted(*args):
+            nonlocal passes
+            passes += 1
+            return pass_(*args)
+
+        digest = hashlib.sha256()
+        nodes = 0
+        oracles._bound_and_target = counted
+        try:
+            for g in self.graphs[cell]:
+                r = oracles.exact_min_dominating_set(g)
+                nodes += r.node_count
+                digest.update(json.dumps(r.as_document(), separators=(",", ":")).encode() + b"\n")
+        finally:
+            oracles._bound_and_target = pass_
+        return {"node_count": nodes, "distinct_passes": passes, "digest": digest.hexdigest()}
+
+    def peak_mib(self, cell: str) -> float:
+        """The largest tracemalloc peak of one search, above what was
+        allocated before it started."""
+        peak = 0
+        tracemalloc.start()
+        try:
+            for g in self.graphs[cell]:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                self.oracles.exact_min_dominating_set(g)
+                peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        return round(peak / 2**20, 3)
+
+
+def quartiles(times: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(times, n=4)
+    return {"median_s": round(q2, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4)}
+
+
+def measure(subject: Subject, other: Subject | None, cells: dict, reps: int) -> dict:
+    out = {}
+    for cell in cells:
+        entry = {"graphs": len(cells[cell]), **subject.count(cell)}
+        if other is not None and other.count(cell)["digest"] != entry["digest"]:
+            raise SystemExit(f"{cell}: the two copies give different documents")
+        entry["peak_mib"] = subject.peak_mib(cell)
+        mine, theirs = [], []
+        for rep in range(reps):
+            if other is None:
+                mine.append(subject.run(cell))
+            elif rep % 2 == 0:
+                mine.append(subject.run(cell))
+                theirs.append(other.run(cell))
+            else:
+                theirs.append(other.run(cell))
+                mine.append(subject.run(cell))
+        entry.update(quartiles(mine))
+        if other is not None:
+            entry["against"] = {
+                **quartiles(theirs),
+                "ratio_median": round(statistics.median(a / b for a, b in zip(mine, theirs)), 3),
+                "wins": sum(a < b for a, b in zip(mine, theirs)),
+            }
+        out[cell] = entry
+        print(f"{cell}: {json.dumps(entry)}", file=sys.stderr)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", default=None, help="write BENCH_<label>.json at the repository root")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="source directory measured")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="source directory of a second copy, timed alternately")
+    ap.add_argument("--smoke", action="store_true", help="a few graphs, 3 repetitions, stdout only")
+    args = ap.parse_args(argv)
+    cells = SMOKE_CELLS if args.smoke else CELLS
+    reps = SMOKE_REPS if args.smoke else REPS
+    subject = Subject(args.src, "domset_measured", cells)
+    other = None if args.against is None else Subject(args.against, "domset_against", cells)
+    doc = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "reps": reps,
+        "cells": measure(subject, other, cells, reps),
+    }
+    text = json.dumps(doc, indent=2) + "\n"
+    if args.label is None or args.smoke:
+        sys.stdout.write(text)
+    else:
+        (ROOT / f"BENCH_{args.label}.json").write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -237,6 +237,8 @@ def cmd_bench(args) -> int:
     algos = _parse_algos(args.algos)
     if args.max_nodes is not None and not args.with_exact:
         raise ValidationError("--max-nodes limits the oracle, so it needs --with-exact")
+    if args.max_nodes is not None and args.max_nodes < 0:
+        raise ValidationError(f"--max-nodes must be >= 0, got {args.max_nodes}")
     records: list[BenchRecord] = []
     for name, g, err in _bench_instances(args):
         if g is None:

@@ -11,10 +11,13 @@ interpreter setting limits its depth. Everything here is deterministic
 so oracle outputs can be frozen into fixtures.
 
 That per-node pass reads only the undominated set A and the bans inside
-N[A], so each search keeps a memo of passes keyed by both: a tree
-search meets each independent part again under every choice made
-elsewhere. The memo stores pass results, never prune decisions, so the
-nodes visited, and node_count, are those of a search without it.
+N[A], so each search keeps a memo keyed by both: a tree search meets
+each independent part again under every choice made elsewhere. A memo
+record holds what the key fixes: the pass, |A|, how far the ratio scan
+has got and the branching order, each computed the first time a node
+needs it. It holds no prune decision, since those depend on the depth
+and the best size, so the nodes visited, and node_count, are those of a
+search without it.
 
 Vertex sets in the exact search are Python ints used as bit sets: each
 call builds one closed-neighborhood mask per vertex from the adjacency
@@ -96,21 +99,38 @@ def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, in
     return count, best_u, hood & allowed, hood
 
 
-def _ratio_prunes(masks, active: int, reach: int, slots: int) -> bool:
-    """Whether `slots` (>= 1) more picks from `reach` cannot cover
-    `active`, because each covers fewer than |active| / slots of its bits.
+def _ratio_scan(masks, active: int, size: int, rest: int, cbest: int, slots: int) -> tuple[int, int]:
+    """The ratio bound's scan over reach, resumable. `size` is |active|,
+    `rest` the part of reach not yet scanned and `cbest` the largest
+    coverage |masks[v] & active| over the part already scanned (0 before
+    any scan). Returns the progress (rest, cbest) after scanning `rest`
+    in id order until some vertex covers at least size / `slots` (>= 1)
+    of the active bits, or until `rest` is empty.
 
-    This is the ratio bound ceil(|active| / c) > slots, with c the largest
-    coverage |masks[v] & active| over v in `reach`, decided without
-    finding c: the scan stops at the first v that covers enough.
+    The ratio bound ceil(size / c) > slots, c the largest coverage over
+    reach, then holds exactly when cbest * slots < size: either the scan
+    stopped at a vertex that covers enough, or it scanned all of reach
+    and cbest is c. Given the returned progress, a later call with any
+    `slots` goes on where this one stopped, so each vertex of reach is
+    scanned at most once.
     """
-    need = -(-active.bit_count() // slots)
-    while reach:
-        low = reach & -reach
-        if (masks[low.bit_length() - 1] & active).bit_count() >= need:
-            return False
-        reach ^= low
-    return True
+    need = -(-size // slots)
+    while rest and cbest < need:
+        low = rest & -rest
+        c = (masks[low.bit_length() - 1] & active).bit_count()
+        if c > cbest:
+            cbest = c
+        rest ^= low
+    return rest, cbest
+
+
+def _branch_order(masks, u: int, nbrs, active: int, banned: int) -> tuple[int, ...]:
+    """The non-banned vertices of N[u] (`nbrs` the neighbors of u) by
+    decreasing coverage of `active`, ties to the lower id: the order in
+    which the search tries them as dominators of u."""
+    cands = [v for v in (u, *nbrs) if not banned >> v & 1]
+    # the key is a total order, so the order of N[u] does not matter
+    return tuple(sorted(cands, key=lambda v: (-(masks[v] & active).bit_count(), v)))
 
 
 @dataclass(frozen=True)
@@ -170,15 +190,27 @@ def exact_min_dominating_set(
     `_bound_and_target`, which reads only A and the bans inside N[A]. A
     child's A is a subset of its parent's, so its N[A] lies inside the
     parent's hood S = N[A_parent], which the child carries on the stack;
-    the key (banned & S) << n | A thus fixes the pass's result, and a
-    node whose key was seen before takes the stored result instead of
-    making the pass. Only the pass is stored: the prune tests, the ratio
-    scan and the candidate sort run at every node against its own depth,
-    bans and the best size at that moment, so the visited nodes,
-    node_count and the witness are those of a search without the memo.
-    The memo lives for one call and is cleared when it reaches
-    `_MEMO_CAP` entries, which bounds its memory.
+    the key (banned & S) << n | A thus fixes the pass's result, and so
+    |A|, every coverage |N[v] & A| and the non-banned part of N[u]. The
+    memo keeps one record per key: the pass, |A|, the ratio scan's
+    progress (the part of reach not yet scanned and the best coverage
+    seen so far) and the branching order, built the first time a node
+    with that key survives both bounds. A node whose key was seen before
+    makes no pass; its ratio test needs no scan when the best coverage
+    seen already covers |A| in the slots left, and otherwise resumes the
+    scan where the last node with that key stopped, so each vertex of
+    reach is scanned at most once per key. Nothing past the pass is
+    computed before a node asks for it, so a key met once costs about
+    what it would without the memo. The prune tests still run at every
+    node against its own depth and the best size at that moment, each
+    deciding exactly ceil(|A| / c) > slots, and the children carry the
+    node's own bans; so the visited nodes, node_count and the witness
+    are those of a search without the memo. The memo lives for one call
+    and is cleared when it reaches `_MEMO_CAP` entries, which bounds its
+    memory.
     """
+    if max_nodes is not None and max_nodes < 0:
+        raise ValidationError(f"node limit must be >= 0, got {max_nodes}")
     tids = _vertex_ids(g, targets)
     if not tids:
         if budget is not None and budget < 0:
@@ -199,12 +231,15 @@ def exact_min_dominating_set(
     limit = sys.maxsize if max_nodes is None else max_nodes
     n = g.n
     cap = _MEMO_CAP
-    memo: dict[int, tuple[int, int, int, int]] = {}
+    # key -> [lb, u, rest, hood, |active|, cbest, branching order or None]:
+    # the pass, with reach narrowed to rest as the ratio scan advances
+    memo: dict[int, list] = {}
     # a stack entry is (active, banned, depth, v, hood), v the pick that
     # led to it and hood its parent's N[active] (-1 and -1 at the root);
     # chosen[:depth] is the popped node's path
     chosen: list[int] = []
     stack = [(_mask(tids), 0, 0, -1, -1)]
+    push = stack.append
     while stack:
         active, banned, depth, v, hood = stack.pop()
         nodes += 1
@@ -217,27 +252,35 @@ def exact_min_dominating_set(
                 best_size = depth
                 best_set = tuple(sorted(chosen))
             continue
-        # hood contains this node's N[active], so the key fixes the pass
+        # hood contains this node's N[active], so the key fixes the record
         key = (banned & hood) << n | active
-        done = memo.get(key)
-        if done is None:
+        rec = memo.get(key)
+        if rec is None:
             if len(memo) >= cap:
                 memo.clear()
-            done = memo[key] = _bound_and_target(masks, active, banned)
-        lb, u, reach, hood = done
+            lb, u, rest, hood = _bound_and_target(masks, active, banned)
+            size, cbest, order = active.bit_count(), 0, None
+            rec = memo[key] = [lb, u, rest, hood, size, cbest, order]
+        else:
+            lb, u, rest, hood, size, cbest, order = rec
         if lb < 0 or depth + lb >= best_size:
             continue
         # lb >= 1 as active != 0, so at least one slot is left
-        if _ratio_prunes(masks, active, reach, best_size - depth - 1):
-            continue
-        # the key is a total order, so the order of N[u] does not matter
-        cands = [v for v in (u, *adj[u]) if not banned >> v & 1]
-        cands.sort(key=lambda v: (-(masks[v] & active).bit_count(), v))
-        children = []
-        for v in cands:
-            children.append((active & ~masks[v], banned, depth + 1, v, hood))
-            banned |= 1 << v
-        stack.extend(reversed(children))
+        slots = best_size - depth - 1
+        if cbest * slots < size:
+            rest, cbest = rec[2], rec[5] = _ratio_scan(masks, active, size, rest, cbest, slots)
+            if cbest * slots < size:
+                continue
+        if order is None:
+            order = rec[6] = _branch_order(masks, u, adj[u], active, banned)
+        # push the children last to first, so they pop in branching order;
+        # each bans the candidates before it, and banned | N[u] is banned
+        # plus all of them
+        depth += 1
+        banned |= masks[u]
+        for v in reversed(order):
+            banned ^= 1 << v
+            push((active & ~masks[v], banned, depth, v, hood))
     if best_set is None:
         return OracleResult(None, None, nodes, exceeded=True)
     return OracleResult(best_size, best_set, nodes)

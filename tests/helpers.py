@@ -87,12 +87,17 @@ def enumerate_min_dominating_sets(g: Graph, targets=None) -> list:
     return [c for c in combinations(range(g.n), k) if covers(g, c, tmask)]
 
 
-def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None) -> OracleResult:
+def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None, keys=None) -> OracleResult:
     """The exact oracle's branch and bound without any memo: every node
     recomputes its packing bound, branching target and ratio bound from
     the masks. Same node order, prunes and tie-breaks as
     `exact_min_dominating_set`, so the whole OracleResult, node_count
-    included, must match it."""
+    included, must match it.
+
+    With a dict `keys`, maps the oracle's memo key (banned & S) << n | A
+    of every node with a nonempty A, S its parent's N[A] (every vertex
+    at the root), to whether some node with that key survived both
+    bounds; tests count the oracle's per-key work against it."""
     tids = _vertex_ids(g, targets)
     if not tids:
         if budget is not None and budget < 0:
@@ -105,9 +110,9 @@ def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None) -> Orac
         best_size, best_set = budget + 1, None
     nodes = 0
     chosen = []
-    stack = [(target_mask(g, tids), 0, 0, -1)]
+    stack = [(target_mask(g, tids), 0, 0, -1, -1)]
     while stack:
-        active, banned, depth, v = stack.pop()
+        active, banned, depth, v, parent_hood = stack.pop()
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise ResourceLimitError(f"exact search exceeded the node limit {max_nodes}")
@@ -117,6 +122,12 @@ def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None) -> Orac
             if depth < best_size:
                 best_size, best_set = depth, tuple(sorted(chosen))
             continue
+        key = (banned & parent_hood) << g.n | active
+        if keys is not None:
+            keys.setdefault(key, False)
+        hood = 0
+        for u in ids_in(active):
+            hood |= masks[u]
         # packing bound and the target with the fewest allowed dominators
         doms = [(masks[u] & ~banned, u) for u in ids_in(active)]
         if any(dom == 0 for dom, _ in doms):
@@ -131,12 +142,14 @@ def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None) -> Orac
         c = max((masks[w] & active).bit_count() for w in range(g.n) if not banned >> w & 1)
         if depth + -(-active.bit_count() // c) >= best_size:
             continue
+        if keys is not None:
+            keys[key] = True
         u = min(doms, key=lambda d: (d[0].bit_count(), d[1]))[1]
         cands = [w for w in ids_in(masks[u]) if not banned >> w & 1]
         cands.sort(key=lambda w: (-(masks[w] & active).bit_count(), w))
         children = []
         for w in cands:
-            children.append((active & ~masks[w], banned, depth + 1, w))
+            children.append((active & ~masks[w], banned, depth + 1, w, hood))
             banned |= 1 << w
         stack.extend(reversed(children))
     if best_set is None or budget is not None and best_size > budget:

@@ -200,6 +200,15 @@ class TestExact:
         assert limited == (0, doc)
         assert main(["exact", "--max-nodes", str(doc["node_count"] - 1), p4_file]) == 3
 
+    def test_negative_node_limit_exits_2(self, tmp_path, capsys, p4_file):
+        out = tmp_path / "r.json"
+        assert main(["exact", "--max-nodes", "-1", "--out", str(out), p4_file]) == 2
+        assert capsys.readouterr() == ("", "error: node limit must be >= 0, got -1\n")
+        assert not out.exists()
+        # zero is a limit like any other: the root alone is one node too many
+        assert main(["exact", "--max-nodes", "0", p4_file]) == 3
+        assert capsys.readouterr() == ("", "error: exact search exceeded the node limit 0\n")
+
     def test_budget_exceeded_exit(self, capsys, p4_file):
         code, doc = run_json(capsys, ["exact", "--budget", "1", p4_file])
         assert code == 3
@@ -355,6 +364,17 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --max-nodes limits the oracle, so it needs --with-exact\n"
+
+    def test_negative_node_limit_is_refused_up_front(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        args = ["bench", "--gen", "grid:w=2,h=2", "--algos", "classical", "--with-exact",
+                "--out", str(out)]
+        assert main(args + ["--max-nodes", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: --max-nodes must be >= 0, got -1\n")
+        assert not out.exists()
+        # zero stays a valid limit: the instance gets an error row
+        assert main(args + ["--max-nodes", "0"]) == 0
+        assert [r["error"] for r in read_csv(out)] == ["exact search exceeded the node limit 0"]
 
     def test_graphs_dir_must_exist(self, tmp_path, capsys):
         (tmp_path / "file.gr").write_text("p ds 1 0\n")

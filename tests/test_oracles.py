@@ -32,7 +32,7 @@ from domset.graph import Graph, is_dominating
 from domset.oracles import (
     _bound_and_target,
     _closed_masks,
-    _ratio_prunes,
+    _ratio_scan,
     exact_min_dominating_set,
     harmonic,
     has_biclique,
@@ -49,10 +49,18 @@ def star6():
     return Graph(6, [(0, i) for i in range(1, 6)])
 
 
+def ratio_prunes(masks, active, reach, slots):
+    """The ratio bound ceil(|active| / c) > slots, decided by a scan of
+    `reach` from a fresh state."""
+    size = active.bit_count()
+    _, cbest = _ratio_scan(masks, active, size, reach, 0, slots)
+    return cbest * slots < size
+
+
 class TestBitmaskQueries:
     """The two bit-set queries behind the exact oracle: packing bound,
-    branching target and reach in one pass, then the ratio bound over
-    reach. Every tie goes to the lowest vertex id."""
+    branching target and reach in one pass, then the resumable ratio
+    scan over reach. Every tie goes to the lowest vertex id."""
 
     def test_pack_bound_disjoint(self):
         # two vertices with disjoint closed neighborhoods
@@ -83,15 +91,15 @@ class TestBitmaskQueries:
     MASKS = [0b0011, 0b0110, 0b1100, 0b1000]
 
     def test_ratio_no_prune_when_cover_times_slots_equals_active(self):
-        assert not _ratio_prunes(self.MASKS, 0b1111, 0b1111, 2)  # 2 * 2 == 4
+        assert not ratio_prunes(self.MASKS, 0b1111, 0b1111, 2)  # 2 * 2 == 4
 
     def test_ratio_prunes_when_cover_times_slots_is_one_short(self):
-        assert _ratio_prunes(self.MASKS, 0b0111, 0b1111, 1)  # 2 * 1 == 3 - 1
-        assert _ratio_prunes(self.MASKS, 0b1111, 0b1000, 3)  # 1 * 3 == 4 - 1
+        assert ratio_prunes(self.MASKS, 0b0111, 0b1111, 1)  # 2 * 1 == 3 - 1
+        assert ratio_prunes(self.MASKS, 0b1111, 0b1000, 3)  # 1 * 3 == 4 - 1
 
     def test_ratio_looks_only_at_reach(self):
-        assert not _ratio_prunes(self.MASKS, 0b1111, 0b0100, 2)
-        assert _ratio_prunes(self.MASKS, 0b1111, 0b1000, 2)
+        assert not ratio_prunes(self.MASKS, 0b1111, 0b0100, 2)
+        assert ratio_prunes(self.MASKS, 0b1111, 0b1000, 2)
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -116,7 +124,42 @@ class TestBitmaskQueries:
         assert reach == sum(1 << v for v, c in covers.items() if c)
         if active:
             c = max(covers.values())
-            assert _ratio_prunes(masks, active, reach, slots) == (-(-active.bit_count() // c) > slots)
+            assert ratio_prunes(masks, active, reach, slots) == (-(-active.bit_count() // c) > slots)
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([0.1, 0.3, 0.6]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=2**16 - 1),
+        st.integers(min_value=0, max_value=2**16 - 1),
+        st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_resumed_scan_matches_a_fresh_bound(self, n, p, seed, active, banned, slot_seq):
+        # the search keeps one scan state per memo key and queries it at
+        # whatever depth a node with that key sits; each answer must be
+        # the ratio bound computed afresh
+        masks = _closed_masks(gen_gnp(n, p, seed))
+        active &= (1 << n) - 1
+        lb, _, reach, _ = _bound_and_target(masks, active, banned)
+        if lb <= 0:
+            return
+        size = active.bit_count()
+        covers = {v: (masks[v] & active).bit_count() for v in range(n) if reach >> v & 1}
+        c_max = max(covers.values())
+        rest, cbest = reach, 0
+        for slots in slot_seq:
+            before = rest
+            rest, cbest = _ratio_scan(masks, active, size, rest, cbest, slots)
+            assert (cbest * slots < size) == (-(-size // c_max) > slots)
+            # the scan only narrows rest, in id order, and cbest is the
+            # best coverage over what it has scanned
+            assert rest & ~before == 0
+            scanned = reach & ~rest
+            assert rest == 0 or scanned < rest & -rest
+            assert cbest == max((c for v, c in covers.items() if scanned >> v & 1), default=0)
+            if rest == 0:
+                assert cbest == c_max
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -205,6 +248,30 @@ class TestExact:
         assert is_dominating(g, r.witness_set)
         assert len(r.witness_set) == expect
 
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0.0, 0.1, 0.3, 0.7]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**12 - 1),
+        st.integers(min_value=-1, max_value=13),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_with_targets_and_budget(self, n, p, seed, target_bits, budget):
+        g = gen_gnp(n, p, seed)
+        targets = [v for v in range(n) if target_bits >> v & 1]
+        opt, _ = brute_min_dominating(g, targets)
+        r = exact_min_dominating_set(g, targets)
+        assert r.opt_size == opt
+        assert len(r.witness_set) == opt
+        assert is_dominating(g, r.witness_set, targets)
+        assert exact_min_dominating_set(g, targets, budget=opt - 1).exceeded
+        drawn = exact_min_dominating_set(g, targets, budget=budget)
+        if budget < opt:
+            assert drawn.exceeded and drawn.opt_size is None
+        else:
+            assert (drawn.opt_size, drawn.exceeded) == (opt, False)
+            assert is_dominating(g, drawn.witness_set, targets)
+
     @pytest.mark.parametrize("budget", [None, 2])
     def test_node_limit(self, budget):
         # a limit the search stays within changes nothing; one node less
@@ -215,6 +282,22 @@ class TestExact:
             assert exact_min_dominating_set(g, budget=budget, max_nodes=r.node_count) == r
             with pytest.raises(ResourceLimitError, match="exceeded the node limit"):
                 exact_min_dominating_set(g, budget=budget, max_nodes=r.node_count - 1)
+
+    def test_negative_node_limit_is_refused_before_any_work(self, monkeypatch):
+        # the greedy seed is the first work the search does
+        def no_seed(*args):
+            raise AssertionError("searched despite a negative node limit")
+
+        monkeypatch.setattr(oracles, "solve_classical", no_seed)
+        for targets in (None, []):
+            with pytest.raises(ValidationError, match=r"^node limit must be >= 0, got -1$"):
+                exact_min_dominating_set(p4(), targets, max_nodes=-1)
+
+    def test_node_limit_zero(self):
+        # nothing to search needs no node; anything else needs the root
+        assert exact_min_dominating_set(p4(), [], max_nodes=0) == exact_min_dominating_set(p4(), [])
+        with pytest.raises(ResourceLimitError, match="node limit 0$"):
+            exact_min_dominating_set(p4(), max_nodes=0)
 
     def test_sandwich_against_greedy(self):
         for seed in range(15):
@@ -280,6 +363,49 @@ class TestMatchesReferenceSearch:
         del calls[:]
         assert exact_min_dominating_set(g) == r
         assert len(calls) > passes
+
+    def test_per_key_work_is_done_once(self, monkeypatch):
+        # each memo key makes one pass, starts its ratio scan once and
+        # scans each vertex of its reach at most once over all its nodes,
+        # and sorts its candidates at most once, the first time one of its
+        # nodes survives both bounds
+        work = {"passes": 0, "fresh_scans": 0, "scanned": 0, "sorts": 0}
+        pass_, scan, order = oracles._bound_and_target, oracles._ratio_scan, oracles._branch_order
+
+        def counted_pass(*args):
+            work["passes"] += 1
+            return pass_(*args)
+
+        def counted_scan(masks, active, size, rest, cbest, slots):
+            # a scan that has covered any vertex has cbest >= 1
+            work["fresh_scans"] += cbest == 0
+            out = scan(masks, active, size, rest, cbest, slots)
+            work["scanned"] += rest.bit_count() - out[0].bit_count()
+            return out
+
+        def counted_order(*args):
+            work["sorts"] += 1
+            return order(*args)
+
+        monkeypatch.setattr(oracles, "_bound_and_target", counted_pass)
+        monkeypatch.setattr(oracles, "_ratio_scan", counted_scan)
+        monkeypatch.setattr(oracles, "_branch_order", counted_order)
+        g = gen_random_tree(60, 1)
+        r = exact_min_dominating_set(g)
+        assert r.node_count == 5265
+        keys = {}
+        assert reference_exact(g, keys=keys) == r
+        masks = _closed_masks(g)
+        low = (1 << g.n) - 1
+        reach_total = sum(_bound_and_target(masks, key & low, key >> g.n)[2].bit_count()
+                          for key in keys)
+        assert work["passes"] == len(keys)
+        assert 0 < work["fresh_scans"] <= len(keys)
+        assert 0 < work["scanned"] <= reach_total
+        assert 0 < work["sorts"] <= sum(keys.values())
+        # a memo cleared every 4 entries redoes work but visits the same nodes
+        monkeypatch.setattr(oracles, "_MEMO_CAP", 4)
+        assert exact_min_dominating_set(g) == r
 
     @pytest.mark.parametrize("n, opt, nodes", [(60, 23, 5265), (80, 31, 340327)])
     def test_pinned_trees(self, n, opt, nodes):
@@ -421,7 +547,7 @@ class TestHardPaths:
         def no_scan(*args):
             raise AssertionError("ratio scan ran after the packing bound pruned")
 
-        monkeypatch.setattr(oracles, "_ratio_prunes", no_scan)
+        monkeypatch.setattr(oracles, "_ratio_scan", no_scan)
         r = exact_min_dominating_set(p4(), budget=1)
         assert r.exceeded and r.node_count == 1
 
