@@ -1,31 +1,38 @@
 """Scaling benchmark: fixed seeded workloads timed in-process, written as
 one `BENCH_<label>.json` file. Standard library only.
 
-So far it holds the exact oracle's cells: 100 random trees and 60
-2-degenerate graphs at n = 40 (the graph families of the perfbench
-`exact_check` corpus), and the pinned random trees at n = 60 and 80.
+The first part of a cell's name says what it times:
+
+- `oracle/...`: `exact_min_dominating_set` on 100 random trees and 60
+  2-degenerate graphs at n = 40 (the graph families of the perfbench
+  `exact_check` corpus), and on the pinned random trees at n = 60 and 80;
+- `ingest/...`: `parse_graph` on the `serialize_graph` text of a random
+  tree, a square grid and a 3-degenerate graph at n = 10^3, 10^4 and
+  10^5 (the text is made once, outside the timed runs).
 
     python3 benchmarks/scaling.py --label NAME            # writes BENCH_NAME.json
     python3 benchmarks/scaling.py --label NAME --src DIR  # measures DIR/domset
     python3 benchmarks/scaling.py --label NAME --against DIR
     python3 benchmarks/scaling.py --smoke                 # a few graphs, JSON on stdout
 
-One repetition of a cell runs `exact_min_dominating_set` once on each
-of its graphs and times the total with `perf_counter`; the cell reports
-the median and quartiles over `REPS` repetitions. Outside the timed
-repetitions, one counting run records node_count and the distinct bound
-passes (calls of `oracles._bound_and_target`: one per distinct memo key
-while the memo is not cleared), both summed over the cell's graphs, and
-one run under `tracemalloc` records the largest peak of a single search.
-A SHA-256 over the result documents pins the outputs.
+One repetition of a cell runs its function once on each of its inputs
+and times the total with `perf_counter`; the cell reports the median and
+quartiles over `REPS` repetitions. Outside the timed repetitions, one
+counting run records what the outputs are, summed over the cell's
+inputs: for oracle cells node_count and the distinct bound passes
+(calls of `oracles._bound_and_target`: one per distinct memo key while
+the memo is not cleared), for ingest cells the vertices and edges read.
+One more run under `tracemalloc` records the largest peak of a single
+call. A SHA-256 over the outputs (result documents, or the parsed
+graphs serialized again) pins them.
 
 With `--against DIR`, a second copy of the package is loaded from DIR
 and timed in the same process, alternating with the first: in even
 repetitions the measured copy runs first, in odd ones the other. Each
-cell then also gives, under "against", the other copy's quartiles, the
-median of the per-repetition time ratios (measured / other) and the
-number of repetitions the measured copy was faster; the run stops with
-exit 1 if the two copies' documents differ.
+cell then also gives, under "against", the other copy's peak_mib and
+quartiles, the median of the per-repetition time ratios (measured /
+other) and the number of repetitions the measured copy was faster; the
+run stops with exit 1 if the two copies' outputs differ.
 """
 
 from __future__ import annotations
@@ -55,11 +62,21 @@ CELLS = {
     "oracle/random_tree/n60/seed1": [("gen_random_tree", (60, 1))],
     "oracle/random_tree/n80/seed1": [("gen_random_tree", (80, 1))],
 }
+for _n in (10**3, 10**4, 10**5):
+    _side = round(_n ** 0.5)
+    CELLS[f"ingest/random_tree/n{_n}/seed1"] = [("gen_random_tree", (_n, 1))]
+    CELLS[f"ingest/grid/{_side}x{_side}"] = [("gen_grid", (_side, _side))]
+    CELLS[f"ingest/d_degenerate/n{_n}/d3/seed1"] = [("gen_d_degenerate", (_n, 3, 1))]
 SMOKE_CELLS = {
     "oracle/random_tree/n40/seeds0-4": CELLS["oracle/random_tree/n40/seeds0-99"][:5],
     "oracle/d_degenerate/n40/d2/seeds0-4": CELLS["oracle/d_degenerate/n40/d2/seeds0-59"][:5],
     "oracle/random_tree/n60/seed1": CELLS["oracle/random_tree/n60/seed1"],
+    "ingest/d_degenerate/n1000/d3/seed1": CELLS["ingest/d_degenerate/n1000/d3/seed1"],
 }
+
+
+def is_ingest(cell: str) -> bool:
+    return cell.startswith("ingest/")
 
 
 def load_package(src: Path, name: str) -> None:
@@ -76,25 +93,47 @@ def load_package(src: Path, name: str) -> None:
 
 
 class Subject:
-    """One copy of the package and the graphs of every cell, built by its
-    own generators so the search sees its own Graph type."""
+    """One copy of the package and the inputs of every cell, built by its
+    own generators so that each copy reads its own Graph type and text."""
 
     def __init__(self, src: Path, name: str, cells: dict):
         load_package(src, name)
         self.oracles = importlib.import_module(f"{name}.oracles")
+        self.graph = importlib.import_module(f"{name}.graph")
         gens = importlib.import_module(f"{name}.generators")
-        self.graphs = {
-            cell: [getattr(gens, fn)(*args) for fn, args in specs] for cell, specs in cells.items()
-        }
+        self.inputs = {}
+        for cell, specs in cells.items():
+            graphs = [getattr(gens, fn)(*args) for fn, args in specs]
+            self.inputs[cell] = (
+                [self.graph.serialize_graph(g) for g in graphs] if is_ingest(cell) else graphs
+            )
+
+    def function(self, cell: str):
+        """What one repetition of `cell` calls on each of its inputs."""
+        return self.graph.parse_graph if is_ingest(cell) else self.oracles.exact_min_dominating_set
 
     def run(self, cell: str) -> float:
-        exact = self.oracles.exact_min_dominating_set
+        call = self.function(cell)
         start = time.perf_counter()
-        for g in self.graphs[cell]:
-            exact(g)
+        for x in self.inputs[cell]:
+            call(x)
         return time.perf_counter() - start
 
     def count(self, cell: str) -> dict:
+        return self.count_ingest(cell) if is_ingest(cell) else self.count_oracle(cell)
+
+    def count_ingest(self, cell: str) -> dict:
+        """Vertices and edges read and the digest of the graphs, from one run."""
+        digest = hashlib.sha256()
+        vertices = edges = 0
+        for text in self.inputs[cell]:
+            g = self.graph.parse_graph(text)
+            vertices += g.n
+            edges += g.m
+            digest.update(self.graph.serialize_graph(g).encode())
+        return {"vertices": vertices, "edges": edges, "digest": digest.hexdigest()}
+
+    def count_oracle(self, cell: str) -> dict:
         """node_count, distinct passes and the documents' digest, from one
         run with the bound pass wrapped in a counter."""
         oracles = self.oracles
@@ -110,7 +149,7 @@ class Subject:
         nodes = 0
         oracles._bound_and_target = counted
         try:
-            for g in self.graphs[cell]:
+            for g in self.inputs[cell]:
                 r = oracles.exact_min_dominating_set(g)
                 nodes += r.node_count
                 digest.update(json.dumps(r.as_document(), separators=(",", ":")).encode() + b"\n")
@@ -119,15 +158,16 @@ class Subject:
         return {"node_count": nodes, "distinct_passes": passes, "digest": digest.hexdigest()}
 
     def peak_mib(self, cell: str) -> float:
-        """The largest tracemalloc peak of one search, above what was
+        """The largest tracemalloc peak of one call, above what was
         allocated before it started."""
+        call = self.function(cell)
         peak = 0
         tracemalloc.start()
         try:
-            for g in self.graphs[cell]:
+            for x in self.inputs[cell]:
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                self.oracles.exact_min_dominating_set(g)
+                call(x)
                 peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
@@ -144,7 +184,7 @@ def measure(subject: Subject, other: Subject | None, cells: dict, reps: int) -> 
     for cell in cells:
         entry = {"graphs": len(cells[cell]), **subject.count(cell)}
         if other is not None and other.count(cell)["digest"] != entry["digest"]:
-            raise SystemExit(f"{cell}: the two copies give different documents")
+            raise SystemExit(f"{cell}: the two copies give different outputs")
         entry["peak_mib"] = subject.peak_mib(cell)
         mine, theirs = [], []
         for rep in range(reps):
@@ -159,6 +199,7 @@ def measure(subject: Subject, other: Subject | None, cells: dict, reps: int) -> 
         entry.update(quartiles(mine))
         if other is not None:
             entry["against"] = {
+                "peak_mib": other.peak_mib(cell),
                 **quartiles(theirs),
                 "ratio_median": round(statistics.median(a / b for a, b in zip(mine, theirs)), 3),
                 "wins": sum(a < b for a, b in zip(mine, theirs)),

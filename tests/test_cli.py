@@ -127,6 +127,11 @@ class TestSolve:
         path.write_text("p ds 11 0\n")
         assert main(["solve", "--algo", "classical", str(path)]) == 3
         assert capsys.readouterr().err == "error: vertex count 11 exceeds the limit 10\n"
+        # the guard runs right after the header, before a bad edge line is read
+        for text in ("p ds 11 2\ne 0 1\ne x y\n", "c first\r\np ds 11 2\r\ne 0 1\r\ne x y\r\n"):
+            path.write_text(text)
+            assert main(["solve", "--algo", "classical", str(path)]) == 3
+            assert capsys.readouterr().err == "error: vertex count 11 exceeds the limit 10\n"
         path.write_text("p ds 10 0\n")
         code, doc = run_json(capsys, ["solve", "--algo", "classical", str(path)])
         assert code == 0

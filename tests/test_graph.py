@@ -75,6 +75,103 @@ class TestParse:
             parse_graph(b"p ds 2 0\n\xff")
 
 
+graphs = st.builds(
+    gen_gnp,
+    st.integers(min_value=0, max_value=24),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+def _edge_lines(text, edit):
+    """`text` with `edit` applied to the fields [u, v] of each edge line;
+    `edit` returns a list of such pairs, whose count goes into the header."""
+    header, *lines = text.splitlines()
+    pairs = [p for ln in lines for p in edit(ln.split()[1:])]
+    n = header.split()[2]
+    return "".join(f"{ln}\n" for ln in [f"p ds {n} {len(pairs)}", *(f"e {u} {v}" for u, v in pairs)])
+
+
+# Texts that differ from the canonical one only in layout, each with
+# whether it still takes the whole-text path.
+LAYOUT_VARIANTS = {
+    "canonical": (lambda t: t, True),
+    "leading-zeros": (lambda t: _edge_lines(t, lambda e: [["0" + e[0], "00" + e[1]]]), True),
+    "reversed-edges": (lambda t: _edge_lines(t, lambda e: [e[::-1]]), True),
+    "duplicate-edges": (lambda t: _edge_lines(t, lambda e: [e, e[::-1]]), True),
+    "comment": (lambda t: "c made by hand\n" + t, False),
+    "blank-lines": (lambda t: t.replace("\n", "\n\n"), False),
+    "tabs": (lambda t: t.replace(" ", "\t"), False),
+    "crlf": (lambda t: t.replace("\n", "\r\n"), False),
+    "no-final-newline": (lambda t: t[:-1], False),
+    "trailing-space": (lambda t: t.replace("\n", " \n"), False),
+}
+
+# Malformed texts; those in the canonical layout fall back to the line
+# parser for their error.
+MALFORMED = {
+    "too-few-edges": "p ds 3 2\ne 0 1\n",
+    "too-many-edges": "p ds 3 1\ne 0 1\ne 1 2\n",
+    "out-of-range": "p ds 3 2\ne 0 1\ne 0 3\n",
+    "self-loop": "p ds 3 1\ne 1 1\n",
+    "self-loop-before-range": "p ds 3 2\ne 1 1\ne 0 3\n",
+    "range-before-self-loop": "p ds 3 2\ne 0 3\ne 1 1\n",
+    "plus-id": "p ds 3 1\ne +1 2\n",
+    "underscore-id": "p ds 11 1\ne 1_0 2\n",
+    "non-ascii-id": "p ds 4 1\ne 0 \u0663\n",
+    "long-id": "p ds 4 1\ne 0 " + "1" * 5000 + "\n",
+    "long-zero-padded-id": "p ds 4 1\ne 0 " + "0" * 5000 + "1\n",
+    "long-count": "p ds 4 " + "1" * 5000 + "\ne 0 1\n",
+    "crlf-out-of-range": "p ds 3 1\r\ne 0 3\r\n",
+    "no-header": "e 0 1\n",
+}
+
+
+def _failure(parse, text):
+    with pytest.raises(Exception) as exc:
+        parse(text)
+    return type(exc.value), str(exc.value), getattr(exc.value, "line", None)
+
+
+class TestParsePaths:
+    """parse_graph reads the canonical layout with whole-text operations
+    and everything else line by line; the result and every error do not
+    depend on which path runs."""
+
+    @staticmethod
+    def check_layout(g, name):
+        variant, bulk = LAYOUT_VARIANTS[name]
+        text = variant(serialize_graph(g))
+        assert parse_graph(text) == g
+        assert graph._parse_lines(text) == g
+        assert graph._parse_canonical(text) == (g if bulk else None)
+
+    @pytest.mark.parametrize("name", LAYOUT_VARIANTS)
+    def test_layout_variants_give_an_equal_graph(self, name):
+        self.check_layout(gen_gnp(9, 0.4, 3), name)
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_variants_fail_alike(self, name):
+        text = MALFORMED[name]
+        assert graph._parse_canonical(text) is None
+        assert _failure(parse_graph, text) == _failure(graph._parse_lines, text)
+
+    def test_first_bad_line_is_reported(self):
+        assert _failure(parse_graph, MALFORMED["self-loop-before-range"]) == (
+            ValidationError, "line 2: self-loop 'e 1 1'", None)
+        assert _failure(parse_graph, MALFORMED["range-before-self-loop"]) == (
+            RangeError, "line 2: endpoint out of range in 'e 0 3'", None)
+
+    @given(graphs, st.sampled_from(sorted(LAYOUT_VARIANTS)))
+    @settings(max_examples=60)
+    def test_drawn_graphs_in_every_layout(self, g, name):
+        self.check_layout(g, name)
+
+    @given(st.text(alphabet="ab \t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_lines_cut_like_splitlines(self, text):
+        assert list(graph._lines(text)) == text.splitlines()
+
+
 class TestConstructor:
     # parse_graph checks first, so only a directly built Graph reaches these
     @pytest.mark.parametrize("n, edges, error, message", [
@@ -82,7 +179,10 @@ class TestConstructor:
         (3, [(0, 3)], RangeError, "edge (0,3) out of range for n=3"),
         (3, [(-1, 0)], RangeError, "edge (-1,0) out of range for n=3"),
         (3, [(0, 1), (2, 2)], ValidationError, "self-loop at vertex 2"),
-    ], ids=["negative-n", "endpoint-above", "endpoint-below", "self-loop"])
+        (3, [(0, 1), (2, 2), (0, 3)], ValidationError, "self-loop at vertex 2"),
+        (3, [(0, 3), (2, 2)], RangeError, "edge (0,3) out of range for n=3"),
+    ], ids=["negative-n", "endpoint-above", "endpoint-below", "self-loop",
+            "self-loop-before-range", "range-before-self-loop"])
     def test_checks_its_own_input(self, n, edges, error, message):
         with pytest.raises(error) as exc:
             Graph(n, edges)
@@ -120,14 +220,6 @@ class TestQueries:
             assert is_dominating(g, range(g.n))
 
 
-graphs = st.builds(
-    gen_gnp,
-    st.integers(min_value=0, max_value=24),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.integers(min_value=0, max_value=2**64 - 1),
-)
-
-
 class TestRoundTripAndValidate:
     @given(graphs)
     @settings(max_examples=80)
@@ -155,14 +247,23 @@ class TestSize:
         assert peak < 16 * 2**20
 
     def test_vertex_limit_checked_before_allocation(self, monkeypatch):
-        # 10^5 vertices would take about 20 MiB of neighbor sets
+        # 10^5 vertices would take about 20 MiB of neighbor sets, and
+        # splitting 200 000 edge lines about 24 MiB
         monkeypatch.setattr(graph, "MAX_VERTICES", 10)
         assert parse_graph("p ds 10 0").n == 10
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match="vertex count 100000 exceeds the limit 10"):
-                parse_graph("p ds 100000 0")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        many_edges = "p ds 11 200000\n" + "e 0 1\n" * 200000
+        cases = [
+            ("p ds 100000 0", 100000),
+            (many_edges, 11),                 # canonical layout
+            ("c first\n" + many_edges, 11),   # read line by line
+            ("p ds 11 2\ne 0 1\ne x y", 11),   # a bad line after the header
+        ]
+        for text, n in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match=f"vertex count {n} exceeds the limit 10"):
+                    parse_graph(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
