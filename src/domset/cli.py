@@ -136,6 +136,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.max_n < 0:
+        raise ValidationError(f"--max-n must be >= 0, got {args.max_n}")
     g = _read_graph(args.graph)
     if g.n > args.max_n and not args.force:
         raise ResourceLimitError(
@@ -239,6 +241,8 @@ def cmd_bench(args) -> int:
         raise ValidationError("--max-nodes limits the oracle, so it needs --with-exact")
     if args.max_nodes is not None and args.max_nodes < 0:
         raise ValidationError(f"--max-nodes must be >= 0, got {args.max_nodes}")
+    if args.max_n < 0:
+        raise ValidationError(f"--max-n must be >= 0, got {args.max_n}")
     records: list[BenchRecord] = []
     for name, g, err in _bench_instances(args):
         if g is None:

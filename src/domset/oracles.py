@@ -10,14 +10,16 @@ set. The search is one loop over an explicit stack of nodes, so no
 interpreter setting limits its depth. Everything here is deterministic
 so oracle outputs can be frozen into fixtures.
 
-That per-node pass reads only the undominated set A and the bans inside
-N[A], so each search keeps a memo keyed by both: a tree search meets
-each independent part again under every choice made elsewhere. A memo
-record holds what the key fixes: the pass, |A|, how far the ratio scan
-has got and the branching order, each computed the first time a node
-needs it. It holds no prune decision, since those depend on the depth
-and the best size, so the nodes visited, and node_count, are those of a
-search without it.
+A search node is three bit sets: the undominated set A, the bans and the
+picks on its path. The per-node pass reads only A and the bans inside
+N[A], and a node keeps only the bans inside its parent's N[A], which
+contains its own; so each search keeps a memo keyed by the bans and A as
+the node holds them: a tree search meets each independent part again
+under every choice made elsewhere. A memo record holds what the key
+fixes: the pass, |A|, how far the ratio scan has got and the branching
+order, each computed the first time a node needs it. It holds no prune
+decision, since those depend on the depth and the best size, so the
+nodes visited, and node_count, are those of a search without it.
 
 Vertex sets in the exact search are Python ints used as bit sets: each
 call builds one closed-neighborhood mask per vertex from the adjacency
@@ -186,28 +188,32 @@ def exact_min_dominating_set(
     size at the moment it is popped, when a recursive search would enter
     it, so node_count is that of the recursive search.
 
-    The packing bound, branching target and reach of a node come from
-    `_bound_and_target`, which reads only A and the bans inside N[A]. A
-    child's A is a subset of its parent's, so its N[A] lies inside the
-    parent's hood S = N[A_parent], which the child carries on the stack;
-    the key (banned & S) << n | A thus fixes the pass's result, and so
-    |A|, every coverage |N[v] & A| and the non-banned part of N[u]. The
-    memo keeps one record per key: the pass, |A|, the ratio scan's
-    progress (the part of reach not yet scanned and the best coverage
-    seen so far) and the branching order, built the first time a node
-    with that key survives both bounds. A node whose key was seen before
-    makes no pass; its ratio test needs no scan when the best coverage
-    seen already covers |A| in the slots left, and otherwise resumes the
-    scan where the last node with that key stopped, so each vertex of
-    reach is scanned at most once per key. Nothing past the pass is
-    computed before a node asks for it, so a key met once costs about
-    what it would without the memo. The prune tests still run at every
-    node against its own depth and the best size at that moment, each
-    deciding exactly ceil(|A| / c) > slots, and the children carry the
-    node's own bans; so the visited nodes, node_count and the witness
-    are those of a search without the memo. The memo lives for one call
-    and is cleared when it reaches `_MEMO_CAP` entries, which bounds its
-    memory.
+    A node is (A, banned, picked), three bit sets. Its depth is |picked|
+    and a leaf's witness is picked: a pick v leaves N[v] & A empty below
+    it, so no later branching target has v as a candidate and the picks
+    on a path are distinct. The packing bound, branching target and
+    reach of a node come from `_bound_and_target`, which reads only A
+    and the bans inside N[A], as do the ratio scan and the branching
+    order. A node's children keep only its bans inside its N[A], plus
+    their own: each descendant's A is a subset, so everything it reads
+    lies inside that N[A]. The key banned << n | A thus fixes the pass's
+    result, and so |A|, every coverage |N[v] & A| and the non-banned
+    part of N[u]. The memo keeps one record per key: the pass, |A|, the
+    ratio scan's progress (the part of reach not yet scanned and the
+    best coverage seen so far) and the branching order, built the first
+    time a node with that key survives both bounds. A node whose key was
+    seen before makes no pass; its ratio test needs no scan when the
+    best coverage seen already covers |A| in the slots left, and
+    otherwise resumes the scan where the last node with that key
+    stopped, so each vertex of reach is scanned at most once per key.
+    Nothing past the pass is computed before a node asks for it, so a
+    key met once costs about what it would without the memo. The prune
+    tests still run at every node against its own depth and the best
+    size at that moment, each deciding exactly ceil(|A| / c) > slots,
+    and the trimmed bans are ones no descendant reads; so the visited
+    nodes, node_count and the witness are those of a search without the
+    memo. The memo lives for one call and is cleared when it reaches
+    `_MEMO_CAP` entries, which bounds its memory.
     """
     if max_nodes is not None and max_nodes < 0:
         raise ValidationError(f"node limit must be >= 0, got {max_nodes}")
@@ -234,35 +240,29 @@ def exact_min_dominating_set(
     # key -> [lb, u, rest, hood, |active|, cbest, branching order or None]:
     # the pass, with reach narrowed to rest as the ratio scan advances
     memo: dict[int, list] = {}
-    # a stack entry is (active, banned, depth, v, hood), v the pick that
-    # led to it and hood its parent's N[active] (-1 and -1 at the root);
-    # chosen[:depth] is the popped node's path
-    chosen: list[int] = []
-    stack = [(_mask(tids), 0, 0, -1, -1)]
+    # a node is (active, banned, picked): its undominated targets, its
+    # bans inside its parent's N[active] and the picks on its path
+    stack = [(_mask(tids), 0, 0)]
     push = stack.append
     while stack:
-        active, banned, depth, v, hood = stack.pop()
+        active, banned, picked = stack.pop()
         nodes += 1
         if nodes > limit:
             raise ResourceLimitError(f"exact search exceeded the node limit {max_nodes}")
-        if depth:
-            chosen[depth - 1:] = (v,)
+        # a pick v leaves N[v] & active empty below it, so picks are distinct
+        depth = picked.bit_count()
         if active == 0:
             if depth < best_size:
                 best_size = depth
-                best_set = tuple(sorted(chosen))
+                best_set = tuple(v for v in range(n) if picked >> v & 1)
             continue
-        # hood contains this node's N[active], so the key fixes the record
-        key = (banned & hood) << n | active
+        key = banned << n | active
         rec = memo.get(key)
         if rec is None:
             if len(memo) >= cap:
                 memo.clear()
-            lb, u, rest, hood = _bound_and_target(masks, active, banned)
-            size, cbest, order = active.bit_count(), 0, None
-            rec = memo[key] = [lb, u, rest, hood, size, cbest, order]
-        else:
-            lb, u, rest, hood, size, cbest, order = rec
+            rec = memo[key] = [*_bound_and_target(masks, active, banned), active.bit_count(), 0, None]
+        lb, u, rest, hood, size, cbest, order = rec
         if lb < 0 or depth + lb >= best_size:
             continue
         # lb >= 1 as active != 0, so at least one slot is left
@@ -274,13 +274,13 @@ def exact_min_dominating_set(
         if order is None:
             order = rec[6] = _branch_order(masks, u, adj[u], active, banned)
         # push the children last to first, so they pop in branching order;
-        # each bans the candidates before it, and banned | N[u] is banned
-        # plus all of them
-        depth += 1
-        banned |= masks[u]
+        # each bans the candidates before it. Only the bans inside hood
+        # matter below this node, and N[u] adds every candidate, which the
+        # loop lifts one by one
+        banned = banned & hood | masks[u]
         for v in reversed(order):
             banned ^= 1 << v
-            push((active & ~masks[v], banned, depth, v, hood))
+            push((active & ~masks[v], banned, picked | 1 << v))
     if best_set is None:
         return OracleResult(None, None, nodes, exceeded=True)
     return OracleResult(best_size, best_set, nodes)

@@ -405,17 +405,18 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
       the packing); at best it would tie, and a tie keeps the earlier
       prefix.
     """
-    tids, base, _ = _run(g, targets, i)
+    tids = _vertex_ids(g, targets)
     adj = g.adj
+    # the residual after each base prefix, carried forward round by round;
+    # the base run and each extension run on a copy
+    live, gain = _residual(adj, tids)
+    base = _greedy_rounds(adj, live[:], gain[:], i)[0]
     owner: list[int] | None = None
     packed = 0
 
     best_rounds: list[RoundRecord] | None = None
     best_size: int | None = None
     prefix_size = 0
-    # the residual after each base prefix, carried forward round by round;
-    # each extension runs on a copy
-    live, gain = _residual(adj, tids)
     for p in range(len(base) + 1):
         if p:
             chosen = base[p - 1][0]

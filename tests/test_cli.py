@@ -214,6 +214,17 @@ class TestExact:
         assert main(["exact", "--max-nodes", "0", p4_file]) == 3
         assert capsys.readouterr() == ("", "error: exact search exceeded the node limit 0\n")
 
+    def test_negative_guard_exits_2_before_reading(self, tmp_path, capsys, p4_file):
+        out = tmp_path / "r.json"
+        for graph in (p4_file, str(tmp_path / "missing.gr")):
+            for force in ([], ["--force"]):
+                argv = ["exact", *force, "--max-n", "-1", "--out", str(out), graph]
+                assert main(argv) == 2
+                assert capsys.readouterr() == ("", "error: --max-n must be >= 0, got -1\n")
+        assert not out.exists()
+        # zero is a guard like any other
+        assert main(["exact", "--max-n", "0", p4_file]) == 3
+
     def test_budget_exceeded_exit(self, capsys, p4_file):
         code, doc = run_json(capsys, ["exact", "--budget", "1", p4_file])
         assert code == 3
@@ -380,6 +391,17 @@ class TestBench:
         # zero stays a valid limit: the instance gets an error row
         assert main(args + ["--max-nodes", "0"]) == 0
         assert [r["error"] for r in read_csv(out)] == ["exact search exceeded the node limit 0"]
+
+    def test_negative_guard_is_refused_up_front(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        args = ["bench", "--gen", "grid:w=2,h=2", "--algos", "classical", "--out", str(out)]
+        for exact in ([], ["--with-exact"]):
+            assert main(args + exact + ["--max-n", "-1"]) == 2
+            assert capsys.readouterr() == ("", "error: --max-n must be >= 0, got -1\n")
+        assert not out.exists()
+        # zero stays a valid guard: the 4-vertex instance is above it
+        assert main(args + ["--with-exact", "--max-n", "0"]) == 0
+        assert [(r["n"], r["opt_size"], r["error"]) for r in read_csv(out)] == [("4", "", "")]
 
     def test_graphs_dir_must_exist(self, tmp_path, capsys):
         (tmp_path / "file.gr").write_text("p ds 1 0\n")

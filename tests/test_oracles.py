@@ -407,6 +407,27 @@ class TestMatchesReferenceSearch:
         monkeypatch.setattr(oracles, "_MEMO_CAP", 4)
         assert exact_min_dominating_set(g) == r
 
+    @pytest.mark.parametrize("gen, args, count", [
+        (gen_random_tree, (60, 1), 845),
+        (gen_d_degenerate, (40, 2, 3), 398),
+    ])
+    def test_passes_run_on_the_memo_keys(self, monkeypatch, gen, args, count):
+        # a node carries only the bans inside its parent's N[A], so the
+        # state a pass reads, banned << n | active, is the node's memo key
+        g = gen(*args)
+        seen = set()
+        pass_ = oracles._bound_and_target
+
+        def recorded(masks, active, banned):
+            seen.add(banned << g.n | active)
+            return pass_(masks, active, banned)
+
+        monkeypatch.setattr(oracles, "_bound_and_target", recorded)
+        keys = {}
+        assert exact_min_dominating_set(g) == reference_exact(g, keys=keys)
+        assert len(keys) == count
+        assert seen == set(keys)
+
     @pytest.mark.parametrize("n, opt, nodes", [(60, 23, 5265), (80, 31, 340327)])
     def test_pinned_trees(self, n, opt, nodes):
         r = exact_min_dominating_set(gen_random_tree(n, 1))

@@ -14,7 +14,7 @@ from helpers import (
 )
 
 from domset import solvers
-from domset.errors import ValidationError
+from domset.errors import RangeError, ValidationError
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
 from domset.graph import Graph, is_dominating
 from domset.solvers import (
@@ -88,6 +88,10 @@ class TestFixedI:
             solve_hybrid(p4(), 1)
         with pytest.raises(ValidationError):
             solve_fixed_i(p4(), None)
+        # bad targets are reported before a bad i
+        for solve in (solve_fixed_i, solve_hybrid):
+            with pytest.raises(RangeError):
+                solve(p4(), 1, [9])
 
     def test_round_cap_respected(self):
         for i in (2, 3, 4):
