@@ -135,9 +135,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_exact(args) -> int:
+def _check_oracle_limits(args) -> None:
+    """Refuse a negative --max-nodes or --max-n before any input is read."""
+    if args.max_nodes is not None and args.max_nodes < 0:
+        raise ValidationError(f"--max-nodes must be >= 0, got {args.max_nodes}")
     if args.max_n < 0:
         raise ValidationError(f"--max-n must be >= 0, got {args.max_n}")
+
+
+def cmd_exact(args) -> int:
+    _check_oracle_limits(args)
     g = _read_graph(args.graph)
     if g.n > args.max_n and not args.force:
         raise ResourceLimitError(
@@ -239,10 +246,7 @@ def cmd_bench(args) -> int:
     algos = _parse_algos(args.algos)
     if args.max_nodes is not None and not args.with_exact:
         raise ValidationError("--max-nodes limits the oracle, so it needs --with-exact")
-    if args.max_nodes is not None and args.max_nodes < 0:
-        raise ValidationError(f"--max-nodes must be >= 0, got {args.max_nodes}")
-    if args.max_n < 0:
-        raise ValidationError(f"--max-n must be >= 0, got {args.max_n}")
+    _check_oracle_limits(args)
     records: list[BenchRecord] = []
     for name, g, err in _bench_instances(args):
         if g is None:

@@ -12,17 +12,19 @@ both orientations of an edge collapse to a single edge; self-loops are
 rejected. Serialization writes each edge with u < v, sorted
 lexicographically.
 
-`parse_graph` reads a text in the canonical layout, the one that
-`serialize_graph` (and so `gen`, `reduce` and perfbench) writes, with
-whole-text operations: the header line `p ds <n> <m>` first, then one
-`e <u> <v>` line per edge, with single spaces, ASCII digits and "\n"
-ending every line, and no comments or blank lines. It checks the shape
-with one regular expression, splits the text once, and lets `Graph`
-check each edge. Any other text, and any text whose graph is invalid,
-is read line by line, so the graph and every error (type, message and
-line number) are the same whichever path runs. On both paths the
-MAX_VERTICES guard runs as soon as the header is read, before the rest
-of the text is split or any edge is stored.
+`parse_graph` reads the text one line at a time up to and including the
+header. If the rest of the text is a canonical body, the one that
+`serialize_graph` (and so `gen`, `reduce` and perfbench) writes after
+the header (one `e <u> <v>` line per edge, with single spaces, ASCII
+digits and "\n" ending every line, and no comments or blank lines), it
+is read with whole-text operations: one regular expression checks its
+shape, one split cuts the fields and `Graph` checks each edge.
+Comments, blank lines, spacing and line ends up to and including the
+header line do not matter. Any other body, and any body whose graph is
+invalid, is read line by line from where the header ends, so the graph
+and every error (type, message and line number) are the same whichever
+way the body is read. The MAX_VERTICES guard runs as soon as the header
+is read, before the body is split or any edge is stored.
 """
 
 from __future__ import annotations
@@ -140,13 +142,23 @@ def _is_decimal(tok: str) -> bool:
     return tok.isascii() and tok.removeprefix("-").isdigit()
 
 
-# The canonical layout, which `serialize_graph` writes: the header, then
-# one "e <u> <v>" line per edge, with single spaces, ASCII digits and
-# "\n" line ends.
-_CANONICAL_HEADER = re.compile(r"p ds ([0-9]+) ([0-9]+)\n")
+# A canonical body, as `serialize_graph` writes it: one "e <u> <v>" line
+# per edge, with single spaces, ASCII digits and "\n" line ends.
 _CANONICAL_BODY = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
 # The line boundaries of str.splitlines()
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _lines(text: str) -> Iterator[tuple[str, int]]:
+    """The lines of `text` as str.splitlines() cuts them, one at a time,
+    so that nothing past the current line is split off; each with the
+    index just past its line break."""
+    start = 0
+    for brk in _LINE_BREAK.finditer(text):
+        yield text[start:brk.start()], brk.end()
+        start = brk.end()
+    if start < len(text):
+        yield text[start:], len(text)
 
 
 def parse_graph(text: str | bytes) -> Graph:
@@ -159,59 +171,10 @@ def parse_graph(text: str | bytes) -> Graph:
     MAX_VERTICES vertices.
     """
     text = _as_text(text)
-    g = _parse_canonical(text)
-    return _parse_lines(text) if g is None else g
-
-
-def _parse_canonical(text: str) -> Graph | None:
-    """The graph of a text in the canonical layout, read with whole-text
-    operations; None for any other text and for an invalid graph, which
-    `_parse_lines` then reads or rejects with its line-numbered error.
-    Each edge is checked once, by `Graph`."""
-    header = _CANONICAL_HEADER.match(text)
-    if header is None:
-        return None
-    try:
-        n, m = int(header[1]), int(header[2])
-    except ValueError:  # past int()'s digit limit
-        return None
-    _check_vertex_count(n)
-    if _CANONICAL_BODY.fullmatch(text, header.end()) is None:
-        return None
-    # p ds <n> <m>, then e <u> <v> per edge
-    fields = text.split()
-    if len(fields) != 4 + 3 * m:
-        return None
-    try:
-        us = list(map(int, fields[5::3]))
-        vs = list(map(int, fields[6::3]))
-    except ValueError:  # an id past int()'s digit limit
-        return None
-    del fields  # frees the id strings before the neighbour sets grow
-    try:
-        return Graph(n, zip(us, vs))
-    except (RangeError, ValidationError):  # an id out of range, or a self-loop
-        return None
-
-
-def _lines(text: str) -> Iterator[str]:
-    """The lines of `text` as str.splitlines() cuts them, one at a time,
-    so that nothing past the current line is split off."""
-    start = 0
-    for brk in _LINE_BREAK.finditer(text):
-        yield text[start:brk.start()]
-        start = brk.end()
-    if start < len(text):
-        yield text[start:]
-
-
-def _parse_lines(text: str) -> Graph:
-    """`parse_graph` for any layout, one line at a time. The size guard
-    runs as soon as the header is read."""
     n = m_declared = None
     edges: list[tuple[int, int]] = []
     edge_lines = 0
-    for lineno, raw in enumerate(_lines(text), start=1):
+    for lineno, (raw, end) in enumerate(_lines(text), start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "c":
             continue
@@ -228,6 +191,9 @@ def _parse_lines(text: str) -> Graph:
             if n < 0 or m_declared < 0:
                 raise ParseError("negative counts in header", lineno)
             _check_vertex_count(n)
+            g = _read_body(text, end, n, m_declared)
+            if g is not None:
+                return g
             continue
         if len(fields) != 3 or fields[0] != "e":
             raise ParseError(f"expected 'e <u> <v>', got {raw.strip()!r}", lineno)
@@ -254,6 +220,31 @@ def _parse_lines(text: str) -> Graph:
     if edge_lines != m_declared:
         raise ParseError(f"header declares {m_declared} edges, found {edge_lines}")
     return Graph(n, edges)
+
+
+def _read_body(text: str, pos: int, n: int, m: int) -> Graph | None:
+    """The graph of a text whose header line ends at `pos`, when
+    `text[pos:]` is a canonical body of m edge lines, read with
+    whole-text operations; None for any other body and for an invalid
+    graph, which `parse_graph` then reads or rejects line by line. Each
+    edge is checked once, by `Graph`."""
+    if _CANONICAL_BODY.fullmatch(text, pos) is None:
+        return None
+    # every line break is whitespace to str.split, so no field spans pos
+    fields = text.split()
+    k = len(text[:pos].split())  # the fields of the comments and the header
+    if len(fields) != k + 3 * m:
+        return None
+    try:
+        us = list(map(int, fields[k + 1::3]))
+        vs = list(map(int, fields[k + 2::3]))
+    except ValueError:  # an id past int()'s digit limit
+        return None
+    del fields  # frees the id strings before the neighbour sets grow
+    try:
+        return Graph(n, zip(us, vs))
+    except (RangeError, ValidationError):  # an id out of range, or a self-loop
+        return None
 
 
 def serialize_graph(g: Graph) -> str:

@@ -208,7 +208,7 @@ class TestExact:
     def test_negative_node_limit_exits_2(self, tmp_path, capsys, p4_file):
         out = tmp_path / "r.json"
         assert main(["exact", "--max-nodes", "-1", "--out", str(out), p4_file]) == 2
-        assert capsys.readouterr() == ("", "error: node limit must be >= 0, got -1\n")
+        assert capsys.readouterr() == ("", "error: --max-nodes must be >= 0, got -1\n")
         assert not out.exists()
         # zero is a limit like any other: the root alone is one node too many
         assert main(["exact", "--max-nodes", "0", p4_file]) == 3
@@ -216,11 +216,14 @@ class TestExact:
 
     def test_negative_guard_exits_2_before_reading(self, tmp_path, capsys, p4_file):
         out = tmp_path / "r.json"
-        for graph in (p4_file, str(tmp_path / "missing.gr")):
+        missing = str(tmp_path / "missing.gr")
+        for graph in (p4_file, missing):
             for force in ([], ["--force"]):
                 argv = ["exact", *force, "--max-n", "-1", "--out", str(out), graph]
                 assert main(argv) == 2
                 assert capsys.readouterr() == ("", "error: --max-n must be >= 0, got -1\n")
+        assert main(["exact", "--max-nodes", "-1", "--out", str(out), missing]) == 2
+        assert capsys.readouterr() == ("", "error: --max-nodes must be >= 0, got -1\n")
         assert not out.exists()
         # zero is a guard like any other
         assert main(["exact", "--max-n", "0", p4_file]) == 3

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -93,13 +94,15 @@ def _edge_lines(text, edit):
 
 
 # Texts that differ from the canonical one only in layout, each with
-# whether it still takes the whole-text path.
+# whether its body (the text after the header line) is read whole.
 LAYOUT_VARIANTS = {
     "canonical": (lambda t: t, True),
     "leading-zeros": (lambda t: _edge_lines(t, lambda e: [["0" + e[0], "00" + e[1]]]), True),
     "reversed-edges": (lambda t: _edge_lines(t, lambda e: [e[::-1]]), True),
     "duplicate-edges": (lambda t: _edge_lines(t, lambda e: [e, e[::-1]]), True),
-    "comment": (lambda t: "c made by hand\n" + t, False),
+    "comment": (lambda t: "c made by hand\n" + t, True),
+    "crlf-header": (lambda t: t.replace("\n", "\r\n", 1), True),
+    "comment-after-header": (lambda t: t.replace("\n", "\nc made by hand\n", 1), False),
     "blank-lines": (lambda t: t.replace("\n", "\n\n"), False),
     "tabs": (lambda t: t.replace(" ", "\t"), False),
     "crlf": (lambda t: t.replace("\n", "\r\n"), False),
@@ -107,8 +110,8 @@ LAYOUT_VARIANTS = {
     "trailing-space": (lambda t: t.replace("\n", " \n"), False),
 }
 
-# Malformed texts; those in the canonical layout fall back to the line
-# parser for their error.
+# Malformed texts; those with a canonical body fall back to the line
+# loop for their error.
 MALFORMED = {
     "too-few-edges": "p ds 3 2\ne 0 1\n",
     "too-many-edges": "p ds 3 1\ne 0 1\ne 1 2\n",
@@ -123,6 +126,7 @@ MALFORMED = {
     "long-zero-padded-id": "p ds 4 1\ne 0 " + "0" * 5000 + "1\n",
     "long-count": "p ds 4 " + "1" * 5000 + "\ne 0 1\n",
     "crlf-out-of-range": "p ds 3 1\r\ne 0 3\r\n",
+    "comment-out-of-range": "c made by hand\np ds 3 1\ne 0 3\n",
     "no-header": "e 0 1\n",
 }
 
@@ -133,18 +137,42 @@ def _failure(parse, text):
     return type(exc.value), str(exc.value), getattr(exc.value, "line", None)
 
 
+def _parse_recorded(text, reads):
+    """parse_graph(text), appending to `reads`, for each call of
+    `_read_body`, whether it read the body whole."""
+    read_body = graph._read_body
+
+    def recorded(*args):
+        g = read_body(*args)
+        reads.append(g is not None)
+        return g
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_read_body", recorded)
+        return parse_graph(text)
+
+
+def _parse_line_by_line(text):
+    """parse_graph(text) with the whole-body read turned off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_read_body", lambda *args: None)
+        return parse_graph(text)
+
+
 class TestParsePaths:
-    """parse_graph reads the canonical layout with whole-text operations
-    and everything else line by line; the result and every error do not
-    depend on which path runs."""
+    """parse_graph reads a canonical body with whole-text operations and
+    everything else line by line; the result and every error do not
+    depend on which way the body is read."""
 
     @staticmethod
     def check_layout(g, name):
-        variant, bulk = LAYOUT_VARIANTS[name]
+        variant, whole = LAYOUT_VARIANTS[name]
         text = variant(serialize_graph(g))
-        assert parse_graph(text) == g
-        assert graph._parse_lines(text) == g
-        assert graph._parse_canonical(text) == (g if bulk else None)
+        reads = []
+        assert _parse_recorded(text, reads) == g
+        assert _parse_line_by_line(text) == g
+        if g.m:  # with no edges most layouts leave an empty, canonical body
+            assert reads == [whole]
 
     @pytest.mark.parametrize("name", LAYOUT_VARIANTS)
     def test_layout_variants_give_an_equal_graph(self, name):
@@ -153,14 +181,18 @@ class TestParsePaths:
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_variants_fail_alike(self, name):
         text = MALFORMED[name]
-        assert graph._parse_canonical(text) is None
-        assert _failure(parse_graph, text) == _failure(graph._parse_lines, text)
+        reads = []
+        failure = _failure(lambda t: _parse_recorded(t, reads), text)
+        assert True not in reads
+        assert failure == _failure(_parse_line_by_line, text)
 
     def test_first_bad_line_is_reported(self):
         assert _failure(parse_graph, MALFORMED["self-loop-before-range"]) == (
             ValidationError, "line 2: self-loop 'e 1 1'", None)
         assert _failure(parse_graph, MALFORMED["range-before-self-loop"]) == (
             RangeError, "line 2: endpoint out of range in 'e 0 3'", None)
+        assert _failure(parse_graph, MALFORMED["comment-out-of-range"]) == (
+            RangeError, "line 3: endpoint out of range in 'e 0 3'", None)
 
     @given(graphs, st.sampled_from(sorted(LAYOUT_VARIANTS)))
     @settings(max_examples=60)
@@ -169,7 +201,10 @@ class TestParsePaths:
 
     @given(st.text(alphabet="ab \t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
     def test_lines_cut_like_splitlines(self, text):
-        assert list(graph._lines(text)) == text.splitlines()
+        lines = list(graph._lines(text))
+        assert [line for line, _ in lines] == text.splitlines()
+        ends = list(accumulate(map(len, text.splitlines(keepends=True))))
+        assert [end for _, end in lines] == ends
 
 
 class TestConstructor:
@@ -255,7 +290,7 @@ class TestSize:
         cases = [
             ("p ds 100000 0", 100000),
             (many_edges, 11),                 # canonical layout
-            ("c first\n" + many_edges, 11),   # read line by line
+            ("c first\n" + many_edges, 11),   # a comment before the header
             ("p ds 11 2\ne 0 1\ne x y", 11),   # a bad line after the header
         ]
         for text, n in cases:
