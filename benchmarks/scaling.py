@@ -22,9 +22,13 @@ counting run records what the outputs are, summed over the cell's
 inputs: for oracle cells node_count and the distinct bound passes
 (calls of `oracles._bound_and_target`: one per distinct memo key while
 the memo is not cleared), for ingest cells the vertices and edges read.
-One more run under `tracemalloc` records the largest peak of a single
-call. A SHA-256 over the outputs (result documents, or the parsed
-graphs serialized again) pins them.
+Under `tracemalloc`, each input is run `PEAK_RUNS` more times, with
+`gc.collect()` before each run; the cell's peak_mib is the largest,
+over its inputs, of the median peak of one call, so one stray reading
+does not set it. The collection also empties the interpreter's free
+lists, so a call's peak counts the objects it would otherwise take from
+them, whatever ran before. A SHA-256 over the outputs (result
+documents, or the parsed graphs serialized again) pins them.
 
 With `--against DIR`, a second copy of the package is loaded from DIR
 and timed in the same process, alternating with the first: in even
@@ -38,6 +42,7 @@ run stops with exit 1 if the two copies' outputs differ.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -54,6 +59,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # timed repetitions per cell: enough for quartiles and a win count
 REPS = 21
 SMOKE_REPS = 3
+# tracemalloc runs per input; the median peak is kept
+PEAK_RUNS = 3
 
 # cell name -> graphs, as (generator name, args); smoke cells are prefixes
 CELLS = {
@@ -158,17 +165,22 @@ class Subject:
         return {"node_count": nodes, "distinct_passes": passes, "digest": digest.hexdigest()}
 
     def peak_mib(self, cell: str) -> float:
-        """The largest tracemalloc peak of one call, above what was
+        """The largest, over the cell's inputs, of the median tracemalloc
+        peak of `PEAK_RUNS` calls on one input, each above what was
         allocated before it started."""
         call = self.function(cell)
         peak = 0
         tracemalloc.start()
         try:
             for x in self.inputs[cell]:
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                call(x)
-                peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
+                runs = []
+                for _ in range(PEAK_RUNS):
+                    gc.collect()
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    call(x)
+                    runs.append(tracemalloc.get_traced_memory()[1] - before)
+                peak = max(peak, statistics.median(runs))
         finally:
             tracemalloc.stop()
         return round(peak / 2**20, 3)

@@ -4,6 +4,8 @@ Every generator draws from splitmix64 with a documented draw order, so
 a (model, params, seed) triple yields the same instance on any platform
 or implementation. Uniform floats take the top 53 bits of each 64-bit
 output divided by 2^53; uniform integers below k are floor(float * k).
+k distinct integers below b are drawn one by one, a repeat redrawn,
+and kept in first-drawn order (`_distinct`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,15 @@ class SplitMix64:
     def next_below(self, k: int) -> int:
         """Uniform integer in [0, k)."""
         return int(self.next_f53() * k)
+
+
+def _distinct(rng: SplitMix64, k: int, below: int) -> list[int]:
+    """k distinct integers below `below` (k <= below), in first-drawn
+    order; a repeat costs O(1) and is drawn again."""
+    seen: dict[int, None] = {}
+    while len(seen) < k:
+        seen[rng.next_below(below)] = None
+    return list(seen)
 
 
 @dataclass(frozen=True)
@@ -101,8 +112,8 @@ def gen_random_tree(n: int, seed: int) -> Graph:
 
 
 def gen_d_degenerate(n: int, d: int, seed: int) -> Graph:
-    """Vertices added in id order; vertex v picks min(d, v) distinct
-    earlier neighbors by rejection (redraw on duplicates).
+    """Vertices added in id order; vertex v draws min(d, v) distinct
+    earlier neighbors (the distinct-draw rule of the module docstring).
 
     The insertion order 0..n-1 is itself the degeneracy certificate:
     every vertex has at most d neighbors with smaller ids.
@@ -113,13 +124,7 @@ def gen_d_degenerate(n: int, d: int, seed: int) -> Graph:
     rng = SplitMix64(seed)
     edges = []
     for v in range(1, n):
-        need = min(d, v)
-        picked: list[int] = []
-        while len(picked) < need:
-            u = rng.next_below(v)
-            if u not in picked:
-                picked.append(u)
-        edges.extend((u, v) for u in picked)
+        edges.extend((u, v) for u in _distinct(rng, min(d, v), v))
     return Graph(n, edges)
 
 
@@ -130,12 +135,12 @@ def gen_intersection_one(
     intersections of size <= 1.
 
     Rejection sampling: propose sets of uniform size in [1,
-    max_set_size] (clamped to the universe) with distinct elements
-    drawn by redraw-on-duplicate; accept a proposal iff it meets every
-    accepted set in <= 1 element and is not a repeat. Stops after
-    set_count acceptances or 64 * set_count proposals, then adds
-    singletons for any uncovered elements so the union is the whole
-    universe.
+    max_set_size] (clamped to the universe), the size drawn first and
+    then the elements by the distinct-draw rule of the module docstring;
+    accept a proposal iff it meets every accepted set in <= 1 element
+    and is not a repeat. Stops after set_count acceptances or 64 *
+    set_count proposals, then adds singletons for any uncovered
+    elements so the union is the whole universe.
     """
     if universe_size < 1 or set_count < 1 or max_set_size < 1:
         raise ValidationError("generator parameters must be >= 1")
@@ -149,13 +154,7 @@ def gen_intersection_one(
     for _ in range(proposal_cap):
         if len(accepted) >= set_count:
             break
-        size = 1 + rng.next_below(top)
-        elems: list[int] = []
-        while len(elems) < size:
-            e = rng.next_below(universe_size)
-            if e not in elems:
-                elems.append(e)
-        cand = tuple(sorted(elems))
+        cand = tuple(sorted(_distinct(rng, 1 + rng.next_below(top), universe_size)))
         if cand in accepted or _clash(cand, holders) >= 0:
             continue
         for e in cand:

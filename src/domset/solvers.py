@@ -396,14 +396,18 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
       the same size, and wins wherever p would have.
     * a prefix whose size plus `packed` is at least the best size so
       far. `packed` counts the live members of a 2-packing P of the
-      targets (`_packing`), built when a prefix first has a best size
-      to beat, since nothing reads it before: each member needs its own
-      dominator, so any extension has at least `packed` picks, and the
-      prefix could at best tie.
+      targets (`_packing`), built at the first prefix after a run has
+      completed, since nothing reads it before: each member needs its
+      own dominator, so any extension has at least `packed` picks, and
+      the prefix could at best tie.
     * the rest of an extension once it cannot end strictly below the
       best size so far (`cutoff` of `_greedy_rounds`, which also gets
       the packing); at best it would tie, and a tie keeps the earlier
       prefix.
+
+    The search starts from a best size of n + 1. Picks are distinct
+    vertices, so no run reaches it, and the first extension runs to the
+    end; every run that returns is smaller than the best so far.
     """
     tids = _vertex_ids(g, targets)
     adj = g.adj
@@ -415,7 +419,7 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     packed = 0
 
     best_rounds: list[RoundRecord] | None = None
-    best_size: int | None = None
+    best_size = len(adj) + 1  # no run reaches it: picks are distinct vertices
     prefix_size = 0
     for p in range(len(base) + 1):
         if p:
@@ -429,23 +433,20 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
             prefix_size += len(chosen)
         if p < len(base) and len(base[p][0]) == 1:
             continue
-        if best_size is None:
-            cutoff = None
-        else:
-            if owner is None:  # the first prefix that reads the packing
-                owner, _ = _packing(adj, tids)
-                packed = sum(live[u] for u in tids if owner[u] == u)
-            cutoff = best_size - prefix_size
-            if packed >= cutoff:
-                continue
+        if owner is None and best_size <= len(adj):  # the first read, after a completed run
+            owner, _ = _packing(adj, tids)
+            packed = sum(live[u] for u in tids if owner[u] == u)
+        cutoff = best_size - prefix_size
+        if packed >= cutoff:
+            continue
         run = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
         if run is None:
             continue
+        # a run that returns ends below its cutoff: at the start of its
+        # last round, rounds + ceil(left / c) < cutoff
         extension = run[0]
-        size = prefix_size + len(extension)  # one pick per classical round
-        if best_size is None or size < best_size:
-            best_size = size
-            best_rounds = base[:p] + extension
+        best_size = prefix_size + len(extension)
+        best_rounds = base[:p] + extension
     assert best_rounds is not None
     return _assemble("hybrid", tids, best_rounds)
 

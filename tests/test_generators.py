@@ -194,6 +194,27 @@ def test_bad_arguments(make, args, message):
     assert str(exc.value) == message
 
 
+def test_distinct_matches_list_scan_redraw():
+    # the documented rule, written as a scan of the values drawn so far
+    def reference(rng, k, below):
+        picked = []
+        while len(picked) < k:
+            x = rng.next_below(below)
+            if x not in picked:
+                picked.append(x)
+        return picked
+
+    pick = SplitMix64(2024)
+    pairs = [(0, 1), (0, 5), (1, 1), (7, 7), (64, 64), (3, 1000)]
+    for _ in range(40):
+        below = 1 + pick.next_below(80)
+        pairs.append((pick.next_below(below + 1), below))
+    for seed, (k, below) in enumerate(pairs):
+        ours, ref = SplitMix64(seed), SplitMix64(seed)
+        assert generators._distinct(ours, k, below) == reference(ref, k, below), (k, below)
+        assert ours.next_u64() == ref.next_u64()  # the same number of draws
+
+
 class TestDeterminismAndSpecs:
     def test_repeat_runs_identical(self):
         a = gen_gnp(30, 0.2, 9)
@@ -248,8 +269,15 @@ class TestDeterminismAndSpecs:
             ("intersection_one_sc:universe_size=20,set_count=12,max_set_size=4,seed=5",
              "intersection_one_sc:max_set_size=4,set_count=12,universe_size=20,seed=5",
              "aae7350f5fa487fe"),
+            # wide draws: every vertex, or every set, draws up to the whole range
+            ("d_degenerate:n=300,d=300,seed=7", "d_degenerate:d=300,n=300,seed=7",
+             "772e156e1450734e"),
+            ("intersection_one_sc:universe_size=600,set_count=10,max_set_size=600,seed=1",
+             "intersection_one_sc:max_set_size=600,set_count=10,universe_size=600,seed=1",
+             "c6a6d17f7511379e"),
         ],
-        ids=["gnp", "grid", "random_tree", "d_degenerate", "intersection_one_sc"],
+        ids=["gnp", "grid", "random_tree", "d_degenerate", "intersection_one_sc",
+             "d_degenerate_wide", "intersection_one_sc_wide"],
     )
     def test_name_and_build_per_model(self, text, name, digest):
         spec = parse_genspec(text)
