@@ -127,9 +127,9 @@ def _run_algorithm(g: Graph, algo: str, i: int | None, targets=None) -> solvers.
 
 
 def cmd_solve(args) -> int:
+    _check_algorithm(args.algo, args.i)
     g = _read_graph(args.graph)
     targets = _read_vertex_list(args.targets) if args.targets else None
-    _check_algorithm(args.algo, args.i)
     result = _run_algorithm(g, args.algo, args.i, targets)
     _write(result.to_json() + "\n", args.out)
     return EXIT_OK
@@ -159,6 +159,12 @@ def cmd_exact(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (args.ds or args.witness):
+        raise ValidationError("verify needs --ds or --witness")
+    if args.ds and args.witness:
+        raise ValidationError("verify takes --ds or --witness, not both")
+    if args.targets and args.witness:
+        raise ValidationError("--targets applies to --ds, not to --witness")
     g = _read_graph(args.graph)
     if args.witness:
         try:
@@ -176,8 +182,6 @@ def cmd_verify(args) -> int:
             return EXIT_OK
         print("FAIL: not a complete bipartite subgraph")
         return EXIT_VALIDATION
-    if not args.ds:
-        raise ValidationError("verify needs --ds or --witness")
     ds = _read_vertex_list(args.ds)
     targets = _read_vertex_list(args.targets) if args.targets else None
     missing = _undominated(g, ds, targets)

@@ -38,20 +38,20 @@ built only for the rounds a result returns. A run costs O((n + m) log n)
 for the v_1 picks and gain updates. A chain step costs the degree sum of
 its pool, and each vertex enters one round's pool only, so chains of at
 most c picks add O(c (n + m)).
-Hybrid carries the live/gain state of the residual along the base
-rounds, so each extension starts from a copy of it. It extends only the
-prefixes that can change the answer. A prefix whose next base round has
-a single pick is skipped: that round is the classical round on the same
-residual, so the prefix and the one after it give the same rounds and
-the same size. A prefix is also skipped, before its state is copied,
-when its size plus a lower bound on any extension already reaches the
-best size so far. The bound is the number of live members of a
-2-packing of the targets (targets with pairwise disjoint closed
-neighborhoods, so each needs its own pick), built greedily once per call
-and counted down in O(1) per pick. An extension stops as soon as it
-provably cannot end strictly below the best size so far, which a later
-prefix needs to win: by the maximum gain, or by that packing count. All
-three skips leave the result unchanged.
+Hybrid extends only the prefixes that can change the answer. A prefix
+whose next base round has a single pick is skipped: that round is the
+classical round on the same residual, so the prefix and the one after it
+give the same rounds and the same size. A base run with no chained round
+is therefore returned as it is: it is the classical run. Otherwise hybrid
+carries the live/gain state of the residual along the base rounds, so
+each extension starts from a copy of it, and builds one 2-packing of the
+targets up front (targets with pairwise disjoint closed neighborhoods,
+so each needs its own pick), whose live members it counts down in O(1)
+per pick. A prefix is also skipped, before its state is copied, when its
+size plus that count already reaches the best size so far. An extension
+stops as soon as it provably cannot end strictly below the best size so
+far, which a later prefix needs to win: by the maximum gain, or by that
+packing count. All three skips leave the result unchanged.
 """
 
 from __future__ import annotations
@@ -249,17 +249,20 @@ def _greedy_rounds(
     is classical); i None chains while |B_{s+1}| >= s+1 (auto). Returns
     the rounds and, in parallel, each round's final chain pool, sorted.
 
-    With a round limit `cutoff`, returns None as soon as the run cannot
-    finish in fewer than `cutoff` rounds: a round removes at most the
-    current maximum gain, and gains only fall, so at least
-    ceil(left / max gain) rounds remain. A classical run (i = 2) may also
-    be given a 2-packing of the targets (see `_packing`): its `owner`
-    table and `packed`, the number of its members still live. Each pick
-    dominates at most one member, so at least `packed` rounds remain."""
+    A classical run (i = 2) may be given a round limit `cutoff`; it then
+    returns None as soon as it cannot finish in fewer than `cutoff`
+    rounds: a round removes at most the current maximum gain, and gains
+    only fall, so at least ceil(left / max gain) rounds remain. It may
+    also be given a 2-packing of the targets (see `_packing`): its
+    `owner` table and `packed`, the number of its members still live.
+    Each pick dominates at most one member, so at least `packed` rounds
+    remain. Both bounds count one pick per round, and a chained round
+    can remove more than the maximum gain, so other runs take neither
+    (ValueError)."""
     if i is not None and i < 2:
         raise ValidationError(f"parameter i must be >= 2, got {i}")
-    if owner is not None and i != 2:
-        raise ValueError("a packing bounds picks, so only classical runs (i = 2) take one")
+    if (cutoff is not None or owner is not None) and i != 2:
+        raise ValueError("the round bounds count one pick per round: classical runs only")
     n = len(adj)
     heap = [v - c * n for v, c in enumerate(gain) if c]
     heapify(heap)
@@ -393,21 +396,27 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
       the lowest-id vertex of maximum gain on the residual after the
       prefix, exactly as classical greedy would, so extension(p) is
       [base[p]] + extension(p+1): prefix p + 1 gives the same rounds at
-      the same size, and wins wherever p would have.
+      the same size, and wins wherever p would have. So when no base
+      round is chained, only the full prefix is left, its extension is
+      empty, and the base run is returned as it is (it is the classical
+      run); this holds for auto on every tree, for i = 2 and for an
+      empty target set.
     * a prefix whose size plus `packed` is at least the best size so
       far. `packed` counts the live members of a 2-packing P of the
-      targets (`_packing`), built at the first prefix after a run has
-      completed, since nothing reads it before: each member needs its
-      own dominator, so any extension has at least `packed` picks, and
-      the prefix could at best tie.
+      targets (`_packing`), built once, before the first prefix, when
+      some base round is chained: each member needs its own dominator,
+      so any extension has at least `packed` picks, and the prefix
+      could at best tie.
     * the rest of an extension once it cannot end strictly below the
       best size so far (`cutoff` of `_greedy_rounds`, which also gets
       the packing); at best it would tie, and a tie keeps the earlier
       prefix.
 
     The search starts from a best size of n + 1. Picks are distinct
-    vertices, so no run reaches it, and the first extension runs to the
-    end; every run that returns is smaller than the best so far.
+    vertices, and a live member of P is a target no pick has dominated,
+    so it is not a pick either: prefix size + `packed` and every run
+    stay at most n, and the first extension runs to the end. Every run
+    that returns is smaller than the best so far.
     """
     tids = _vertex_ids(g, targets)
     adj = g.adj
@@ -415,8 +424,9 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     # the base run and each extension run on a copy
     live, gain = _residual(adj, tids)
     base = _greedy_rounds(adj, live[:], gain[:], i)[0]
-    owner: list[int] | None = None
-    packed = 0
+    if all(len(chosen) == 1 for chosen, _, _ in base):
+        return _assemble("hybrid", tids, base)
+    owner, packed = _packing(adj, tids)  # every member is live at prefix 0
 
     best_rounds: list[RoundRecord] | None = None
     best_size = len(adj) + 1  # no run reaches it: picks are distinct vertices
@@ -425,17 +435,13 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
         if p:
             chosen = base[p - 1][0]
             for v in chosen:
-                if owner is not None:
-                    o = owner[v]
-                    if o >= 0 and live[o]:
-                        packed -= 1
+                o = owner[v]
+                if o >= 0 and live[o]:
+                    packed -= 1
                 _dominate(adj, live, gain, v)
             prefix_size += len(chosen)
         if p < len(base) and len(base[p][0]) == 1:
             continue
-        if owner is None and best_size <= len(adj):  # the first read, after a completed run
-            owner, _ = _packing(adj, tids)
-            packed = sum(live[u] for u in tids if owner[u] == u)
         cutoff = best_size - prefix_size
         if packed >= cutoff:
             continue
@@ -443,7 +449,7 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
         if run is None:
             continue
         # a run that returns ends below its cutoff: at the start of its
-        # last round, rounds + ceil(left / c) < cutoff
+        # last round, rounds + max(ceil(left / c), packed) < cutoff
         extension = run[0]
         best_size = prefix_size + len(extension)
         best_rounds = base[:p] + extension

@@ -71,6 +71,18 @@ class TestSolve:
         assert main(["solve", "--algo", algo, "--i", "3", p4_file]) == 2
         assert capsys.readouterr().err == f"error: {algo} takes no i parameter\n"
 
+    @pytest.mark.parametrize("argv, err", [
+        (["--algo", "classical", "--i", "3"], "classical takes no i parameter"),
+        (["--algo", "fixed"], "fixed requires an i, e.g. --i 2 or fixed:2"),
+    ], ids=["ignored-i", "missing-i"])
+    def test_bad_algorithm_is_refused_before_reading(self, tmp_path, capsys, p4_file, argv, err):
+        out = tmp_path / "r.json"
+        missing = str(tmp_path / "missing.txt")
+        for inputs in ([missing], ["--targets", missing, p4_file]):
+            assert main(["solve", *argv, "--out", str(out), *inputs]) == 2
+            assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not out.exists()
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.gr"
         bad.write_text("p ds x y\n")
@@ -262,9 +274,21 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: bad witness file: maximum recursion depth exceeded")
 
-    def test_needs_ds_or_witness(self, capsys, p4_file):
-        assert main(["verify", p4_file]) == 2
-        assert capsys.readouterr() == ("", "error: verify needs --ds or --witness\n")
+    def test_needs_ds_or_witness(self, tmp_path, capsys, p4_file):
+        for graph in (p4_file, str(tmp_path / "missing.gr")):
+            assert main(["verify", graph]) == 2
+            assert capsys.readouterr() == ("", "error: verify needs --ds or --witness\n")
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--ds", "ds.txt", "--witness", "w.json"], "verify takes --ds or --witness, not both"),
+        (["--witness", "w.json", "--targets", "t.txt"],
+         "--targets applies to --ds, not to --witness"),
+    ], ids=["ds-and-witness", "targets-with-witness"])
+    def test_dropped_flag_is_refused_before_reading(self, tmp_path, capsys, flags, err):
+        # every named file is missing: the flags are checked before any is read
+        argv = [str(tmp_path / f) if f[0] != "-" else f for f in flags]
+        assert main(["verify", *argv, str(tmp_path / "missing.gr")]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_witness_with_overlong_integer(self, tmp_path, capsys, c4_file):
         # json.loads raises a bare ValueError past int's digit limit

@@ -17,6 +17,7 @@ from domset import solvers
 from domset.errors import RangeError, ValidationError
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
 from domset.graph import Graph, is_dominating
+from domset.oracles import harmonic
 from domset.solvers import (
     BicliqueWitness,
     Round,
@@ -165,11 +166,12 @@ class TestHybrid:
         return calls
 
     def test_single_pick_prefixes_are_not_extended(self, monkeypatch):
-        # a tree holds no 4-cycle, so every auto round has one pick and
-        # only the full prefix is extended after the base run
+        # a tree holds no 4-cycle, so every auto round has one pick: the
+        # base run is the classical run and is returned with no extension
         g = gen_random_tree(300, 1)
         assert all(len(r.chosen) == 1 for r in solve_auto(g).trace.rounds)
-        assert self.engine_calls(monkeypatch, g, None) == [None, 2]
+        assert self.engine_calls(monkeypatch, g, None) == [None]
+        assert solve_hybrid(g).trace.rounds == solve_classical(g).trace.rounds
 
     def test_packing_skips_chained_prefixes(self, monkeypatch):
         # fixed:3 chains two picks per round on a tree, so every prefix
@@ -179,8 +181,8 @@ class TestHybrid:
         assert self.engine_calls(monkeypatch, g, 3) == [3] + [2] * 9
 
     def test_packing_built_only_when_read(self, monkeypatch):
-        # auto takes one pick per round on a tree, so only the full prefix
-        # is extended, with no best size to beat and no packing to read
+        # auto takes one pick per round on a tree, so the base run is
+        # returned as it is and no prefix reads a packing
         g = gen_random_tree(40, 1)
         expected = solve_hybrid(g)
 
@@ -322,6 +324,49 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     def test_trace_on_larger_graphs(self, algo, g):
         check_engine_run(g, algo, None)
+
+
+class TestAgainstBruteForce:
+    """Every solver on small G(n, p) with drawn targets, against the
+    exhaustive minimum of `brute_min_dominating`."""
+
+    SOLVERS = {
+        "classical": solve_classical,
+        "fixed:2": lambda g, t: solve_fixed_i(g, 2, t),
+        "fixed:3": lambda g, t: solve_fixed_i(g, 3, t),
+        "fixed:4": lambda g, t: solve_fixed_i(g, 4, t),
+        "auto": solve_auto,
+        "hybrid": lambda g, t: solve_hybrid(g, None, t),
+        "hybrid:3": lambda g, t: solve_hybrid(g, 3, t),
+    }
+
+    @given(
+        g=st.builds(
+            gen_gnp,
+            st.integers(min_value=0, max_value=12),
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0]),
+            st.integers(min_value=0, max_value=2**32),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sizes_against_the_optimum(self, g, data):
+        targets = [v for v in range(g.n) if data.draw(st.booleans())]
+        opt, _ = brute_min_dominating(g, targets)
+        sizes = {}
+        for name, solve in self.SOLVERS.items():
+            ds = solve(g, targets).dominating_set
+            assert is_dominating(g, ds, targets), name
+            assert len(ds) >= opt, name
+            sizes[name] = len(ds)
+        # Chvatal: greedy set cover is within H(d) of the optimum, d the
+        # largest number of targets one closed neighborhood holds
+        tset = set(targets)
+        d = max((len(tset.intersection(closed_neighborhood(g, v))) for v in range(g.n)),
+                default=0)
+        assert sizes["classical"] <= harmonic(d) * opt + 1e-9
+        assert sizes["hybrid"] <= sizes["classical"]
+        assert sizes["hybrid:3"] <= sizes["classical"]
 
 
 class TestFirstRoundHitsEveryOptimum:
@@ -492,6 +537,17 @@ class TestEngineIdentities:
         owner, packed = solvers._packing(adj, tids)
         with pytest.raises(ValueError):
             solvers._greedy_rounds(adj, *solvers._residual(adj, tids), i, 5, owner, packed)
+
+    @pytest.mark.parametrize("i", [None, 3])
+    def test_round_limit_only_for_classical_runs(self, i):
+        # fixed:3 takes (4, 0) in one round and dominates all 5 targets,
+        # more than the maximum gain 4: ceil(5 / 4) = 2 would cut the
+        # run off at a limit of 2, though it ends in 1 round
+        adj, tids = Graph(5, [(0, 3), (0, 4), (1, 4), (2, 4)]).adj, tuple(range(5))
+        rounds, _ = solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 3)
+        assert rounds == [((4, 0), (3, 0), 5)]
+        with pytest.raises(ValueError):
+            solvers._greedy_rounds(adj, *solvers._residual(adj, tids), i, 2)
 
 
 class TestEngineRecords:
