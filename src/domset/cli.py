@@ -108,8 +108,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _check_algorithm(algo: str, i: int | None) -> None:
-    """Reject an unknown algorithm, and an i it needs but lacks or would
-    ignore. The range of i is the solver's to check."""
+    """Reject an unknown algorithm, an i it needs but lacks or would
+    ignore, and an i below 2, with the solvers' own message."""
     if algo not in _ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algo!r}")
     uses_i = _ALGORITHMS[algo][1]
@@ -117,6 +117,7 @@ def _check_algorithm(algo: str, i: int | None) -> None:
         raise ValidationError(f"{algo} requires an i, e.g. --i 2 or {algo}:2")
     if uses_i == "never" and i is not None:
         raise ValidationError(f"{algo} takes no i parameter")
+    solvers._check_i(i)
 
 
 def _run_algorithm(g: Graph, algo: str, i: int | None, targets=None) -> solvers.SolveResult:

@@ -173,7 +173,6 @@ def parse_graph(text: str | bytes) -> Graph:
     text = _as_text(text)
     n = m_declared = None
     edges: list[tuple[int, int]] = []
-    edge_lines = 0
     for lineno, (raw, end) in enumerate(_lines(text), start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "c":
@@ -197,7 +196,7 @@ def parse_graph(text: str | bytes) -> Graph:
             continue
         if len(fields) != 3 or fields[0] != "e":
             raise ParseError(f"expected 'e <u> <v>', got {raw.strip()!r}", lineno)
-        if edge_lines >= m_declared:
+        if len(edges) >= m_declared:
             raise ParseError(f"more than {m_declared} edge lines", lineno)
         _, a, b = fields
         try:
@@ -214,11 +213,10 @@ def parse_graph(text: str | bytes) -> Graph:
         if u == v:
             raise ValidationError(f"line {lineno}: self-loop {raw.strip()!r}")
         edges.append((u, v))
-        edge_lines += 1
     if n is None:
         raise ParseError("missing 'p ds <n> <m>' header")
-    if edge_lines != m_declared:
-        raise ParseError(f"header declares {m_declared} edges, found {edge_lines}")
+    if len(edges) != m_declared:
+        raise ParseError(f"header declares {m_declared} edges, found {len(edges)}")
     return Graph(n, edges)
 
 

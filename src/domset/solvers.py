@@ -6,11 +6,13 @@ vertex set (coverage is at least 1 while targets remain, because every
 target dominates itself). It may then chain further picks: after
 v_1..v_s with nested pools B_1 >= B_2 >= ... (B_1 = N[v_1] & A minus
 v_1, B_{s+1} = N[v_{s+1}] & B_s minus v_{s+1}), the next pick v_{s+1}
-is the unchosen vertex of maximum coverage of B_s. The variants differ
-only in when the chain stops:
+is the unchosen vertex of maximum coverage of B_s. No pool member is
+ever chosen (B_s leaves out v_s), and each member covers itself, so a
+non-empty pool always has a candidate. The variants differ only in when
+the chain stops:
 
 * fixed_i(i)    -- chains while fewer than i-1 vertices are chosen and
-                   some unchosen vertex still meets B_s.
+                   the pool B_s is non-empty.
 * classical     -- fixed_i with i = 2: never chains (one vertex per
                    round).
 * auto          -- chains while the best pick would leave |B_{s+1}| >=
@@ -33,11 +35,13 @@ order of (-gain, id)), and v = key % n. The v_1 pick re-keys the top
 until its key is current, and as gains only fall that top is the
 lowest-id maximum. A chain pick counts |N[w] & B_s| only over w in
 N[B_s], the only vertices that meet the pool. Rounds are recorded as
-plain (chosen, b_sizes, newly_dominated) tuples; `Round` objects are
-built only for the rounds a result returns. A run costs O((n + m) log n)
-for the v_1 picks and gain updates. A chain step costs the degree sum of
-its pool, and each vertex enters one round's pool only, so chains of at
-most c picks add O(c (n + m)).
+plain (chosen, b_sizes, newly_dominated, pool) tuples, pool being the
+round's final chain pool, sorted; a round of l picks with a non-empty
+pool certifies a K_{l,l}, and auto reads its witness from these records
+alone. `Round` objects are built only for the rounds a result returns.
+A run costs O((n + m) log n) for the v_1 picks and gain updates. A
+chain step costs the degree sum of its pool, and each vertex enters one
+round's pool only, so chains of at most c picks add O(c (n + m)).
 Hybrid extends only the prefixes that can change the answer. A prefix
 whose next base round has a single pick is skipped: that round is the
 classical round on the same residual, so the prefix and the one after it
@@ -217,22 +221,29 @@ def _packing(adj, tids: tuple[int, ...]) -> tuple[list[int], int]:
 
 
 def _chain_pick(adj, pool: list[int], chosen: list[int]) -> int:
-    """Unchosen vertex maximizing |N[w] & pool|, lowest id on ties; -1
-    when none meets the pool. Only w in N[pool] can meet it."""
+    """Unchosen vertex maximizing |N[w] & pool|, lowest id on ties, for
+    a non-empty pool. Only w in N[pool] can meet it, and every member,
+    being unchosen, meets it at least in itself."""
     cnt = Counter(pool)
     for b in pool:
         cnt.update(adj[b])
     for v in chosen:
         cnt.pop(v, None)
-    if not cnt:
-        return -1
     top = max(cnt.values())
     return min(w for w, c in cnt.items() if c == top)
 
 
-# A round as the engine records it: (chosen, b_sizes, newly_dominated),
-# the fields of `Round` in order.
-RoundRecord = tuple[tuple[int, ...], tuple[int, ...], int]
+# A round as the engine records it: (chosen, b_sizes, newly_dominated,
+# pool), the fields of `Round` in order and then the round's final chain
+# pool, sorted.
+RoundRecord = tuple[tuple[int, ...], tuple[int, ...], int, list[int]]
+
+
+def _check_i(i: int | None) -> None:
+    """Reject a chain parameter below 2 (ValidationError); None, which
+    runs auto, passes."""
+    if i is not None and i < 2:
+        raise ValidationError(f"parameter i must be >= 2, got {i}")
 
 
 def _greedy_rounds(
@@ -243,11 +254,12 @@ def _greedy_rounds(
     cutoff: int | None = None,
     owner: list[int] | None = None,
     packed: int = 0,
-) -> tuple[list[RoundRecord], list[list[int]]] | None:
+) -> list[RoundRecord] | None:
     """Run rounds until no live target remains, consuming `live` and
     `gain`. An integer i >= 2 allows at most i-1 picks per round (i = 2
-    is classical); i None chains while |B_{s+1}| >= s+1 (auto). Returns
-    the rounds and, in parallel, each round's final chain pool, sorted.
+    is classical); i None chains while |B_{s+1}| >= s+1 (auto). A chain
+    runs only while its pool is non-empty. Returns the rounds, each with
+    its final chain pool.
 
     A classical run (i = 2) may be given a round limit `cutoff`; it then
     returns None as soon as it cannot finish in fewer than `cutoff`
@@ -259,8 +271,7 @@ def _greedy_rounds(
     remain. Both bounds count one pick per round, and a chained round
     can remove more than the maximum gain, so other runs take neither
     (ValueError)."""
-    if i is not None and i < 2:
-        raise ValidationError(f"parameter i must be >= 2, got {i}")
+    _check_i(i)
     if (cutoff is not None or owner is not None) and i != 2:
         raise ValueError("the round bounds count one pick per round: classical runs only")
     n = len(adj)
@@ -268,7 +279,6 @@ def _greedy_rounds(
     heapify(heap)
     left = live.count(1)
     rounds: list[RoundRecord] = []
-    pools: list[list[int]] = []
     while left:
         # Gains only fall, so a stored key is never below the current
         # one; the first top whose key is current is the lowest-id maximum.
@@ -288,10 +298,8 @@ def _greedy_rounds(
         chosen = [v1]
         pool = [w for w in adj[v1] if live[w]]
         b_sizes = [len(pool)]
-        while i is None or len(chosen) < i - 1:
+        while pool and (i is None or len(chosen) < i - 1):
             v = _chain_pick(adj, pool, chosen)
-            if v < 0:
-                break
             nbrs = set(adj[v])
             b_next = [b for b in pool if b in nbrs]
             if i is None and len(b_next) < len(chosen) + 1:
@@ -307,33 +315,34 @@ def _greedy_rounds(
         for v in chosen:
             covered += _dominate(adj, live, gain, v)
         left -= covered
-        rounds.append((tuple(chosen), tuple(b_sizes), covered))
-        pools.append(pool)
-    return rounds, pools
+        rounds.append((tuple(chosen), tuple(b_sizes), covered, pool))
+    return rounds
 
 
 def _run(
     g: Graph, targets: Iterable[int] | None, i: int | None
-) -> tuple[tuple[int, ...], list[RoundRecord], list[list[int]]]:
+) -> tuple[tuple[int, ...], list[RoundRecord]]:
     """The sorted target ids (None: every vertex), and the engine's
-    rounds and pools for them."""
+    rounds for them."""
     tids = _vertex_ids(g, targets)
-    return (tids, *_greedy_rounds(g.adj, *_residual(g.adj, tids), i))
+    return tids, _greedy_rounds(g.adj, *_residual(g.adj, tids), i)
 
 
 def _assemble(
     algorithm: str, tids: tuple[int, ...], rounds: list[RoundRecord], **extra
 ) -> SolveResult:
-    dom = tuple(sorted(v for chosen, _, _ in rounds for v in chosen))
+    dom = tuple(sorted(v for chosen, _, _, _ in rounds for v in chosen))
     trace = GreedyTrace(
-        initial_targets=tids, rounds=tuple(Round(*r) for r in rounds), final_set=dom
+        initial_targets=tids,
+        rounds=tuple(Round(c, b, k) for c, b, k, _ in rounds),
+        final_set=dom,
     )
     return SolveResult(algorithm, dom, trace, **extra)
 
 
 def solve_classical(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     """Plain greedy: per round, one vertex of maximum coverage."""
-    tids, rounds, _ = _run(g, targets, 2)
+    tids, rounds = _run(g, targets, 2)
     return _assemble("classical", tids, rounds)
 
 
@@ -341,45 +350,32 @@ def solve_fixed_i(g: Graph, i: int, targets: Iterable[int] | None = None) -> Sol
     """Chained greedy with at most i-1 picks per round (i >= 2)."""
     if i is None:  # the engine would run auto
         raise ValidationError("parameter i must be >= 2, got None")
-    tids, rounds, _ = _run(g, targets, i)
+    tids, rounds = _run(g, targets, i)
     return _assemble("fixed", tids, rounds)
-
-
-def _round_depth(r: RoundRecord) -> int:
-    """Chain depth certified by a round: its pick count, except a
-    single-pick round with an empty pool certifies nothing."""
-    chosen, b_sizes, _ = r
-    l = len(chosen)
-    if l == 1 and b_sizes[0] == 0:
-        return 0
-    return l
 
 
 def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     """Parameterless variant: chains while the pool stays large enough,
     and reports the deepest chain as a biclique witness.
 
-    t_detected is 1 + the deepest certified chain depth; each chain of
-    depth l pairs its picks with l members of the final pool to form a
-    complete bipartite subgraph K_{l,l}. On graphs where no round ever
-    certifies depth >= 1 (no edge touches a target), t_detected is 1
-    and no witness exists.
+    A round of l picks whose final pool is non-empty certifies a
+    K_{l,l}: every pool member is adjacent to every pick, and a chained
+    round's pool holds at least l members, as auto adds a pick only when
+    |B_{s+1}| >= s+1. Its depth is l, or 0 for an empty pool (a single
+    pick with no live neighbor). t_detected is 1 + the greatest depth,
+    and the witness pairs the sorted picks of the earliest round of that
+    depth with the `depth` smallest ids of its pool. On graphs where no
+    round certifies depth >= 1 (no edge touches a target), t_detected is
+    1 and no witness exists.
     """
-    tids, rounds, pools = _run(g, targets, None)
-    best_depth = 0
-    best = -1
-    for k, r in enumerate(rounds):
-        d = _round_depth(r)
-        if d > best_depth:  # earliest round wins ties
-            best_depth = d
-            best = k
+    tids, rounds = _run(g, targets, None)
+    depths = [len(chosen) if pool else 0 for chosen, _, _, pool in rounds]
+    depth = max(depths, default=0)
     witness = None
-    if best >= 0:
-        witness = BicliqueWitness(
-            left=tuple(sorted(rounds[best][0])),
-            right=tuple(pools[best][:best_depth]),
-        )
-    return _assemble("auto", tids, rounds, t_detected=best_depth + 1, witness=witness)
+    if depth:
+        chosen, _, _, pool = rounds[depths.index(depth)]  # the earliest wins ties
+        witness = BicliqueWitness(left=tuple(sorted(chosen)), right=tuple(pool[:depth]))
+    return _assemble("auto", tids, rounds, t_detected=depth + 1, witness=witness)
 
 
 def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None = None) -> SolveResult:
@@ -423,8 +419,8 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     # the residual after each base prefix, carried forward round by round;
     # the base run and each extension run on a copy
     live, gain = _residual(adj, tids)
-    base = _greedy_rounds(adj, live[:], gain[:], i)[0]
-    if all(len(chosen) == 1 for chosen, _, _ in base):
+    base = _greedy_rounds(adj, live[:], gain[:], i)
+    if all(len(chosen) == 1 for chosen, _, _, _ in base):
         return _assemble("hybrid", tids, base)
     owner, packed = _packing(adj, tids)  # every member is live at prefix 0
 
@@ -445,12 +441,11 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
         cutoff = best_size - prefix_size
         if packed >= cutoff:
             continue
-        run = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
-        if run is None:
+        extension = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
+        if extension is None:
             continue
         # a run that returns ends below its cutoff: at the start of its
         # last round, rounds + max(ceil(left / c), packed) < cutoff
-        extension = run[0]
         best_size = prefix_size + len(extension)
         best_rounds = base[:p] + extension
     assert best_rounds is not None

@@ -294,12 +294,17 @@ def lower_recursion_limit(headroom):
 def check_trace(g: Graph, result, targets=None, cap=None, auto_gate=False):
     """Replay a trace, asserting the greedy selection rules hold at
     every step: lowest-id maximality for each pick, nested pools with
-    recorded sizes, per-round progress, and an empty final residual."""
+    recorded sizes, per-round progress, and an empty final residual.
+    With `auto_gate`, also re-derive auto's certificate from the
+    replayed pools: the earliest round of greatest depth (its pick count
+    if its final pool is non-empty, else 0), t_detected = depth + 1, and
+    the witness (sorted picks, the `depth` smallest ids of that pool)."""
     masks = [closed_mask(g, v) for v in range(g.n)]
     tmask = target_mask(g, targets)
     assert result.trace.initial_targets == ids_in(tmask)
     active = tmask
     all_chosen = []
+    best_depth, best_witness = 0, None
     for rnd in result.trace.rounds:
         assert len(rnd.chosen) >= 1
         assert len(set(rnd.chosen)) == len(rnd.chosen)
@@ -350,9 +355,17 @@ def check_trace(g: Graph, result, targets=None, cap=None, auto_gate=False):
             else:
                 assert best_c == 0
         assert rnd.newly_dominated == covered.bit_count() >= 1
+        depth = len(rnd.chosen) if pool else 0
+        if depth > best_depth:  # the earliest round wins ties
+            best_depth = depth
+            best_witness = (tuple(sorted(rnd.chosen)), ids_in(pool)[:depth])
         active &= ~covered
         all_chosen.extend(rnd.chosen)
     assert active == 0
+    if auto_gate:
+        assert result.t_detected == best_depth + 1
+        got = None if result.witness is None else (result.witness.left, result.witness.right)
+        assert got == best_witness
     assert len(set(all_chosen)) == len(all_chosen)
     assert result.trace.final_set == tuple(sorted(all_chosen))
     assert result.dominating_set == result.trace.final_set

@@ -74,7 +74,9 @@ class TestSolve:
     @pytest.mark.parametrize("argv, err", [
         (["--algo", "classical", "--i", "3"], "classical takes no i parameter"),
         (["--algo", "fixed"], "fixed requires an i, e.g. --i 2 or fixed:2"),
-    ], ids=["ignored-i", "missing-i"])
+        (["--algo", "fixed", "--i", "1"], "parameter i must be >= 2, got 1"),
+        (["--algo", "hybrid", "--i", "1"], "parameter i must be >= 2, got 1"),
+    ], ids=["ignored-i", "missing-i", "fixed-i-below-2", "hybrid-i-below-2"])
     def test_bad_algorithm_is_refused_before_reading(self, tmp_path, capsys, p4_file, argv, err):
         out = tmp_path / "r.json"
         missing = str(tmp_path / "missing.txt")
@@ -539,6 +541,16 @@ class TestBench:
     def test_bad_algos_rejected(self, capsys):
         assert main(["bench", "--algos", "quantum"]) == 2
         assert main(["bench", "--algos", "fixed"]) == 2
+
+    @pytest.mark.parametrize("algos", ["fixed:1", "hybrid:1", "classical,hybrid:0"])
+    def test_i_below_2_is_refused_before_reading(self, tmp_path, capsys, algos):
+        # the --graphs directory is missing: --algos is checked before it is read
+        out = tmp_path / "b.csv"
+        argv = ["bench", "--graphs", str(tmp_path / "missing"), "--algos", algos]
+        assert main([*argv, "--out", str(out)]) == 2
+        i = algos[-1]
+        assert capsys.readouterr() == ("", f"error: parameter i must be >= 2, got {i}\n")
+        assert not out.exists()
 
 
 class TestReduce:

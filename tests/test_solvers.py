@@ -509,7 +509,7 @@ class TestEngineIdentities:
         for name, g in validity_suite:
             tids = tuple(range(g.n))
             packing = solvers._packing(g.adj, tids)
-            rounds, _ = solvers._greedy_rounds(g.adj, *solvers._residual(g.adj, tids), 2)
+            rounds = solvers._greedy_rounds(g.adj, *solvers._residual(g.adj, tids), 2)
             for cutoff in range(len(rounds) + 2):
                 for extra in ((), packing):
                     got = solvers._greedy_rounds(
@@ -518,7 +518,7 @@ class TestEngineIdentities:
                     if cutoff <= len(rounds):
                         assert got is None, (name, cutoff, bool(extra))
                     else:
-                        assert got[0] == rounds, (name, cutoff, bool(extra))
+                        assert got == rounds, (name, cutoff, bool(extra))
 
     def test_packing_cuts_off_before_the_first_round(self):
         # on a tree one high-degree vertex keeps ceil(left / max gain)
@@ -544,8 +544,8 @@ class TestEngineIdentities:
         # more than the maximum gain 4: ceil(5 / 4) = 2 would cut the
         # run off at a limit of 2, though it ends in 1 round
         adj, tids = Graph(5, [(0, 3), (0, 4), (1, 4), (2, 4)]).adj, tuple(range(5))
-        rounds, _ = solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 3)
-        assert rounds == [((4, 0), (3, 0), 5)]
+        rounds = solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 3)
+        assert rounds == [((4, 0), (3, 0), 5, [])]
         with pytest.raises(ValueError):
             solvers._greedy_rounds(adj, *solvers._residual(adj, tids), i, 2)
 
