@@ -8,7 +8,9 @@ The first part of a cell's name says what it times:
   `exact_check` corpus), and on the pinned random trees at n = 60 and 80;
 - `ingest/...`: `parse_graph` on the `serialize_graph` text of a random
   tree, a square grid and a 3-degenerate graph at n = 10^3, 10^4 and
-  10^5 (the text is made once, outside the timed runs).
+  10^5 (the text is made once, outside the timed runs);
+- `gen/...`: the generator itself, `gen_gnp(n, 4/n, 1)` at n = 1000
+  and 4000.
 
     python3 benchmarks/scaling.py --label NAME            # writes BENCH_NAME.json
     python3 benchmarks/scaling.py --label NAME --src DIR  # measures DIR/domset
@@ -21,14 +23,15 @@ quartiles over `REPS` repetitions. Outside the timed repetitions, one
 counting run records what the outputs are, summed over the cell's
 inputs: for oracle cells node_count and the distinct bound passes
 (calls of `oracles._bound_and_target`: one per distinct memo key while
-the memo is not cleared), for ingest cells the vertices and edges read.
+the memo is not cleared), for ingest and gen cells the vertices and
+edges of the graphs read or made.
 Under `tracemalloc`, each input is run `PEAK_RUNS` more times, with
 `gc.collect()` before each run; the cell's peak_mib is the largest,
 over its inputs, of the median peak of one call, so one stray reading
 does not set it. The collection also empties the interpreter's free
 lists, so a call's peak counts the objects it would otherwise take from
 them, whatever ran before. A SHA-256 over the outputs (result
-documents, or the parsed graphs serialized again) pins them.
+documents, or the graphs serialized) pins them.
 
 With `--against DIR`, a second copy of the package is loaded from DIR
 and timed in the same process, alternating with the first: in even
@@ -42,6 +45,7 @@ run stops with exit 1 if the two copies' outputs differ.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import importlib
@@ -74,16 +78,24 @@ for _n in (10**3, 10**4, 10**5):
     CELLS[f"ingest/random_tree/n{_n}/seed1"] = [("gen_random_tree", (_n, 1))]
     CELLS[f"ingest/grid/{_side}x{_side}"] = [("gen_grid", (_side, _side))]
     CELLS[f"ingest/d_degenerate/n{_n}/d3/seed1"] = [("gen_d_degenerate", (_n, 3, 1))]
+for _n in (1000, 4000):
+    CELLS[f"gen/gnp/n{_n}/p4n/seed1"] = [("gen_gnp", (_n, 4 / _n, 1))]
 SMOKE_CELLS = {
     "oracle/random_tree/n40/seeds0-4": CELLS["oracle/random_tree/n40/seeds0-99"][:5],
     "oracle/d_degenerate/n40/d2/seeds0-4": CELLS["oracle/d_degenerate/n40/d2/seeds0-59"][:5],
     "oracle/random_tree/n60/seed1": CELLS["oracle/random_tree/n60/seed1"],
     "ingest/d_degenerate/n1000/d3/seed1": CELLS["ingest/d_degenerate/n1000/d3/seed1"],
+    "gen/gnp/n1000/p4n/seed1": CELLS["gen/gnp/n1000/p4n/seed1"],
 }
 
 
-def is_ingest(cell: str) -> bool:
-    return cell.startswith("ingest/")
+def kind(cell: str) -> str:
+    """"oracle", "ingest" or "gen": the first part of the cell's name."""
+    return cell.partition("/")[0]
+
+
+def invoke(make):
+    return make()
 
 
 def load_package(src: Path, name: str) -> None:
@@ -110,14 +122,21 @@ class Subject:
         gens = importlib.import_module(f"{name}.generators")
         self.inputs = {}
         for cell, specs in cells.items():
-            graphs = [getattr(gens, fn)(*args) for fn, args in specs]
-            self.inputs[cell] = (
-                [self.graph.serialize_graph(g) for g in graphs] if is_ingest(cell) else graphs
-            )
+            makes = [functools.partial(getattr(gens, fn), *args) for fn, args in specs]
+            if kind(cell) == "gen":
+                self.inputs[cell] = makes
+            elif kind(cell) == "ingest":
+                self.inputs[cell] = [self.graph.serialize_graph(make()) for make in makes]
+            else:
+                self.inputs[cell] = [make() for make in makes]
 
     def function(self, cell: str):
         """What one repetition of `cell` calls on each of its inputs."""
-        return self.graph.parse_graph if is_ingest(cell) else self.oracles.exact_min_dominating_set
+        return {
+            "oracle": self.oracles.exact_min_dominating_set,
+            "ingest": self.graph.parse_graph,
+            "gen": invoke,
+        }[kind(cell)]
 
     def run(self, cell: str) -> float:
         call = self.function(cell)
@@ -127,14 +146,16 @@ class Subject:
         return time.perf_counter() - start
 
     def count(self, cell: str) -> dict:
-        return self.count_ingest(cell) if is_ingest(cell) else self.count_oracle(cell)
+        return self.count_oracle(cell) if kind(cell) == "oracle" else self.count_graphs(cell)
 
-    def count_ingest(self, cell: str) -> dict:
-        """Vertices and edges read and the digest of the graphs, from one run."""
+    def count_graphs(self, cell: str) -> dict:
+        """Vertices and edges read or made and the digest of the graphs,
+        from one run."""
+        function = self.function(cell)
         digest = hashlib.sha256()
         vertices = edges = 0
-        for text in self.inputs[cell]:
-            g = self.graph.parse_graph(text)
+        for x in self.inputs[cell]:
+            g = function(x)
             vertices += g.n
             edges += g.m
             digest.update(self.graph.serialize_graph(g).encode())

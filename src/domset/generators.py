@@ -6,10 +6,18 @@ or implementation. Uniform floats take the top 53 bits of each 64-bit
 output divided by 2^53; uniform integers below k are floor(float * k).
 k distinct integers below b are drawn one by one, a repeat redrawn,
 and kept in first-drawn order (`_distinct`).
+
+splitmix64's state after k draws is seed + k * gamma mod 2^64, so draw
+k is a pure function of its index (Steele, Lea and Flood, OOPSLA 2014).
+G(n, p) uses that to compute its draws in fixed blocks, many at once
+(`_draws_below`): the same draws in the same order as one at a time. A
+float draw x = u64 >> 11 over 2^53 is < p exactly when the integer
+u64 < ceil(p * 2^53) * 2^11, which is the test it makes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -18,6 +26,12 @@ from .graph import Graph, _check_vertex_count
 from .reduction import SetCoverInstance, _clash
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# draws per block of `_draws_below`; 1024 to 16384 time the same, 65536
+# is slower
+_BLOCK = 4096
 
 
 class SplitMix64:
@@ -30,10 +44,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_f53(self) -> float:
@@ -53,6 +67,44 @@ def _distinct(rng: SplitMix64, k: int, below: int) -> list[int]:
     return list(seen)
 
 
+def _draws_below(seed: int, count: int, threshold: int):
+    """Yield, ascending, each k < count whose draw k + 1 of
+    SplitMix64(seed) is below `threshold` (0 <= threshold <= 2^64).
+
+    A block of r draws is one int with a 128-bit lane per draw, draw j
+    in bits 128j and up. Each splitmix64 step acts on all lanes at once;
+    masking every lane to 64 bits before a multiply by a 64-bit constant
+    keeps each product below 2^128, so no lane spills into the next.
+    A 64-bit output u is below `threshold` iff bit 64 of u + 2^64 -
+    threshold is clear; byte 8 of the lane holds that bit and zeros.
+    """
+    width = min(_BLOCK, count)
+    ones = int.from_bytes((b"\x01" + bytes(15)) * width, "little")
+    lane_mask = ones * _MASK64
+    # lane j holds (j + 1) * gamma: draw j of a block whose state is 0
+    steps = int.from_bytes(
+        b"".join((j * _GAMMA & _MASK64).to_bytes(16, "little") for j in range(1, width + 1)),
+        "little",
+    )
+    offset = ((1 << 64) - threshold) * ones
+    state = seed & _MASK64
+    for start in range(0, count, _BLOCK):
+        r = min(_BLOCK, count - start)
+        if r < width:  # a short last block: keep its r lanes
+            keep = (1 << 128 * r) - 1
+            ones, lane_mask, steps, offset = ones & keep, lane_mask & keep, steps & keep, offset & keep
+        z = (steps + state * ones) & lane_mask
+        z = ((z ^ (z >> 30)) & lane_mask) * _MIX1 & lane_mask
+        z = ((z ^ (z >> 27)) & lane_mask) * _MIX2 & lane_mask
+        z = (z ^ (z >> 31)) & lane_mask
+        flags = (z + offset).to_bytes(16 * r, "little")[8::16]
+        j = flags.find(0)
+        while j >= 0:
+            yield start + j
+            j = flags.find(0, j + 1)
+        state = (state + r * _GAMMA) & _MASK64
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Parsed form of a generator request, e.g. "gnp:n=20,p=0.2,seed=7"."""
@@ -70,18 +122,24 @@ class GenSpec:
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each pair {u, v} in lexicographic order is an edge iff
-    the next float draw is < p. One draw per pair, even for p in {0, 1}."""
+    the next float draw is < p. One draw per pair, even for p in {0, 1}.
+
+    Pair k (from 0) takes draw k + 1, whose state is seed + (k + 1) *
+    gamma mod 2^64; its float is < p iff its 64-bit output is below
+    ceil(p * 2^53) * 2^11. The draws are computed in blocks of `_BLOCK`.
+    """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must be in [0, 1], got {p}")
     _check_vertex_count(n)
-    rng = SplitMix64(seed)
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.next_f53() < p:
-                edges.append((u, v))
+    u, row_end = 0, n - 1  # row u holds pairs row_end - (n - 1 - u) .. row_end - 1
+    for k in _draws_below(seed, n * (n - 1) // 2, math.ceil(p * (1 << 53)) << 11):
+        while k >= row_end:
+            u += 1
+            row_end += n - 1 - u
+        edges.append((u, k - row_end + n))
     return Graph(n, edges)
 
 

@@ -11,7 +11,13 @@ import sys
 from itertools import combinations
 
 from domset.errors import RangeError, ResourceLimitError, ValidationError
-from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
+from domset.generators import (
+    SplitMix64,
+    gen_d_degenerate,
+    gen_gnp,
+    gen_grid,
+    gen_random_tree,
+)
 from domset.graph import Graph, _vertex_ids
 from domset.oracles import OracleResult, exact_min_dominating_set
 from domset.solvers import BicliqueWitness, solve_classical
@@ -248,6 +254,18 @@ def reference_set_cover(universe, sets) -> tuple:
         shared = sorted(set(fam[p]) & set(fam[q]))
         raise ValidationError(f"sets {p} and {q} share {shared} (intersection > 1)")
     return uni, fam
+
+
+def reference_gnp(n: int, p: float, seed: int) -> list:
+    """G(n, p)'s edges drawn one pair at a time: each pair {u, v} in
+    lexicographic order is an edge iff the next float draw is < p."""
+    rng = SplitMix64(seed)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.next_f53() < p:
+                edges.append((u, v))
+    return edges
 
 
 def degeneracy(g: Graph) -> int:

@@ -2,8 +2,10 @@ import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import degeneracy, first_intersection_violation
+from helpers import degeneracy, first_intersection_violation, reference_gnp
 
 from domset import generators, graph
 from domset.errors import ResourceLimitError, ValidationError
@@ -39,6 +41,16 @@ SC_SWEEP = [
     for c in (1, 3, 7, 15, 30)
     for m in (1, 2, 3, 5, 9)
 ]
+
+
+@st.composite
+def gnp_args(draw):
+    """(n, p, seed) with the edge cases of the threshold and the seed."""
+    n = draw(st.integers(0, 100))
+    special = [0.0, -0.0, 5e-324, 1 - 2**-53, 1.0, min(1.0, 4 / max(n, 1))]
+    p = draw(st.sampled_from(special) | st.floats(0.0, 1.0))
+    seed = draw(st.integers(-(2**70), 2**70) | st.sampled_from([-1, 2**64 - 1, 2**64]))
+    return n, p, seed
 
 
 class TestSplitMix64:
@@ -81,6 +93,19 @@ class TestGnp:
             gen_gnp(-1, 0.5, 0)
         with pytest.raises(ValidationError):
             gen_gnp(5, 1.5, 0)
+
+    def test_examples_bracket_a_block_boundary(self):
+        # of the @example n below, 91 has fewer pairs than a block and 92 more
+        assert 91 * 90 // 2 < generators._BLOCK < 92 * 91 // 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(args=gnp_args())
+    @example(args=(91, 4 / 91, 1))
+    @example(args=(91, 1 - 2**-53, -3))
+    @example(args=(92, 4 / 92, 2**64 + 1))
+    @example(args=(92, 0.5, -(2**70)))
+    def test_blocks_draw_what_the_scalar_loop_draws(self, args):
+        assert gen_gnp(*args).edges() == reference_gnp(*args)
 
 
 class TestGrid:
@@ -262,6 +287,8 @@ class TestDeterminismAndSpecs:
         "text, name, digest",
         [
             ("gnp:n=30,p=0.2,seed=7", "gnp:n=30,p=0.2,seed=7", "03d6ad287aecde36"),
+            # 719 400 draws in many blocks, 2843 edges
+            ("gnp:n=1200,p=0.004,seed=1", "gnp:n=1200,p=0.004,seed=1", "131001aeb2fb8f67"),
             ("grid:w=5,h=4", "grid:h=4,w=5", "25d9a930e1be01fb"),
             ("random_tree:n=40,seed=3", "random_tree:n=40,seed=3", "79ac70fcb78c3bcb"),
             ("d_degenerate:n=30,d=3,seed=11", "d_degenerate:d=3,n=30,seed=11",
@@ -276,8 +303,8 @@ class TestDeterminismAndSpecs:
              "intersection_one_sc:max_set_size=600,set_count=10,universe_size=600,seed=1",
              "c6a6d17f7511379e"),
         ],
-        ids=["gnp", "grid", "random_tree", "d_degenerate", "intersection_one_sc",
-             "d_degenerate_wide", "intersection_one_sc_wide"],
+        ids=["gnp", "gnp_multi_block", "grid", "random_tree", "d_degenerate",
+             "intersection_one_sc", "d_degenerate_wide", "intersection_one_sc_wide"],
     )
     def test_name_and_build_per_model(self, text, name, digest):
         spec = parse_genspec(text)
@@ -294,12 +321,13 @@ class TestVertexLimit:
     @pytest.mark.parametrize(
         "make, n",
         [
+            (lambda: gen_gnp(90000, 4 / 90000, 1), 90000),
             (lambda: gen_grid(300, 300), 90000),
             (lambda: gen_random_tree(90000, 1), 90000),
             (lambda: gen_d_degenerate(90000, 3, 1), 90000),
             (lambda: gen_intersection_one(90000, 1, 1, 1), 90001),
         ],
-        ids=["grid", "random_tree", "d_degenerate", "intersection_one_sc"],
+        ids=["gnp", "grid", "random_tree", "d_degenerate", "intersection_one_sc"],
     )
     def test_refused_before_edges_are_built(self, monkeypatch, make, n):
         # the edge lists alone would take 10-30 MiB
@@ -314,11 +342,11 @@ class TestVertexLimit:
         assert peak < 2**20
 
     def test_gnp_refused_before_the_first_draw(self, monkeypatch):
-        def no_draw(self):
+        def no_draw(*args):
             raise AssertionError("drew a random value before the vertex-count check")
 
         monkeypatch.setattr(graph, "MAX_VERTICES", 10)
-        monkeypatch.setattr(generators.SplitMix64, "next_u64", no_draw)
+        monkeypatch.setattr(generators, "_draws_below", no_draw)
         with pytest.raises(ResourceLimitError, match="vertex count 11 exceeds the limit 10"):
             gen_gnp(11, 0.5, 1)
 
