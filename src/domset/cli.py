@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import generators, oracles, reduction, solvers
 from .errors import DomsetError, ParseError, ResourceLimitError, ValidationError
-from .graph import Graph, _is_decimal, _undominated, is_dominating, parse_graph, serialize_graph
+from .graph import Graph, _decimal, _undominated, is_dominating, parse_graph, serialize_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,11 +89,8 @@ def _read_vertex_list(path: str) -> list[int]:
         if not tokens or tokens[0][0] == "c":
             continue
         for tok in tokens:
-            # int() raises ValueError too, past its digit limit
             try:
-                if not _is_decimal(tok):
-                    raise ValueError
-                out.append(int(tok))
+                out.append(_decimal(tok))
             except ValueError:
                 raise ParseError(f"expected a vertex id, got {tok!r}", lineno) from None
     return out

@@ -136,10 +136,14 @@ def is_dominating(g: Graph, dominating: Iterable[int], targets: Iterable[int] | 
     return not _undominated(g, dominating, targets)
 
 
-def _is_decimal(tok: str) -> bool:
-    """Whether `tok` is an ASCII decimal integer, optionally negative.
-    int() alone also takes "+", "_" separators and non-ASCII digits."""
-    return tok.isascii() and tok.removeprefix("-").isdigit()
+def _decimal(tok: str) -> int:
+    """The value of `tok`, an ASCII decimal integer, optionally negative.
+    Raises ValueError for any other token (int() alone also takes "+",
+    "_" separators and non-ASCII digits) and, from int(), past its digit
+    limit."""
+    if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {tok!r}")
+    return int(tok)
 
 
 # A canonical body, as `serialize_graph` writes it: one "e <u> <v>" line
@@ -180,11 +184,8 @@ def parse_graph(text: str | bytes) -> Graph:
         if n is None:
             if len(fields) != 4 or fields[0] != "p" or fields[1] != "ds":
                 raise ParseError(f"expected 'p ds <n> <m>', got {raw.strip()!r}", lineno)
-            # int() raises ValueError too, past its digit limit
             try:
-                if not (_is_decimal(fields[2]) and _is_decimal(fields[3])):
-                    raise ValueError
-                n, m_declared = int(fields[2]), int(fields[3])
+                n, m_declared = _decimal(fields[2]), _decimal(fields[3])
             except ValueError:
                 raise ParseError(f"non-integer counts in {raw.strip()!r}", lineno) from None
             if n < 0 or m_declared < 0:
@@ -200,12 +201,12 @@ def parse_graph(text: str | bytes) -> Graph:
             raise ParseError(f"more than {m_declared} edge lines", lineno)
         _, a, b = fields
         try:
-            # two non-negative ids on an ASCII line pass the first test;
-            # negative ones pass the second and fail the range check below
-            if not (raw.isascii() and a.isdigit() and b.isdigit()
-                    or _is_decimal(a) and _is_decimal(b)):
-                raise ValueError
-            u, v = int(a), int(b)
+            # two non-negative ids on an ASCII line pass the fast test;
+            # negative ones pass _decimal and fail the range check below
+            if raw.isascii() and a.isdigit() and b.isdigit():
+                u, v = int(a), int(b)
+            else:
+                u, v = _decimal(a), _decimal(b)
         except ValueError:
             raise ParseError(f"non-integer endpoint in {raw.strip()!r}", lineno) from None
         if not (0 <= u < n and 0 <= v < n):

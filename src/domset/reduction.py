@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .graph import Graph, _as_text, is_dominating
+from .graph import Graph, _as_text, _undominated, is_dominating
 
 
 def _clash(s: tuple[int, ...], holders: dict[int, set[int]]) -> int:
@@ -204,11 +204,7 @@ def forward_solution(ri: ReducedInstance, cover: Sequence[int]) -> tuple[int, ..
         if not 0 <= idx < n_sets:
             raise ValidationError(f"set index {idx} out of range")
     chosen_vertices = {n_elem + idx for idx in idxs}
-    missed = [
-        ri.element_of[v]
-        for v in range(n_elem)
-        if not chosen_vertices.intersection(ri.graph.adj[v])
-    ]
+    missed = [ri.element_of[v] for v in _undominated(ri.graph, chosen_vertices, range(n_elem))]
     if missed:
         raise ValidationError(f"cover misses elements {sorted(missed)}")
     return tuple(sorted(chosen_vertices | {ri.x_vertex}))

@@ -42,20 +42,11 @@ alone. `Round` objects are built only for the rounds a result returns.
 A run costs O((n + m) log n) for the v_1 picks and gain updates. A
 chain step costs the degree sum of its pool, and each vertex enters one
 round's pool only, so chains of at most c picks add O(c (n + m)).
-Hybrid extends only the prefixes that can change the answer. A prefix
-whose next base round has a single pick is skipped: that round is the
-classical round on the same residual, so the prefix and the one after it
-give the same rounds and the same size. A base run with no chained round
-is therefore returned as it is: it is the classical run. Otherwise hybrid
-carries the live/gain state of the residual along the base rounds, so
-each extension starts from a copy of it, and builds one 2-packing of the
-targets up front (targets with pairwise disjoint closed neighborhoods,
-so each needs its own pick), whose live members it counts down in O(1)
-per pick. A prefix is also skipped, before its state is copied, when its
-size plus that count already reaches the best size so far. An extension
-stops as soon as it provably cannot end strictly below the best size so
-far, which a later prefix needs to win: by the maximum gain, or by that
-packing count. All three skips leave the result unchanged.
+Hybrid extends only the prefixes that can change the answer: it skips a
+prefix whose next base round has a single pick, returns a base run with
+no chained round as it is, and stops an extension once the maximum gain
+or a 2-packing of the targets shows it cannot win. `solve_hybrid` gives
+each rule and why the result is unchanged.
 """
 
 from __future__ import annotations
@@ -386,6 +377,13 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     the classical run, so the result is never larger than classical
     greedy. Ties go to the earliest prefix.
 
+    The search walks the base rounds once. The residual's live/gain
+    state is carried along them, and each extension runs on a copy of
+    it. The full prefix, whose extension is empty, is the first
+    incumbent: the best size starts at the base run's size + 1, so an
+    earlier prefix that ties the base run still wins. At round p, prefix
+    p is evaluated unless skipped below, and then round p is replayed.
+
     Three kinds of work are skipped, and none changes the result:
 
     * a prefix p whose base round p has a single pick. That round picks
@@ -393,10 +391,9 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
       prefix, exactly as classical greedy would, so extension(p) is
       [base[p]] + extension(p+1): prefix p + 1 gives the same rounds at
       the same size, and wins wherever p would have. So when no base
-      round is chained, only the full prefix is left, its extension is
-      empty, and the base run is returned as it is (it is the classical
-      run); this holds for auto on every tree, for i = 2 and for an
-      empty target set.
+      round is chained, only the full prefix is left, and the base run
+      is returned as it is (it is the classical run); this holds for
+      auto on every tree, for i = 2 and for an empty target set.
     * a prefix whose size plus `packed` is at least the best size so
       far. `packed` counts the live members of a 2-packing P of the
       targets (`_packing`), built once, before the first prefix, when
@@ -408,11 +405,9 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
       the packing); at best it would tie, and a tie keeps the earlier
       prefix.
 
-    The search starts from a best size of n + 1. Picks are distinct
-    vertices, and a live member of P is a target no pick has dominated,
-    so it is not a pick either: prefix size + `packed` and every run
-    stay at most n, and the first extension runs to the end. Every run
-    that returns is smaller than the best so far.
+    A prefix that is evaluated has a chained round left to replay, so
+    its residual has a live target, and every run that returns is
+    smaller than the best so far.
     """
     tids = _vertex_ids(g, targets)
     adj = g.adj
@@ -424,31 +419,24 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
         return _assemble("hybrid", tids, base)
     owner, packed = _packing(adj, tids)  # every member is live at prefix 0
 
-    best_rounds: list[RoundRecord] | None = None
-    best_size = len(adj) + 1  # no run reaches it: picks are distinct vertices
+    best_rounds = base  # the full prefix, whose extension is empty
+    best_size = sum(len(chosen) for chosen, _, _, _ in base) + 1  # earlier prefixes win ties
     prefix_size = 0
-    for p in range(len(base) + 1):
-        if p:
-            chosen = base[p - 1][0]
-            for v in chosen:
-                o = owner[v]
-                if o >= 0 and live[o]:
-                    packed -= 1
-                _dominate(adj, live, gain, v)
-            prefix_size += len(chosen)
-        if p < len(base) and len(base[p][0]) == 1:
-            continue
+    for p, (chosen, _, _, _) in enumerate(base):
         cutoff = best_size - prefix_size
-        if packed >= cutoff:
-            continue
-        extension = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
-        if extension is None:
-            continue
-        # a run that returns ends below its cutoff: at the start of its
-        # last round, rounds + max(ceil(left / c), packed) < cutoff
-        best_size = prefix_size + len(extension)
-        best_rounds = base[:p] + extension
-    assert best_rounds is not None
+        if len(chosen) > 1 and packed < cutoff:
+            extension = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
+            if extension is not None:
+                # a run that returns ends below its cutoff: at the start of
+                # its last round, rounds + max(ceil(left / c), packed) < cutoff
+                best_size = prefix_size + len(extension)
+                best_rounds = base[:p] + extension
+        for v in chosen:
+            o = owner[v]
+            if o >= 0 and live[o]:
+                packed -= 1
+            _dominate(adj, live, gain, v)
+        prefix_size += len(chosen)
     return _assemble("hybrid", tids, best_rounds)
 
 

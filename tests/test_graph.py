@@ -224,6 +224,23 @@ class TestConstructor:
         assert str(exc.value) == message
 
 
+class TestIdentity:
+    @given(graphs, st.data())
+    @settings(max_examples=60)
+    def test_edge_order_and_repeats_do_not_matter(self, g, data):
+        # each edge once or twice, in either orientation, in any order
+        edges = [e if flip else e[::-1] for e in g.edges()
+                 for flip in data.draw(st.lists(st.booleans(), min_size=1, max_size=2))]
+        other = Graph(g.n, data.draw(st.permutations(edges)))
+        assert other == g
+        assert hash(other) == hash(g)
+
+    def test_repr(self):
+        assert repr(p4()) == "Graph(n=4, m=3)"
+        assert repr(Graph(0)) == "Graph(n=0, m=0)"
+        assert repr(Graph(3, [(0, 1), (1, 0), (0, 1)])) == "Graph(n=3, m=1)"
+
+
 class TestQueries:
     def test_closed_neighborhood_path(self):
         assert closed_neighborhood(p4(), 1) == (0, 1, 2)

@@ -152,18 +152,45 @@ class TestHybrid:
             assert len(solve_hybrid(g, 3).dominating_set) <= classical
 
     @staticmethod
-    def engine_calls(monkeypatch, g, i):
-        """The i of every `_greedy_rounds` call made by solve_hybrid(g, i)."""
+    def engine_log(monkeypatch):
+        """A list that logs `(i, cutoff, live targets)` for every later
+        `_greedy_rounds` call."""
         real = solvers._greedy_rounds
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[3])
-            return real(*args, **kwargs)
+        def logging(adj, live, gain, i, cutoff=None, *rest):
+            calls.append((i, cutoff, live.count(1)))
+            return real(adj, live, gain, i, cutoff, *rest)
 
-        monkeypatch.setattr(solvers, "_greedy_rounds", counting)
-        solve_hybrid(g, i)
+        monkeypatch.setattr(solvers, "_greedy_rounds", logging)
         return calls
+
+    @classmethod
+    def engine_calls(cls, monkeypatch, g, i):
+        """The i of every `_greedy_rounds` call made by solve_hybrid(g, i)."""
+        calls = cls.engine_log(monkeypatch)
+        solve_hybrid(g, i)
+        return [call[0] for call in calls]
+
+    def test_base_run_is_the_first_incumbent(self, monkeypatch):
+        # auto takes (1, 6) then (5,): size 3, so the one chained prefix,
+        # the empty one, is extended with cutoff 3 + 1 and the full prefix
+        # (an empty residual) is never run
+        g = gen_d_degenerate(13, 2, 4)
+        assert [r.chosen for r in solve_auto(g).trace.rounds] == [(1, 6), (5,)]
+        calls = self.engine_log(monkeypatch)
+        solve_hybrid(g)
+        assert calls == [(None, None, 13), (2, 4, 13)]
+
+    def test_no_extension_on_an_empty_residual(self, monkeypatch, validity_suite):
+        calls = self.engine_log(monkeypatch)
+        for name, g in validity_suite:
+            for i in (None, 2, 3, 4):
+                for targets in (None, range(0, g.n, 2)):
+                    start = len(calls)
+                    solve_hybrid(g, i, targets)
+                    extensions = calls[start + 1:]  # calls[start] is the base run
+                    assert all(live for _, _, live in extensions), (name, i, targets)
 
     def test_single_pick_prefixes_are_not_extended(self, monkeypatch):
         # a tree holds no 4-cycle, so every auto round has one pick: the
