@@ -10,7 +10,11 @@ The first part of a cell's name says what it times:
   tree, a square grid and a 3-degenerate graph at n = 10^3, 10^4 and
   10^5 (the text is made once, outside the timed runs);
 - `gen/...`: the generator itself, `gen_gnp(n, 4/n, 1)` at n = 1000
-  and 4000.
+  and 4000;
+- `solve/<algo>/...`: `solve_classical`, `solve_fixed_i(g, 3)` or
+  `solve_auto` on a random tree, a square grid and a 3-degenerate graph
+  at n = 10^3, 10^4 and 10^5, up to the `to_json()` text of the result
+  (the graph is made once, outside the timed runs).
 
     python3 benchmarks/scaling.py --label NAME            # writes BENCH_NAME.json
     python3 benchmarks/scaling.py --label NAME --src DIR  # measures DIR/domset
@@ -24,7 +28,8 @@ counting run records what the outputs are, summed over the cell's
 inputs: for oracle cells node_count and the distinct bound passes
 (calls of `oracles._bound_and_target`: one per distinct memo key while
 the memo is not cleared), for ingest and gen cells the vertices and
-edges of the graphs read or made.
+edges of the graphs read or made, for solve cells the dominating-set
+sizes and the rounds.
 Under `tracemalloc`, each input is run `PEAK_RUNS` more times, with
 `gc.collect()` before each run; the cell's peak_mib is the largest,
 over its inputs, of the median peak of one call, so one stray reading
@@ -66,6 +71,18 @@ SMOKE_REPS = 3
 # tracemalloc runs per input; the median peak is kept
 PEAK_RUNS = 3
 
+
+def families(n: int) -> dict:
+    """The sparse graphs of the ingest and solve cells at about n
+    vertices, by their name in a cell."""
+    side = round(n ** 0.5)
+    return {
+        f"random_tree/n{n}/seed1": ("gen_random_tree", (n, 1)),
+        f"grid/{side}x{side}": ("gen_grid", (side, side)),
+        f"d_degenerate/n{n}/d3/seed1": ("gen_d_degenerate", (n, 3, 1)),
+    }
+
+
 # cell name -> graphs, as (generator name, args); smoke cells are prefixes
 CELLS = {
     "oracle/random_tree/n40/seeds0-99": [("gen_random_tree", (40, s)) for s in range(100)],
@@ -74,23 +91,32 @@ CELLS = {
     "oracle/random_tree/n80/seed1": [("gen_random_tree", (80, 1))],
 }
 for _n in (10**3, 10**4, 10**5):
-    _side = round(_n ** 0.5)
-    CELLS[f"ingest/random_tree/n{_n}/seed1"] = [("gen_random_tree", (_n, 1))]
-    CELLS[f"ingest/grid/{_side}x{_side}"] = [("gen_grid", (_side, _side))]
-    CELLS[f"ingest/d_degenerate/n{_n}/d3/seed1"] = [("gen_d_degenerate", (_n, 3, 1))]
+    for _name, _spec in families(_n).items():
+        CELLS[f"ingest/{_name}"] = [_spec]
 for _n in (1000, 4000):
     CELLS[f"gen/gnp/n{_n}/p4n/seed1"] = [("gen_gnp", (_n, 4 / _n, 1))]
+# solve cell algorithm -> (solver name in `solvers`, its arguments after the graph)
+SOLVERS = {
+    "classical": ("solve_classical", ()),
+    "fixed:3": ("solve_fixed_i", (3,)),
+    "auto": ("solve_auto", ()),
+}
+for _n in (10**3, 10**4, 10**5):
+    for _algo in SOLVERS:
+        for _name, _spec in families(_n).items():
+            CELLS[f"solve/{_algo}/{_name}"] = [_spec]
 SMOKE_CELLS = {
     "oracle/random_tree/n40/seeds0-4": CELLS["oracle/random_tree/n40/seeds0-99"][:5],
     "oracle/d_degenerate/n40/d2/seeds0-4": CELLS["oracle/d_degenerate/n40/d2/seeds0-59"][:5],
     "oracle/random_tree/n60/seed1": CELLS["oracle/random_tree/n60/seed1"],
     "ingest/d_degenerate/n1000/d3/seed1": CELLS["ingest/d_degenerate/n1000/d3/seed1"],
     "gen/gnp/n1000/p4n/seed1": CELLS["gen/gnp/n1000/p4n/seed1"],
+    "solve/auto/d_degenerate/n1000/d3/seed1": CELLS["solve/auto/d_degenerate/n1000/d3/seed1"],
 }
 
 
 def kind(cell: str) -> str:
-    """"oracle", "ingest" or "gen": the first part of the cell's name."""
+    """"oracle", "ingest", "gen" or "solve": the first part of the cell's name."""
     return cell.partition("/")[0]
 
 
@@ -119,6 +145,7 @@ class Subject:
         load_package(src, name)
         self.oracles = importlib.import_module(f"{name}.oracles")
         self.graph = importlib.import_module(f"{name}.graph")
+        self.solvers = importlib.import_module(f"{name}.solvers")
         gens = importlib.import_module(f"{name}.generators")
         self.inputs = {}
         for cell, specs in cells.items():
@@ -132,11 +159,20 @@ class Subject:
 
     def function(self, cell: str):
         """What one repetition of `cell` calls on each of its inputs."""
+        if kind(cell) == "solve":
+            solve = self.solver(cell)
+            return lambda g: solve(g).to_json()
         return {
             "oracle": self.oracles.exact_min_dominating_set,
             "ingest": self.graph.parse_graph,
             "gen": invoke,
         }[kind(cell)]
+
+    def solver(self, cell: str):
+        """The solver of a solve cell, as a function of the graph alone."""
+        name, args = SOLVERS[cell.split("/")[1]]
+        solve = getattr(self.solvers, name)
+        return lambda g: solve(g, *args)
 
     def run(self, cell: str) -> float:
         call = self.function(cell)
@@ -146,7 +182,11 @@ class Subject:
         return time.perf_counter() - start
 
     def count(self, cell: str) -> dict:
-        return self.count_oracle(cell) if kind(cell) == "oracle" else self.count_graphs(cell)
+        if kind(cell) == "oracle":
+            return self.count_oracle(cell)
+        if kind(cell) == "solve":
+            return self.count_solve(cell)
+        return self.count_graphs(cell)
 
     def count_graphs(self, cell: str) -> dict:
         """Vertices and edges read or made and the digest of the graphs,
@@ -160,6 +200,19 @@ class Subject:
             edges += g.m
             digest.update(self.graph.serialize_graph(g).encode())
         return {"vertices": vertices, "edges": edges, "digest": digest.hexdigest()}
+
+    def count_solve(self, cell: str) -> dict:
+        """Dominating-set sizes, rounds and the digest of the result
+        texts, from one run."""
+        solve = self.solver(cell)
+        digest = hashlib.sha256()
+        size = rounds = 0
+        for g in self.inputs[cell]:
+            r = solve(g)
+            size += len(r.dominating_set)
+            rounds += len(r.trace.rounds)
+            digest.update(r.to_json().encode() + b"\n")
+        return {"size": size, "rounds": rounds, "digest": digest.hexdigest()}
 
     def count_oracle(self, cell: str) -> dict:
         """node_count, distinct passes and the documents' digest, from one

@@ -63,7 +63,10 @@ class Graph:
 
     Holds only `n`, `m` and `adj` (memory O(n + m)). Immutable after
     construction; all queries are pure reads, so instances are safe to
-    share across concurrent workers.
+    share across concurrent workers. The constructor checks each edge in
+    input order (the first bad one raises), appends each endpoint to the
+    other's row, then sorts every row and drops the repeats of a row
+    that has any.
     """
 
     __slots__ = ("n", "m", "adj")
@@ -72,17 +75,21 @@ class Graph:
         if n < 0:
             raise RangeError(f"vertex count must be >= 0, got {n}")
         _check_vertex_count(n)
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise RangeError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            rows[u].append(v)
+            rows[v].append(u)
+        for k, row in enumerate(rows):
+            row.sort()
+            # a repeated edge, in either orientation, repeats an id in both rows
+            rows[k] = tuple(row) if len(set(row)) == len(row) else tuple(sorted(set(row)))
         self.n = n
-        self.m = sum(map(len, nbrs)) // 2
-        self.adj = tuple(tuple(sorted(s)) for s in nbrs)
+        self.m = sum(map(len, rows)) // 2
+        self.adj = tuple(rows)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -239,7 +246,7 @@ def _read_body(text: str, pos: int, n: int, m: int) -> Graph | None:
         vs = list(map(int, fields[k + 2::3]))
     except ValueError:  # an id past int()'s digit limit
         return None
-    del fields  # frees the id strings before the neighbour sets grow
+    del fields  # frees the id strings before the adjacency rows grow
     try:
         return Graph(n, zip(us, vs))
     except (RangeError, ValidationError):  # an id out of range, or a self-loop

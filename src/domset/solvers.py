@@ -33,8 +33,11 @@ at most one entry per vertex, the int key v - gain[v] * n (n the vertex
 count). Min-heap order on it is gain descending, then id ascending (the
 order of (-gain, id)), and v = key % n. The v_1 pick re-keys the top
 until its key is current, and as gains only fall that top is the
-lowest-id maximum. A chain pick counts |N[w] & B_s| only over w in
-N[B_s], the only vertices that meet the pool. Rounds are recorded as
+lowest-id maximum. With every vertex a target, gain[v] starts at
+deg(v) + 1 and needs no pass over the edges. A chain pick counts
+|N[w] & B_s| only over w in N[B_s], the only vertices that meet the
+pool, in one flat array of n counts per run; each pick resets the
+entries it touched. Rounds are recorded as
 plain (chosen, b_sizes, newly_dominated, pool) tuples, pool being the
 round's final chain pool, sorted; a round of l picks with a non-empty
 pool certifies a K_{l,l}, and auto reads its witness from these records
@@ -52,7 +55,6 @@ each rule and why the result is unchanged.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from typing import Iterable
@@ -167,9 +169,13 @@ def _json_ints(ints, indent: int) -> str:
 
 def _residual(adj, tids: tuple[int, ...]) -> tuple[bytearray, list[int]]:
     """Engine state for the targets `tids`: live[u] is 1 while target u
-    is undominated, and gain[v] = |N[v] & A| over the live set A."""
-    live = bytearray(len(adj))
-    gain = [0] * len(adj)
+    is undominated, and gain[v] = |N[v] & A| over the live set A. With
+    every vertex a target, gain[v] is |N[v]| = deg(v) + 1."""
+    n = len(adj)
+    if len(tids) == n:  # the ids are distinct, so every vertex
+        return bytearray(b"\x01") * n, [len(a) + 1 for a in adj]
+    live = bytearray(n)
+    gain = [0] * n
     for u in tids:
         live[u] = 1
         gain[u] += 1
@@ -211,17 +217,28 @@ def _packing(adj, tids: tuple[int, ...]) -> tuple[list[int], int]:
     return owner, size
 
 
-def _chain_pick(adj, pool: list[int], chosen: list[int]) -> int:
+def _chain_pick(adj, pool: list[int], chosen: list[int], cnt: list[int]) -> int:
     """Unchosen vertex maximizing |N[w] & pool|, lowest id on ties, for
     a non-empty pool. Only w in N[pool] can meet it, and every member,
-    being unchosen, meets it at least in itself."""
-    cnt = Counter(pool)
+    being unchosen, meets it at least in itself. `cnt` is an all-zero
+    array of n counts, and is all zeros again on return."""
+    touched = list(pool)  # N[pool], with repeats
     for b in pool:
-        cnt.update(adj[b])
+        cnt[b] += 1
+        nbrs = adj[b]
+        touched += nbrs
+        for w in nbrs:
+            cnt[w] += 1
     for v in chosen:
-        cnt.pop(v, None)
-    top = max(cnt.values())
-    return min(w for w, c in cnt.items() if c == top)
+        cnt[v] = 0
+    best = top = 0
+    for w in touched:
+        c = cnt[w]
+        if c:  # 0 for a chosen vertex, and for a repeat reset at its first visit
+            if c > top or c == top and w < best:
+                best, top = w, c
+            cnt[w] = 0
+    return best
 
 
 # A round as the engine records it: (chosen, b_sizes, newly_dominated,
@@ -266,6 +283,7 @@ def _greedy_rounds(
     if (cutoff is not None or owner is not None) and i != 2:
         raise ValueError("the round bounds count one pick per round: classical runs only")
     n = len(adj)
+    cnt = [0] * n if i != 2 else None  # chain pick counts, zero between picks
     heap = [v - c * n for v, c in enumerate(gain) if c]
     heapify(heap)
     left = live.count(1)
@@ -290,7 +308,7 @@ def _greedy_rounds(
         pool = [w for w in adj[v1] if live[w]]
         b_sizes = [len(pool)]
         while pool and (i is None or len(chosen) < i - 1):
-            v = _chain_pick(adj, pool, chosen)
+            v = _chain_pick(adj, pool, chosen, cnt)
             nbrs = set(adj[v])
             b_next = [b for b in pool if b in nbrs]
             if i is None and len(b_next) < len(chosen) + 1:

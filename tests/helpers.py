@@ -8,6 +8,7 @@ oracle, and `reference_exact` its greedy seed from classical greedy.
 """
 
 import sys
+from collections import Counter
 from itertools import combinations
 
 from domset.errors import RangeError, ResourceLimitError, ValidationError
@@ -161,6 +162,43 @@ def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None, keys=No
     if best_set is None or budget is not None and best_size > budget:
         return OracleResult(None, None, nodes, exceeded=True)
     return OracleResult(best_size, best_set, nodes)
+
+
+def reference_graph(n: int, edges) -> tuple:
+    """(m, adj) of `Graph(n, edges)` built from neighbour sets: each
+    edge added to both endpoints' sets, each set sorted into a row.
+    The edges are assumed valid."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return sum(map(len, nbrs)) // 2, tuple(tuple(sorted(s)) for s in nbrs)
+
+
+def reference_residual(adj, tids) -> tuple:
+    """(live, gain) of `solvers._residual` by the per-target loop: each
+    target is live and adds 1 to the gain of every vertex of its closed
+    neighborhood."""
+    live = bytearray(len(adj))
+    gain = [0] * len(adj)
+    for u in tids:
+        live[u] = 1
+        for w in (u, *adj[u]):
+            gain[w] += 1
+    return live, gain
+
+
+def reference_chain_pick(adj, pool, chosen) -> int:
+    """`solvers._chain_pick` with a `Counter`: |N[w] & pool| for every w
+    in N[pool], the chosen vertices dropped, then the lowest id of
+    maximum count."""
+    cnt = Counter(pool)
+    for b in pool:
+        cnt.update(adj[b])
+    for v in chosen:
+        cnt.pop(v, None)
+    top = max(cnt.values())
+    return min(w for w, c in cnt.items() if c == top)
 
 
 def brute_has_biclique(g: Graph, a: int, b: int) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import closed_neighborhood
+from helpers import closed_neighborhood, reference_graph
 
 from domset import graph
 from domset.errors import ParseError, RangeError, ResourceLimitError, ValidationError
@@ -231,9 +231,11 @@ class TestIdentity:
         # each edge once or twice, in either orientation, in any order
         edges = [e if flip else e[::-1] for e in g.edges()
                  for flip in data.draw(st.lists(st.booleans(), min_size=1, max_size=2))]
-        other = Graph(g.n, data.draw(st.permutations(edges)))
+        edges = data.draw(st.permutations(edges))
+        other = Graph(g.n, edges)
         assert other == g
         assert hash(other) == hash(g)
+        assert (other.m, other.adj) == reference_graph(g.n, edges)
 
     def test_repr(self):
         assert repr(p4()) == "Graph(n=4, m=3)"
@@ -299,7 +301,7 @@ class TestSize:
         assert peak < 16 * 2**20
 
     def test_vertex_limit_checked_before_allocation(self, monkeypatch):
-        # 10^5 vertices would take about 20 MiB of neighbor sets, and
+        # 10^5 vertices would take about 6 MiB of adjacency rows, and
         # splitting 200 000 edge lines about 24 MiB
         monkeypatch.setattr(graph, "MAX_VERTICES", 10)
         assert parse_graph("p ds 10 0").n == 10

@@ -11,12 +11,14 @@ from helpers import (
     brute_min_dominating,
     check_trace,
     closed_neighborhood,
+    reference_chain_pick,
+    reference_residual,
 )
 
 from domset import solvers
 from domset.errors import RangeError, ValidationError
 from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
-from domset.graph import Graph, is_dominating
+from domset.graph import Graph, _vertex_ids, is_dominating
 from domset.oracles import harmonic
 from domset.solvers import (
     BicliqueWitness,
@@ -575,6 +577,52 @@ class TestEngineIdentities:
         assert rounds == [((4, 0), (3, 0), 5, [])]
         with pytest.raises(ValueError):
             solvers._greedy_rounds(adj, *solvers._residual(adj, tids), i, 2)
+
+
+class TestEngineState:
+    """The chain pick's flat count array and the all-vertex residual
+    agree with the plain references in helpers."""
+
+    @given(g=st.one_of(random_graphs, larger_graphs), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_chain_pick_matches_counter_reference(self, g, data):
+        if not g.n:
+            return
+        cnt = [0] * g.n  # one array across the picks, as in an engine run
+        for _ in range(3):
+            pool = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+            rest = [v for v in range(g.n) if v not in pool]  # no member is chosen
+            chosen = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+            got = solvers._chain_pick(g.adj, pool, chosen, cnt)
+            assert got == reference_chain_pick(g.adj, pool, chosen)
+            assert not any(cnt)
+
+    @given(g=st.one_of(random_graphs, larger_graphs), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_residual_matches_per_target_loop(self, g, data):
+        every = list(range(g.n))
+        target_lists = [None, data.draw(st.permutations(every))]
+        if g.n:
+            missing = data.draw(st.sampled_from(every))
+            target_lists += [
+                every + data.draw(st.lists(st.sampled_from(every), max_size=5)),
+                [v if v != missing else (v + 1) % g.n for v in every],  # n ids, a vertex short
+                data.draw(st.lists(st.sampled_from(every), max_size=g.n - 1)),
+            ]
+        for targets in target_lists:
+            tids = _vertex_ids(g, targets)
+            assert solvers._residual(g.adj, tids) == reference_residual(g.adj, tids)
+
+    @pytest.mark.parametrize("tids", [(0, 1, 2, 3), (1, 2)], ids=["every-vertex", "subset"])
+    def test_residual_objects_are_fresh(self, tids):
+        # hybrid copies and consumes them, so no two calls share one
+        adj = p4().adj
+        live, gain = solvers._residual(adj, tids)
+        other_live, other_gain = solvers._residual(adj, tids)
+        assert live is not other_live and gain is not other_gain
+        live[1] = 0
+        gain[1] = 0
+        assert (other_live, other_gain) == reference_residual(adj, tids)
 
 
 class TestEngineRecords:
