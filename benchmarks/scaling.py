@@ -13,8 +13,10 @@ The first part of a cell's name says what it times:
   and 4000;
 - `solve/<algo>/...`: `solve_classical`, `solve_fixed_i(g, 3)` or
   `solve_auto` on a random tree, a square grid and a 3-degenerate graph
-  at n = 10^3, 10^4 and 10^5, up to the `to_json()` text of the result
-  (the graph is made once, outside the timed runs).
+  at n = 10^3, 10^4 and 10^5, and `solve_hybrid(g)` (`hybrid`) or
+  `solve_hybrid(g, 3)` (`hybrid:3`) on the same graphs at n = 10^3 and
+  10^4, up to the `to_json()` text of the result (the graph is made
+  once, outside the timed runs).
 
     python3 benchmarks/scaling.py --label NAME            # writes BENCH_NAME.json
     python3 benchmarks/scaling.py --label NAME --src DIR  # measures DIR/domset
@@ -23,7 +25,8 @@ The first part of a cell's name says what it times:
 
 One repetition of a cell runs its function once on each of its inputs
 and times the total with `perf_counter`; the cell reports the median and
-quartiles over `REPS` repetitions. Outside the timed repetitions, one
+quartiles over `REPS` repetitions, or `HYBRID_REPS` for a hybrid cell
+(both are written into the output). Outside the timed repetitions, one
 counting run records what the outputs are, summed over the cell's
 inputs: for oracle cells node_count and the distinct bound passes
 (calls of `oracles._bound_and_target`: one per distinct memo key while
@@ -67,9 +70,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # timed repetitions per cell: enough for quartiles and a win count
 REPS = 21
+# for the hybrid cells, where one call can take seconds
+HYBRID_REPS = 5
 SMOKE_REPS = 3
 # tracemalloc runs per input; the median peak is kept
 PEAK_RUNS = 3
+
+
+def is_hybrid(cell: str) -> bool:
+    """Whether `cell` is a hybrid solve cell."""
+    return cell.startswith("solve/hybrid")
 
 
 def families(n: int) -> dict:
@@ -100,9 +110,13 @@ SOLVERS = {
     "classical": ("solve_classical", ()),
     "fixed:3": ("solve_fixed_i", (3,)),
     "auto": ("solve_auto", ()),
+    "hybrid": ("solve_hybrid", ()),
+    "hybrid:3": ("solve_hybrid", (3,)),
 }
 for _n in (10**3, 10**4, 10**5):
     for _algo in SOLVERS:
+        if _algo.startswith("hybrid") and _n > 10**4:  # minutes per call at 10^5
+            continue
         for _name, _spec in families(_n).items():
             CELLS[f"solve/{_algo}/{_name}"] = [_spec]
 SMOKE_CELLS = {
@@ -112,12 +126,18 @@ SMOKE_CELLS = {
     "ingest/d_degenerate/n1000/d3/seed1": CELLS["ingest/d_degenerate/n1000/d3/seed1"],
     "gen/gnp/n1000/p4n/seed1": CELLS["gen/gnp/n1000/p4n/seed1"],
     "solve/auto/d_degenerate/n1000/d3/seed1": CELLS["solve/auto/d_degenerate/n1000/d3/seed1"],
+    "solve/hybrid:3/random_tree/n1000/seed1": CELLS["solve/hybrid:3/random_tree/n1000/seed1"],
 }
 
 
 def kind(cell: str) -> str:
     """"oracle", "ingest", "gen" or "solve": the first part of the cell's name."""
     return cell.partition("/")[0]
+
+
+def cell_reps(cell: str, reps: int) -> int:
+    """The timed repetitions of `cell` in a run of `reps`."""
+    return min(reps, HYBRID_REPS) if is_hybrid(cell) else reps
 
 
 def invoke(make):
@@ -273,7 +293,7 @@ def measure(subject: Subject, other: Subject | None, cells: dict, reps: int) -> 
             raise SystemExit(f"{cell}: the two copies give different outputs")
         entry["peak_mib"] = subject.peak_mib(cell)
         mine, theirs = [], []
-        for rep in range(reps):
+        for rep in range(cell_reps(cell, reps)):
             if other is None:
                 mine.append(subject.run(cell))
             elif rep % 2 == 0:
@@ -313,6 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "reps": reps,
+        "hybrid_reps": cell_reps("solve/hybrid", reps),
         "cells": measure(subject, other, cells, reps),
     }
     text = json.dumps(doc, indent=2) + "\n"

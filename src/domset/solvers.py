@@ -47,16 +47,22 @@ chain step costs the degree sum of its pool, and each vertex enters one
 round's pool only, so chains of at most c picks add O(c (n + m)).
 Hybrid extends only the prefixes that can change the answer: it skips a
 prefix whose next base round has a single pick, returns a base run with
-no chained round as it is, and stops an extension once the maximum gain
-or a 2-packing of the targets shows it cannot win. `solve_hybrid` gives
-each rule and why the result is unchanged.
+no chained round as it is, and skips a prefix that a 2-packing of the
+targets shows cannot win. It runs the first evaluated extension in
+full and derives each later one from the previous by a replay
+(`_replay`) that visits only the picks near a change and yields exactly
+the classical run. A replay whose reads reach twice the adjacency
+entries of a fresh run is abandoned; the rest of the call then runs
+each extension afresh, and stops it once the maximum gain or the
+packing shows it cannot win. `solve_hybrid` gives each rule and why the
+result is unchanged.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from heapq import heapify, heappop, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Iterable
 
 from .errors import ValidationError
@@ -328,6 +334,128 @@ def _greedy_rounds(
     return rounds
 
 
+def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int], list[int]]:
+    """The classical run `rounds` of the live targets as replay state: the
+    pick key pk[v] of each pick, 0 for other vertices, and the key dk[u]
+    of each live target's dominating pick, (n + 1) * n for other vertices.
+    A pick's key is gain * n + n - 1 - v at its pick time, so larger keys
+    win, v = n - 1 - key % n, and keys fall strictly along the run."""
+    n = len(adj)
+    pk = [0] * n
+    dk = [(n + 1) * n] * n  # above every key: never live
+    alive = live[:]
+    for (v,), _, covered, _ in rounds:
+        key = pk[v] = covered * n + n - 1 - v
+        for u in (v, *adj[v]):
+            if alive[u]:
+                alive[u] = 0
+                dk[u] = key
+    return pk, dk
+
+
+def _replay(adj, pk: list[int], dk: list[int], lost: list[int], budget: int) -> int | None:
+    """Edit the classical run (pk, dk) of a residual X (see `_run_keys`),
+    in place, into the classical run of X minus the targets `lost`, and
+    return the change in its number of picks. Return None once the work
+    (adjacency entries read) reaches `budget`; (pk, dk) is then left
+    half edited.
+
+    Target u is live at key t (after every pick of a key above t) iff
+    dk[u] <= t. A lost target gets dk = (n + 1) * n, so it is never
+    live. A target whose pick is dropped gets dk = 0 ("missed"), so it
+    stays live until a pick dominates it.
+
+    The new run is merged from two max-heaps of keys:
+
+    * D: old picks whose key may have changed. These are the dominators
+      of lost targets, and of targets that a new pick took over.
+    * H: vertices next to missed targets, each under an upper bound of
+      its key.
+
+    No other vertex is visited, and this is exact. An old pick not in D
+    keeps its key. Any other vertex w outside H has no missed target, so
+    its live targets at a key t are all live at t in the old run; as
+    that run was classical, w's key is below the old pick next in line.
+    So the old picks between two events keep their places.
+
+    At each step the larger top goes. A D pick whose key is unchanged
+    stays; otherwise it is dropped, its live targets become missed, and
+    their neighbours enter H. An H top whose key is current is picked,
+    and the old picks of the targets it takes over enter D."""
+    n = len(adj)
+    dirty = {dk[u] for u in lost}
+    for u in lost:
+        dk[u] = (n + 1) * n
+    D = [-k for k in dirty]
+    heapify(D)
+    H: list[int] = []
+    top: dict[int, int] = {}  # vertex -> the key of its current entry in H
+    delta = work = 0
+
+    def key_at(w: int, t: int) -> int:
+        """The key of w after every pick of key above t."""
+        nonlocal work
+        hood = adj[w]
+        work += len(hood) + 1
+        c = dk[w] <= t
+        for u in hood:
+            if dk[u] <= t:
+                c += 1
+        return c * n + n - 1 - w
+
+    while D or H:
+        if work >= budget:
+            return None
+        if H and (not D or H[0] < D[0]):  # a tie is one vertex, which either branch picks
+            t = -H[0]
+            v = n - 1 - t % n
+            if top.get(v) != t:  # superseded by a higher entry
+                heappop(H)
+                continue
+            k = key_at(v, t)
+            if k != t:
+                if k >= n:  # a gain above 0
+                    heapreplace(H, -k)
+                    top[v] = k
+                else:
+                    heappop(H)
+                    del top[v]
+                continue
+            heappop(H)
+            del top[v]
+            if not pk[v]:
+                delta += 1
+            pk[v] = k  # a later old key of v is now stale
+        else:
+            k = -heappop(D)
+            v = n - 1 - k % n
+            if pk[v] != k:  # v was picked earlier, from H
+                continue
+            if key_at(v, k) != k:
+                pk[v] = 0
+                delta -= 1
+                missed = [u for u in (v, *adj[v]) if dk[u] == k]
+                for u in missed:
+                    dk[u] = 0
+                for u in missed:  # each is live, so its neighbours' gains are above 0
+                    for w in (u, *adj[u]):
+                        kw = key_at(w, k)
+                        if kw > top.get(w, 0):
+                            top[w] = kw
+                            heappush(H, -kw)
+                continue
+        # v is picked at key k: it dominates every target live at k
+        for u in (v, *adj[v]):
+            x = dk[u]
+            if x <= k:
+                if x and x != k and x not in dirty:  # u's old pick loses it
+                    dirty.add(x)
+                    heappush(D, -x)
+                dk[u] = k
+        work += len(adj[v]) + 1
+    return delta
+
+
 def _run(
     g: Graph, targets: Iterable[int] | None, i: int | None
 ) -> tuple[tuple[int, ...], list[RoundRecord]]:
@@ -387,6 +515,11 @@ def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     return _assemble("auto", tids, rounds, t_detected=depth + 1, witness=witness)
 
 
+# A replay is abandoned once it has read this many times the adjacency
+# entries of a fresh run of its residual.
+_REPLAY_WORK = 2
+
+
 def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None = None) -> SolveResult:
     """Run fixed_i (when i given) or auto once, classically extend every
     round prefix of that run, and return the smallest extension.
@@ -395,14 +528,14 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     the classical run, so the result is never larger than classical
     greedy. Ties go to the earliest prefix.
 
-    The search walks the base rounds once. The residual's live/gain
-    state is carried along them, and each extension runs on a copy of
-    it. The full prefix, whose extension is empty, is the first
-    incumbent: the best size starts at the base run's size + 1, so an
-    earlier prefix that ties the base run still wins. At round p, prefix
-    p is evaluated unless skipped below, and then round p is replayed.
+    The search walks the base rounds once, carrying the residual's
+    live/gain state along them. The full prefix, whose extension is
+    empty, is the first incumbent: the best size starts at the base
+    run's size + 1, so an earlier prefix that ties the base run still
+    wins. At round p, prefix p is evaluated unless skipped below, and
+    then round p is applied to the residual.
 
-    Three kinds of work are skipped, and none changes the result:
+    Two kinds of prefix are skipped, and neither changes the result:
 
     * a prefix p whose base round p has a single pick. That round picks
       the lowest-id vertex of maximum gain on the residual after the
@@ -418,44 +551,89 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
       some base round is chained: each member needs its own dominator,
       so any extension has at least `packed` picks, and the prefix
       could at best tie.
-    * the rest of an extension once it cannot end strictly below the
-      best size so far (`cutoff` of `_greedy_rounds`, which also gets
-      the packing); at best it would tie, and a tie keeps the earlier
-      prefix.
 
-    A prefix that is evaluated has a chained round left to replay, so
-    its residual has a live target, and every run that returns is
-    smaller than the best so far.
+    Evaluating a prefix finds the size of its classical extension:
+
+    * The first evaluated prefix gets the seed run: the engine's
+      complete classical run on a copy of the residual, kept as pick
+      keys and dominator keys (`_run_keys`).
+    * Each later one is replayed. Its residual is the previous one minus
+      the targets the base rounds took since, and `_replay` edits the
+      previous run, in place, into exactly the engine's run of this
+      residual, pick for pick and key for key, so the size is exact.
+      Skipped prefixes only make that difference larger.
+    * A replay that reaches `_REPLAY_WORK` times the adjacency entries
+      of a fresh run of its residual (deg + 1 summed over the live
+      targets) is abandoned with its state. That prefix and every later
+      one then run the engine on a copy of the residual, cut off once
+      the run cannot end strictly below the best size so far (`cutoff`
+      of `_greedy_rounds`, which also gets the packing); at best it
+      would tie, and a tie keeps the earlier prefix.
+
+    A winner found by the seed run or a cut-off run keeps its rounds; a
+    replayed winner is run by the engine once more at the end, so the
+    trace is the engine's. A prefix that is evaluated has a chained
+    round left to apply, so its residual has a live target, and every
+    cut-off run that returns is smaller than the best so far.
     """
     tids = _vertex_ids(g, targets)
     adj = g.adj
     # the residual after each base prefix, carried forward round by round;
-    # the base run and each extension run on a copy
+    # the base run and each engine extension run on a copy
     live, gain = _residual(adj, tids)
     base = _greedy_rounds(adj, live[:], gain[:], i)
     if all(len(chosen) == 1 for chosen, _, _, _ in base):
         return _assemble("hybrid", tids, base)
     owner, packed = _packing(adj, tids)  # every member is live at prefix 0
 
-    best_rounds = base  # the full prefix, whose extension is empty
+    best_p, best_ext = len(base), []  # the full prefix, whose extension is empty
     best_size = sum(len(chosen) for chosen, _, _, _ in base) + 1  # earlier prefixes win ties
     prefix_size = 0
+    run = None  # (pk, dk) of the last evaluated extension, while replays last
+    replaying = True  # until a replay is abandoned
+    lost: list[int] = []  # targets the base rounds took since that extension
     for p, (chosen, _, _, _) in enumerate(base):
         cutoff = best_size - prefix_size
         if len(chosen) > 1 and packed < cutoff:
-            extension = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
-            if extension is not None:
+            if run is None and replaying:
+                extension = _greedy_rounds(adj, live[:], gain[:], 2)
+                run = _run_keys(adj, live, extension)
+                size = len(extension)
+                fresh = sum(len(adj[u]) + 1 for u in range(len(adj)) if live[u])
+            elif run is not None:
+                delta = _replay(adj, *run, lost, _REPLAY_WORK * fresh)
+                lost = []
+                if delta is None:
+                    run, replaying = None, False
+                else:
+                    size += delta
+                    extension = None  # rebuilt below if it wins
+            if not replaying:
+                extension = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
                 # a run that returns ends below its cutoff: at the start of
                 # its last round, rounds + max(ceil(left / c), packed) < cutoff
-                best_size = prefix_size + len(extension)
-                best_rounds = base[:p] + extension
+                size = cutoff if extension is None else len(extension)
+            if size < cutoff:
+                best_size = prefix_size + size
+                best_p, best_ext = p, extension
         for v in chosen:
             o = owner[v]
             if o >= 0 and live[o]:
                 packed -= 1
+            if run is not None:
+                for u in (v, *adj[v]):
+                    if live[u]:
+                        lost.append(u)
+                        fresh -= len(adj[u]) + 1
             _dominate(adj, live, gain, v)
         prefix_size += len(chosen)
-    return _assemble("hybrid", tids, best_rounds)
+    if best_ext is None:  # a replayed extension: run it once more for its rounds
+        live, gain = _residual(adj, tids)
+        for chosen, _, _, _ in base[:best_p]:
+            for v in chosen:
+                _dominate(adj, live, gain, v)
+        best_ext = _greedy_rounds(adj, live, gain, 2)
+    return _assemble("hybrid", tids, base[:best_p] + best_ext)
 
 
 def verify_witness(g: Graph, w: BicliqueWitness) -> bool:

@@ -174,15 +174,41 @@ class TestHybrid:
         solve_hybrid(g, i)
         return [call[0] for call in calls]
 
+    @classmethod
+    def call_log(cls, monkeypatch):
+        """`engine_log`, which also logs `("replay", lost targets, size
+        change or None)` for every later `_replay` call."""
+        calls = cls.engine_log(monkeypatch)
+        real = solvers._replay
+
+        def logging(adj, pk, dk, lost, budget):
+            delta = real(adj, pk, dk, lost, budget)
+            calls.append(("replay", len(lost), delta))
+            return delta
+
+        monkeypatch.setattr(solvers, "_replay", logging)
+        return calls
+
     def test_base_run_is_the_first_incumbent(self, monkeypatch):
-        # auto takes (1, 6) then (5,): size 3, so the one chained prefix,
-        # the empty one, is extended with cutoff 3 + 1 and the full prefix
-        # (an empty residual) is never run
-        g = gen_d_degenerate(13, 2, 4)
-        assert [r.chosen for r in solve_auto(g).trace.rounds] == [(1, 6), (5,)]
-        calls = self.engine_log(monkeypatch)
-        solve_hybrid(g)
-        assert calls == [(None, None, 13), (2, 4, 13)]
+        # auto takes (0, 3) then (14, 10): size 4, so the best size starts
+        # at 4 + 1. The empty prefix gets the seed run, a complete classical
+        # run of 5 picks, which does not beat it. Prefix 1 is replayed from
+        # the seed; when the replay is abandoned, its extension is cut off
+        # at 4 + 1 - 2, read from the base run. The full prefix (an empty
+        # residual) is never run.
+        g = gen_d_degenerate(20, 3, 38)
+        assert [r.chosen for r in solve_auto(g).trace.rounds] == [(0, 3), (14, 10)]
+        assert len(solve_classical(g).dominating_set) == 5
+        calls = self.call_log(monkeypatch)
+        monkeypatch.setattr(solvers, "_REPLAY_WORK", float("inf"))
+        expected = solve_hybrid(g)
+        assert [r.chosen for r in expected.trace.rounds] == [(0, 3), (14,), (1,)]
+        # the winner was replayed, so its rounds are run once more
+        assert calls == [(None, None, 20), (2, None, 20), ("replay", 15, -3), (2, None, 5)]
+        calls.clear()
+        monkeypatch.setattr(solvers, "_REPLAY_WORK", 0)
+        assert solve_hybrid(g) == expected
+        assert calls == [(None, None, 20), (2, None, 20), ("replay", 15, None), (2, 3, 5)]
 
     def test_no_extension_on_an_empty_residual(self, monkeypatch, validity_suite):
         calls = self.engine_log(monkeypatch)
@@ -204,10 +230,25 @@ class TestHybrid:
 
     def test_packing_skips_chained_prefixes(self, monkeypatch):
         # fixed:3 chains two picks per round on a tree, so every prefix
-        # is a candidate; the packing bound skips all but a few of them
-        # (94 engine calls without it)
+        # is a candidate; the packing bound skips all but 9 of them (94
+        # are evaluated without it). The first gets the seed run and the
+        # other 8 are replayed; none beats the seed, the classical run.
         g = gen_random_tree(300, 1)
-        assert self.engine_calls(monkeypatch, g, 3) == [3] + [2] * 9
+        classical = solve_classical(g).trace.rounds
+        calls = self.call_log(monkeypatch)
+        expected = solve_hybrid(g, 3)
+        assert expected.trace.rounds == classical
+        assert [c[0] for c in calls[:2]] == [3, 2]
+        assert [c[0] for c in calls[2:]] == ["replay"] * 8
+        assert all(delta is not None for _, _, delta in calls[2:])
+        # with no replay allowed, the first is abandoned, and the 8
+        # prefixes fall back to extensions cut off at the best size
+        calls.clear()
+        monkeypatch.setattr(solvers, "_REPLAY_WORK", 0)
+        assert solve_hybrid(g, 3) == expected
+        assert calls[:3] == [(3, None, 300), (2, None, 300), ("replay", 12, None)]
+        assert [c[0] for c in calls[3:]] == [2] * 8
+        assert all(cutoff is not None for _, cutoff, _ in calls[3:])
 
     def test_packing_built_only_when_read(self, monkeypatch):
         # auto takes one pick per round on a tree, so the base run is
@@ -577,6 +618,75 @@ class TestEngineIdentities:
         assert rounds == [((4, 0), (3, 0), 5, [])]
         with pytest.raises(ValueError):
             solvers._greedy_rounds(adj, *solvers._residual(adj, tids), i, 2)
+
+
+class TestReplay:
+    """`_replay` edits a classical run into the classical run of a smaller
+    residual, and `solve_hybrid` gives the same result whether its
+    replays all run or all fall back."""
+
+    sizes = st.integers(min_value=0, max_value=40)
+    seeds = st.integers(min_value=0, max_value=2**32)
+    sides = st.integers(min_value=1, max_value=7)
+    graphs = st.one_of(
+        st.builds(gen_gnp, sizes, st.sampled_from([0.05, 0.1, 0.2, 0.4]), seeds),
+        st.builds(gen_random_tree, st.integers(min_value=1, max_value=40), seeds),
+        st.builds(gen_d_degenerate, sizes, st.sampled_from([2, 3]), seeds),
+        st.builds(gen_grid, sides, sides),
+    )
+
+    @staticmethod
+    def keyed_run(adj, live):
+        """(key, pick) of each pick of the engine's classical run, in order."""
+        n = len(adj)
+        tids = tuple(u for u in range(n) if live[u])
+        rounds = solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 2)
+        return [(covered * n + n - 1 - v, v) for (v,), _, covered, _ in rounds]
+
+    @given(g=graphs, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_replay_is_the_classical_run(self, g, data):
+        adj = g.adj
+        tids = tuple(v for v in range(g.n) if data.draw(st.booleans()))
+        live, _ = solvers._residual(adj, tids)
+        rounds = solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 2)
+        pk, dk = solvers._run_keys(adj, live, rounds)
+        size = len(rounds)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            lost = [u for u in range(g.n) if live[u] and data.draw(st.booleans())]
+            for u in lost:
+                live[u] = 0
+            size += solvers._replay(adj, pk, dk, lost, float("inf"))
+            expected = self.keyed_run(adj, live)
+            assert sorted(((k, v) for v, k in enumerate(pk) if k), reverse=True) == expected
+            assert size == len(expected)
+            # each live target's key is that of its first pick in N[u]
+            for u in range(g.n):
+                if live[u]:
+                    assert dk[u] == max(pk[w] for w in (u, *adj[u])), u
+
+    @pytest.mark.parametrize("i", [None, 2, 3, 4])
+    @pytest.mark.parametrize("with_targets", [False, True], ids=["all", "targets"])
+    def test_hybrid_with_and_without_replays(self, monkeypatch, validity_suite, i, with_targets):
+        # a work limit of 0 abandons every replay, so every evaluated
+        # prefix after the seed run falls back to a cut-off extension;
+        # with no limit, no replay is abandoned
+        replays = []
+        real = solvers._replay
+
+        def logging(*args):
+            replays.append(real(*args))
+            return replays[-1]
+
+        monkeypatch.setattr(solvers, "_replay", logging)
+        for name, g in validity_suite:
+            targets = list(range(0, g.n, 2)) if with_targets else None
+            expected = hybrid_reference(g, i, targets)
+            for limit in (0, float("inf")):
+                monkeypatch.setattr(solvers, "_REPLAY_WORK", limit)
+                replays.clear()
+                assert solve_hybrid(g, i, targets).trace.rounds == expected, (name, limit)
+                assert all((delta is None) == (limit == 0) for delta in replays), (name, limit)
 
 
 class TestEngineState:
