@@ -5,7 +5,8 @@ The first part of a cell's name says what it times:
 
 - `oracle/...`: `exact_min_dominating_set` on 100 random trees and 60
   2-degenerate graphs at n = 40 (the graph families of the perfbench
-  `exact_check` corpus), and on the pinned random trees at n = 60 and 80;
+  `exact_check` corpus), and on the pinned random trees at n = 60, 80
+  and 100;
 - `ingest/...`: `parse_graph` on the `serialize_graph` text of a random
   tree, a square grid and a 3-degenerate graph at n = 10^3, 10^4 and
   10^5 (the text is made once, outside the timed runs);
@@ -29,10 +30,12 @@ quartiles over `REPS` repetitions, or `HYBRID_REPS` for a hybrid cell
 (both are written into the output). Outside the timed repetitions, one
 counting run records what the outputs are, summed over the cell's
 inputs: for oracle cells node_count and the distinct bound passes
-(calls of `oracles._bound_and_target`: one per distinct memo key while
-the memo is not cleared), for ingest and gen cells the vertices and
-edges of the graphs read or made, for solve cells the dominating-set
-sizes and the rounds.
+(calls of `oracles._bound_and_target`: one per distinct memo key
+(banned & N[A]) << n | A, N[A] the node's own, over the nodes of the
+search while the memo is not cleared; a subtree taken from the memo
+holds no key not met before), for ingest and gen cells the vertices
+and edges of the graphs read or made, for solve cells the
+dominating-set sizes and the rounds.
 Under `tracemalloc`, each input is run `PEAK_RUNS` more times, with
 `gc.collect()` before each run; the cell's peak_mib is the largest,
 over its inputs, of the median peak of one call, so one stray reading
@@ -99,6 +102,7 @@ CELLS = {
     "oracle/d_degenerate/n40/d2/seeds0-59": [("gen_d_degenerate", (40, 2, s)) for s in range(60)],
     "oracle/random_tree/n60/seed1": [("gen_random_tree", (60, 1))],
     "oracle/random_tree/n80/seed1": [("gen_random_tree", (80, 1))],
+    "oracle/random_tree/n100/seed1": [("gen_random_tree", (100, 1))],
 }
 for _n in (10**3, 10**4, 10**5):
     for _name, _spec in families(_n).items():

@@ -12,14 +12,20 @@ so oracle outputs can be frozen into fixtures.
 
 A search node is three bit sets: the undominated set A, the bans and the
 picks on its path. The per-node pass reads only A and the bans inside
-N[A], and a node keeps only the bans inside its parent's N[A], which
-contains its own; so each search keeps a memo keyed by the bans and A as
-the node holds them: a tree search meets each independent part again
-under every choice made elsewhere. A memo record holds what the key
-fixes: the pass, |A|, how far the ratio scan has got and the branching
-order, each computed the first time a node needs it. It holds no prune
-decision, since those depend on the depth and the best size, so the
-nodes visited, and node_count, are those of a search without it.
+N[A], so each search keeps a memo keyed by (banned & N[A]) << n | A,
+N[A] looked up in a table A -> N[A] that the passes fill in: a tree
+search meets each independent part again under every choice made
+elsewhere. A memo record holds what the key fixes: the pass, |A|, how
+far the ratio scan has got and the branching order, each computed the
+first time a node needs it. What the search does below a node depends
+only on its key and its slack (the best size less its depth), so the
+record also keeps the last finished subtree of a node with that key:
+its slack, the nodes it visited and the picks below its root of the
+leaf that set the best size. A later node with the same key and slack
+takes these instead of searching the subtree again. The prune tests
+still run at every node searched, and a taken subtree adds the nodes a
+search of it would visit, so node_count is that of a search without
+the memo.
 
 Vertex sets in the exact search are Python ints used as bit sets: each
 call builds one closed-neighborhood mask per vertex from the adjacency
@@ -38,7 +44,8 @@ from .errors import ResourceLimitError, ValidationError
 from .graph import Graph, _vertex_ids
 from .solvers import BicliqueWitness, solve_classical
 
-# The exact search clears its memo of bound passes when it holds this many.
+# The exact search clears its memo of bound passes and finished subtrees,
+# and its A -> N[A] table, when the memo holds this many records.
 _MEMO_CAP = 1 << 16
 # has_biclique refuses a left side larger than this; its work grows as n^a.
 _MAX_LEFT = 4
@@ -72,14 +79,17 @@ def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, in
     * the hood N[active], banned vertices included: the only vertices
       whose ban the pass reads.
 
-    Returns (-1, -1, 0, 0) as soon as some active bit has no allowed
-    dominator.
+    Returns (-1, -1, 0, hood) as soon as some active bit has no allowed
+    dominator, after OR-ing the rest of the hood.
     """
-    allowed = ~banned
+    # a positive mask, as & with a negative int costs a sign conversion;
+    # bans past the last vertex flip bits no mask has
+    allowed = ((1 << len(masks)) - 1) ^ banned
     used = 0
     count = 0
     best_u = -1
-    best_c = -1
+    # above any |N[u]|, so the first bit always takes it
+    best_c = len(masks) + 1
     hood = 0
     a = active
     while a:
@@ -90,12 +100,16 @@ def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, in
         hood |= m
         dom = m & allowed
         if dom == 0:
-            return -1, -1, 0, 0
+            while a:
+                low = a & -a
+                hood |= masks[low.bit_length() - 1]
+                a ^= low
+            return -1, -1, 0, hood
         if dom & used == 0:
             count += 1
             used |= dom
         c = dom.bit_count()
-        if best_u < 0 or c < best_c:
+        if c < best_c:
             best_c = c
             best_u = u
     return count, best_u, hood & allowed, hood
@@ -196,24 +210,47 @@ def exact_min_dominating_set(
     and the bans inside N[A], as do the ratio scan and the branching
     order. A node's children keep only its bans inside its N[A], plus
     their own: each descendant's A is a subset, so everything it reads
-    lies inside that N[A]. The key banned << n | A thus fixes the pass's
-    result, and so |A|, every coverage |N[v] & A| and the non-banned
-    part of N[u]. The memo keeps one record per key: the pass, |A|, the
-    ratio scan's progress (the part of reach not yet scanned and the
-    best coverage seen so far) and the branching order, built the first
-    time a node with that key survives both bounds. A node whose key was
-    seen before makes no pass; its ratio test needs no scan when the
-    best coverage seen already covers |A| in the slots left, and
-    otherwise resumes the scan where the last node with that key
-    stopped, so each vertex of reach is scanned at most once per key.
-    Nothing past the pass is computed before a node asks for it, so a
-    key met once costs about what it would without the memo. The prune
-    tests still run at every node against its own depth and the best
-    size at that moment, each deciding exactly ceil(|A| / c) > slots,
-    and the trimmed bans are ones no descendant reads; so the visited
-    nodes, node_count and the witness are those of a search without the
-    memo. The memo lives for one call and is cleared when it reaches
-    `_MEMO_CAP` entries, which bounds its memory.
+    lies inside that N[A]. The key (banned & N[A]) << n | A, N[A] the
+    node's own, thus fixes the pass's result, and so |A|, every coverage
+    |N[v] & A| and the non-banned part of N[u]; N[A] comes from a table
+    A -> N[A] filled in by the passes. The memo keeps one record per
+    key: the pass, |A|, the ratio scan's progress (the part of reach not
+    yet scanned and the best coverage seen so far) and the branching
+    order, built the first time a node with that key survives both
+    bounds. A node whose key was seen before makes no pass; its ratio
+    test needs no scan when the best coverage seen already covers |A|
+    in the slots left, and otherwise resumes the scan where the last
+    node with that key stopped, so each vertex of reach is scanned at
+    most once per key. Nothing past the pass is computed before a node
+    asks for it, so a key met once costs about what it would without
+    the memo.
+
+    The subtree below a node is fixed by its key and its slack, best
+    size less depth: every prune test and leaf compares a depth below
+    the node with the best size, and its children follow from the key.
+    Its outcome is two numbers: the nodes it visits, and the picks
+    below its root of the leaf that set the best size on leaving it (0
+    if none did; the best size is then unchanged). When a node
+    survives both bounds, a marker pushed under its children pops after
+    its subtree and writes these into the node's record, over the last
+    ones. A node whose record holds its slack takes them instead of
+    searching: it adds the count less itself to the nodes, checks the
+    node limit, and adopts the leaf's picks and size if there is one.
+    The search would have visited exactly those nodes, one at a time,
+    so node_count, the witness and whether the node limit is exceeded
+    are those of the search without the memo; only the limit's check
+    comes after a whole taken subtree instead of inside it. node_count
+    counts the nodes of that search, not the ones popped here: it is in
+    the frozen result documents, and the node limit bounds it, so both
+    mean the same with or without the memo.
+
+    The prune tests run at every node searched, against its own depth
+    and the best size at that moment, each deciding exactly
+    ceil(|A| / c) > slots, and the trimmed bans are ones no descendant
+    reads. The memo and the A -> N[A] table live for one call and are
+    cleared together when the memo reaches `_MEMO_CAP` records, which
+    bounds their memory; a subtree open at that moment writes into its
+    dropped record.
     """
     if max_nodes is not None and max_nodes < 0:
         raise ValidationError(f"node limit must be >= 0, got {max_nodes}")
@@ -232,20 +269,37 @@ def exact_min_dominating_set(
     if budget is not None and budget < best_size:
         best_size = budget + 1
         best_set = None
+    # the picks of the leaf that set best_size, 0 until one does
+    best = 0
     nodes = 0
     # sys.maxsize stands in for no limit, so a node costs one int comparison
     limit = sys.maxsize if max_nodes is None else max_nodes
     n = g.n
     cap = _MEMO_CAP
-    # key -> [lb, u, rest, hood, |active|, cbest, branching order or None]:
-    # the pass, with reach narrowed to rest as the ratio scan advances
+    # A -> N[A], filled in by the passes
+    hoods: dict[int, int] = {}
+    # key -> [lb, u, rest, hood, |active|, cbest, branching order or None,
+    # slack, count, below]: the pass, with reach narrowed to rest as the
+    # ratio scan advances, then the last finished subtree of a node with
+    # this key: its slack (0 before any; a node that survives the packing
+    # bound has slack >= 2), the nodes it visited, its root included, and
+    # the picks below its root of the leaf that set the best size, or 0
     memo: dict[int, list] = {}
     # a node is (active, banned, picked): its undominated targets, its
     # bans inside its parent's N[active] and the picks on its path
     stack = [(_mask(tids), 0, 0)]
     push = stack.append
+    # popped after a node's children: its subtree is finished
+    done = (-1, 0, 0)
+    # per open subtree, innermost last: (record, slack, nodes before it, picked)
+    opened = []
     while stack:
         active, banned, picked = stack.pop()
+        if active < 0:
+            rec, slack, before, picked = opened.pop()
+            below = best ^ picked if best_size < picked.bit_count() + slack else 0
+            rec[7:] = slack, nodes - before, below
+            continue
         nodes += 1
         if nodes > limit:
             raise ResourceLimitError(f"exact search exceeded the node limit {max_nodes}")
@@ -254,25 +308,41 @@ def exact_min_dominating_set(
         if active == 0:
             if depth < best_size:
                 best_size = depth
-                best_set = tuple(v for v in range(n) if picked >> v & 1)
+                best = picked
             continue
-        key = banned << n | active
-        rec = memo.get(key)
+        hood = hoods.get(active)
+        rec = None if hood is None else memo.get((banned & hood) << n | active)
         if rec is None:
             if len(memo) >= cap:
                 memo.clear()
-            rec = memo[key] = [*_bound_and_target(masks, active, banned), active.bit_count(), 0, None]
-        lb, u, rest, hood, size, cbest, order = rec
-        if lb < 0 or depth + lb >= best_size:
+                hoods.clear()
+            lb, u, reach, hood = _bound_and_target(masks, active, banned)
+            hoods[active] = hood
+            rec = [lb, u, reach, hood, active.bit_count(), 0, None, 0, 0, 0]
+            memo[(banned & hood) << n | active] = rec
+        lb, u, rest, hood, size, cbest, order, last, count, below = rec
+        slack = best_size - depth
+        if lb < 0 or lb >= slack:
+            continue
+        if last == slack:
+            # a node with this key and slack searched this subtree before
+            nodes += count - 1
+            if nodes > limit:
+                raise ResourceLimitError(f"exact search exceeded the node limit {max_nodes}")
+            if below:
+                best_size = depth + below.bit_count()
+                best = picked | below
             continue
         # lb >= 1 as active != 0, so at least one slot is left
-        slots = best_size - depth - 1
+        slots = slack - 1
         if cbest * slots < size:
             rest, cbest = rec[2], rec[5] = _ratio_scan(masks, active, size, rest, cbest, slots)
             if cbest * slots < size:
                 continue
         if order is None:
             order = rec[6] = _branch_order(masks, u, adj[u], active, banned)
+        push(done)
+        opened.append((rec, slack, nodes - 1, picked))
         # push the children last to first, so they pop in branching order;
         # each bans the candidates before it. Only the bans inside hood
         # matter below this node, and N[u] adds every candidate, which the
@@ -281,6 +351,8 @@ def exact_min_dominating_set(
         for v in reversed(order):
             banned ^= 1 << v
             push((active & ~masks[v], banned, picked | 1 << v))
+    if best:
+        best_set = tuple(v for v in range(n) if best >> v & 1)
     if best_set is None:
         return OracleResult(None, None, nodes, exceeded=True)
     return OracleResult(best_size, best_set, nodes)

@@ -101,10 +101,10 @@ def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None, keys=No
     `exact_min_dominating_set`, so the whole OracleResult, node_count
     included, must match it.
 
-    With a dict `keys`, maps the oracle's memo key (banned & S) << n | A
-    of every node with a nonempty A, S its parent's N[A] (every vertex
-    at the root), to whether some node with that key survived both
-    bounds; tests count the oracle's per-key work against it."""
+    With a dict `keys`, maps the oracle's memo key (banned & N[A]) << n | A
+    of every node with a nonempty A to whether some node with that key
+    survived both bounds; tests count the oracle's per-key work against
+    it."""
     tids = _vertex_ids(g, targets)
     if not tids:
         if budget is not None and budget < 0:
@@ -117,9 +117,9 @@ def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None, keys=No
         best_size, best_set = budget + 1, None
     nodes = 0
     chosen = []
-    stack = [(target_mask(g, tids), 0, 0, -1, -1)]
+    stack = [(target_mask(g, tids), 0, 0, -1)]
     while stack:
-        active, banned, depth, v, parent_hood = stack.pop()
+        active, banned, depth, v = stack.pop()
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise ResourceLimitError(f"exact search exceeded the node limit {max_nodes}")
@@ -129,12 +129,12 @@ def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None, keys=No
             if depth < best_size:
                 best_size, best_set = depth, tuple(sorted(chosen))
             continue
-        key = (banned & parent_hood) << g.n | active
-        if keys is not None:
-            keys.setdefault(key, False)
         hood = 0
         for u in ids_in(active):
             hood |= masks[u]
+        key = (banned & hood) << g.n | active
+        if keys is not None:
+            keys.setdefault(key, False)
         # packing bound and the target with the fewest allowed dominators
         doms = [(masks[u] & ~banned, u) for u in ids_in(active)]
         if any(dom == 0 for dom, _ in doms):
@@ -156,7 +156,7 @@ def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None, keys=No
         cands.sort(key=lambda w: (-(masks[w] & active).bit_count(), w))
         children = []
         for w in cands:
-            children.append((active & ~masks[w], banned, depth + 1, w, hood))
+            children.append((active & ~masks[w], banned, depth + 1, w))
             banned |= 1 << w
         stack.extend(reversed(children))
     if best_set is None or budget is not None and best_size > budget:

@@ -69,7 +69,10 @@ class TestBitmaskQueries:
         assert _bound_and_target(masks, 0b0011) == (1, 0, 0b0011, 0b0011)
 
     def test_pack_bound_infeasible(self):
-        assert _bound_and_target([0b01, 0b10], 0b11, banned=0b10) == (-1, -1, 0, 0)
+        # bit 1 has no allowed dominator; the hood still spans both bits,
+        # since the search keys the pass by it
+        assert _bound_and_target([0b01, 0b10], 0b11, banned=0b10) == (-1, -1, 0, 0b11)
+        assert _bound_and_target([0b011, 0b011, 0b100], 0b111, banned=0b011) == (-1, -1, 0, 0b111)
 
     def test_pick_target_prefers_fewest_dominators(self):
         # bit 2's dominators {1, 2} miss bit 0's {0}, so both are packed
@@ -173,15 +176,13 @@ class TestBitmaskQueries:
         masks = _closed_masks(gen_gnp(n, p, seed))
         active &= (1 << n) - 1
         lb, _, reach, hood = _bound_and_target(masks, active, banned)
-        if lb < 0:
-            assert (reach, hood) == (0, 0)
-            return
         expect = 0
         for u in range(n):
             if active >> u & 1:
                 expect |= masks[u]
+        # an infeasible pass still reports the whole hood
         assert hood == expect
-        assert reach == hood & ~banned
+        assert reach == (0 if lb < 0 else hood & ~banned)
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -408,30 +409,106 @@ class TestMatchesReferenceSearch:
         assert exact_min_dominating_set(g) == r
 
     @pytest.mark.parametrize("gen, args, count", [
-        (gen_random_tree, (60, 1), 845),
-        (gen_d_degenerate, (40, 2, 3), 398),
+        (gen_random_tree, (60, 1), 662),
+        (gen_d_degenerate, (40, 2, 3), 360),
     ])
     def test_passes_run_on_the_memo_keys(self, monkeypatch, gen, args, count):
-        # a node carries only the bans inside its parent's N[A], so the
-        # state a pass reads, banned << n | active, is the node's memo key
+        # the state a pass reads, (banned & N[A]) << n | A with the node's
+        # own N[A], is its memo key: one pass per key, and no two passes
+        # for keys that differ only in bans outside N[A]
         g = gen(*args)
-        seen = set()
+        seen = []
         pass_ = oracles._bound_and_target
 
-        def recorded(masks, active, banned):
-            seen.add(banned << g.n | active)
-            return pass_(masks, active, banned)
+        def recorded(masks, active, banned=0):
+            out = pass_(masks, active, banned)
+            seen.append((banned & out[3]) << g.n | active)
+            return out
 
         monkeypatch.setattr(oracles, "_bound_and_target", recorded)
         keys = {}
         assert exact_min_dominating_set(g) == reference_exact(g, keys=keys)
         assert len(keys) == count
-        assert seen == set(keys)
+        assert len(seen) == count
+        assert set(seen) == set(keys)
 
-    @pytest.mark.parametrize("n, opt, nodes", [(60, 23, 5265), (80, 31, 340327)])
+    @pytest.mark.parametrize("n, opt, nodes", [(60, 23, 5265), (80, 31, 340327), (100, 38, 7865916)])
     def test_pinned_trees(self, n, opt, nodes):
         r = exact_min_dominating_set(gen_random_tree(n, 1))
         assert (r.opt_size, r.node_count) == (opt, nodes)
+
+
+REPEATING_FAMILIES = {
+    "tree": gen_random_tree,
+    "deg2": lambda n, seed: gen_d_degenerate(n, 2, seed),
+}
+
+
+class TestSubtreeReuse:
+    """A finished subtree is replayed from the search's table: its node
+    count added in one step and its best leaf adopted. Trees and
+    2-degenerate graphs repeat whole subtrees; small G(n, p) rarely do."""
+
+    @given(
+        st.sampled_from(sorted(REPEATING_FAMILIES)),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=2**32),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=2**30 - 1)),
+        st.sampled_from(["none", "below_opt", "opt"]),
+        st.floats(min_value=0, max_value=1),
+    )
+    @pytest.mark.parametrize("memo_cap", [oracles._MEMO_CAP, 4])
+    @settings(max_examples=120, deadline=None)
+    def test_whole_result_and_node_limit(self, memo_cap, family, n, seed, target_bits, budget_kind, where):
+        g = REPEATING_FAMILIES[family](n, seed)
+        targets = None if target_bits is None else [v for v in range(n) if target_bits >> v & 1]
+        opt = reference_exact(g, targets).opt_size
+        budget = {"none": None, "below_opt": opt - 1, "opt": opt}[budget_kind]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "_MEMO_CAP", memo_cap)
+            r = exact_min_dominating_set(g, targets, budget)
+            assert r == reference_exact(g, targets, budget)
+            # a replayed subtree adds its count in one step, so the limit
+            # is checked at node_count, one below it and somewhere below
+            assert exact_min_dominating_set(g, targets, budget, max_nodes=r.node_count) == r
+            below = {r.node_count - 1, int(where * (r.node_count - 1))} if r.node_count else set()
+            for limit in below:
+                with pytest.raises(ResourceLimitError, match=f"exceeded the node limit {limit}$"):
+                    exact_min_dominating_set(g, targets, budget, max_nodes=limit)
+
+    @pytest.mark.parametrize("n, seed", [(36, 11), (40, 13), (40, 25)])
+    def test_taken_subtree_that_beats_the_best(self, n, seed):
+        # rare: of the trees, 2-degenerate graphs and G(n, 0.1) searched
+        # (n up to 48), only these have a node that takes a subtree whose
+        # leaf beat the best size, so the search must adopt that leaf's
+        # size and picks
+        g = gen_d_degenerate(n, 2, seed)
+        assert exact_min_dominating_set(g) == reference_exact(g)
+
+    def test_node_limit_on_the_pinned_tree(self):
+        g = gen_random_tree(80, 1)
+        r = exact_min_dominating_set(g)
+        assert r.node_count == 340327
+        assert exact_min_dominating_set(g, max_nodes=r.node_count) == r
+        with pytest.raises(ResourceLimitError, match="exceeded the node limit 340326$"):
+            exact_min_dominating_set(g, max_nodes=r.node_count - 1)
+
+    def test_finished_subtrees_are_read(self, monkeypatch):
+        # every node but the root is pushed with one read of masks[v], so
+        # fewer reads than nodes means the table supplied some counts
+        reads = 0
+
+        class CountedReads(list):
+            def __getitem__(self, i):
+                nonlocal reads
+                reads += 1
+                return list.__getitem__(self, i)
+
+        closed = oracles._closed_masks
+        monkeypatch.setattr(oracles, "_closed_masks", lambda g: CountedReads(closed(g)))
+        r = exact_min_dominating_set(gen_random_tree(80, 1))
+        assert r.node_count == 340327
+        assert reads < r.node_count // 2
 
 
 class TestEnumerate:
