@@ -26,10 +26,9 @@ The first part of a cell's name says what it times:
 
 One repetition of a cell runs its function once on each of its inputs
 and times the total with `perf_counter`; the cell reports the median and
-quartiles over `REPS` repetitions, or `HYBRID_REPS` for a hybrid cell
-(both are written into the output). Outside the timed repetitions, one
-counting run records what the outputs are, summed over the cell's
-inputs: for oracle cells node_count and the distinct bound passes
+quartiles over `REPS` repetitions (written into the output). Outside
+the timed repetitions, one counting run records what the outputs are,
+summed over the cell's inputs: for oracle cells node_count and the distinct bound passes
 (calls of `oracles._bound_and_target`: one per distinct memo key
 (banned & N[A]) << n | A, N[A] the node's own, over the nodes of the
 search while the memo is not cleared; a subtree taken from the memo
@@ -73,16 +72,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # timed repetitions per cell: enough for quartiles and a win count
 REPS = 21
-# for the hybrid cells, where one call can take seconds
-HYBRID_REPS = 5
 SMOKE_REPS = 3
 # tracemalloc runs per input; the median peak is kept
 PEAK_RUNS = 3
-
-
-def is_hybrid(cell: str) -> bool:
-    """Whether `cell` is a hybrid solve cell."""
-    return cell.startswith("solve/hybrid")
 
 
 def families(n: int) -> dict:
@@ -137,11 +129,6 @@ SMOKE_CELLS = {
 def kind(cell: str) -> str:
     """"oracle", "ingest", "gen" or "solve": the first part of the cell's name."""
     return cell.partition("/")[0]
-
-
-def cell_reps(cell: str, reps: int) -> int:
-    """The timed repetitions of `cell` in a run of `reps`."""
-    return min(reps, HYBRID_REPS) if is_hybrid(cell) else reps
 
 
 def invoke(make):
@@ -297,7 +284,7 @@ def measure(subject: Subject, other: Subject | None, cells: dict, reps: int) -> 
             raise SystemExit(f"{cell}: the two copies give different outputs")
         entry["peak_mib"] = subject.peak_mib(cell)
         mine, theirs = [], []
-        for rep in range(cell_reps(cell, reps)):
+        for rep in range(reps):
             if other is None:
                 mine.append(subject.run(cell))
             elif rep % 2 == 0:
@@ -337,7 +324,6 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "reps": reps,
-        "hybrid_reps": cell_reps("solve/hybrid", reps),
         "cells": measure(subject, other, cells, reps),
     }
     text = json.dumps(doc, indent=2) + "\n"

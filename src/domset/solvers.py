@@ -51,11 +51,8 @@ no chained round as it is, and skips a prefix that a 2-packing of the
 targets shows cannot win. It runs the first evaluated extension in
 full and derives each later one from the previous by a replay
 (`_replay`) that visits only the picks near a change and yields exactly
-the classical run. A replay whose reads reach twice the adjacency
-entries of a fresh run is abandoned; the rest of the call then runs
-each extension afresh, and stops it once the maximum gain or the
-packing shows it cannot win. `solve_hybrid` gives each rule and why the
-result is unchanged.
+the classical run. `solve_hybrid` gives each rule and why the result is
+unchanged.
 """
 
 from __future__ import annotations
@@ -260,34 +257,13 @@ def _check_i(i: int | None) -> None:
         raise ValidationError(f"parameter i must be >= 2, got {i}")
 
 
-def _greedy_rounds(
-    adj,
-    live: bytearray,
-    gain: list[int],
-    i: int | None,
-    cutoff: int | None = None,
-    owner: list[int] | None = None,
-    packed: int = 0,
-) -> list[RoundRecord] | None:
+def _greedy_rounds(adj, live: bytearray, gain: list[int], i: int | None) -> list[RoundRecord]:
     """Run rounds until no live target remains, consuming `live` and
     `gain`. An integer i >= 2 allows at most i-1 picks per round (i = 2
     is classical); i None chains while |B_{s+1}| >= s+1 (auto). A chain
     runs only while its pool is non-empty. Returns the rounds, each with
-    its final chain pool.
-
-    A classical run (i = 2) may be given a round limit `cutoff`; it then
-    returns None as soon as it cannot finish in fewer than `cutoff`
-    rounds: a round removes at most the current maximum gain, and gains
-    only fall, so at least ceil(left / max gain) rounds remain. It may
-    also be given a 2-packing of the targets (see `_packing`): its
-    `owner` table and `packed`, the number of its members still live.
-    Each pick dominates at most one member, so at least `packed` rounds
-    remain. Both bounds count one pick per round, and a chained round
-    can remove more than the maximum gain, so other runs take neither
-    (ValueError)."""
+    its final chain pool."""
     _check_i(i)
-    if (cutoff is not None or owner is not None) and i != 2:
-        raise ValueError("the round bounds count one pick per round: classical runs only")
     n = len(adj)
     cnt = [0] * n if i != 2 else None  # chain pick counts, zero between picks
     heap = [v - c * n for v, c in enumerate(gain) if c]
@@ -307,8 +283,6 @@ def _greedy_rounds(
                 heapreplace(heap, v1 - c * n)
             else:
                 heappop(heap)
-        if cutoff is not None and len(rounds) + max(-(-left // c), packed) >= cutoff:
-            return None
         heappop(heap)  # every vertex picked this round ends with gain 0
         chosen = [v1]
         pool = [w for w in adj[v1] if live[w]]
@@ -322,10 +296,6 @@ def _greedy_rounds(
             chosen.append(v)
             pool = b_next
             b_sizes.append(len(pool))
-        if owner is not None:  # i = 2: v1 is the round's only pick
-            o = owner[v1]
-            if o >= 0 and live[o]:
-                packed -= 1
         covered = 0
         for v in chosen:
             covered += _dominate(adj, live, gain, v)
@@ -353,12 +323,10 @@ def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int
     return pk, dk
 
 
-def _replay(adj, pk: list[int], dk: list[int], lost: list[int], budget: int) -> int | None:
+def _replay(adj, pk: list[int], dk: list[int], lost: list[int]) -> int:
     """Edit the classical run (pk, dk) of a residual X (see `_run_keys`),
     in place, into the classical run of X minus the targets `lost`, and
-    return the change in its number of picks. Return None once the work
-    (adjacency entries read) reaches `budget`; (pk, dk) is then left
-    half edited.
+    return the change in its number of picks.
 
     Target u is live at key t (after every pick of a key above t) iff
     dk[u] <= t. A lost target gets dk = (n + 1) * n, so it is never
@@ -390,22 +358,17 @@ def _replay(adj, pk: list[int], dk: list[int], lost: list[int], budget: int) -> 
     heapify(D)
     H: list[int] = []
     top: dict[int, int] = {}  # vertex -> the key of its current entry in H
-    delta = work = 0
+    delta = 0
 
     def key_at(w: int, t: int) -> int:
         """The key of w after every pick of key above t."""
-        nonlocal work
-        hood = adj[w]
-        work += len(hood) + 1
         c = dk[w] <= t
-        for u in hood:
+        for u in adj[w]:
             if dk[u] <= t:
                 c += 1
         return c * n + n - 1 - w
 
     while D or H:
-        if work >= budget:
-            return None
         if H and (not D or H[0] < D[0]):  # a tie is one vertex, which either branch picks
             t = -H[0]
             v = n - 1 - t % n
@@ -452,7 +415,6 @@ def _replay(adj, pk: list[int], dk: list[int], lost: list[int], budget: int) -> 
                     dirty.add(x)
                     heappush(D, -x)
                 dk[u] = k
-        work += len(adj[v]) + 1
     return delta
 
 
@@ -515,11 +477,6 @@ def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     return _assemble("auto", tids, rounds, t_detected=depth + 1, witness=witness)
 
 
-# A replay is abandoned once it has read this many times the adjacency
-# entries of a fresh run of its residual.
-_REPLAY_WORK = 2
-
-
 def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None = None) -> SolveResult:
     """Run fixed_i (when i given) or auto once, classically extend every
     round prefix of that run, and return the smallest extension.
@@ -552,34 +509,25 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
       so any extension has at least `packed` picks, and the prefix
       could at best tie.
 
-    Evaluating a prefix finds the size of its classical extension:
+    Evaluating a prefix finds the size of its classical extension. The
+    first evaluated prefix gets the seed run: the engine's complete
+    classical run on a copy of the residual, kept as pick keys and
+    dominator keys (`_run_keys`). Each later one is replayed: its
+    residual is the previous one minus the targets the base rounds took
+    since, and `_replay` edits the previous run, in place, into exactly
+    the engine's run of this residual, pick for pick and key for key, so
+    the size is exact. Skipped prefixes only make that difference
+    larger.
 
-    * The first evaluated prefix gets the seed run: the engine's
-      complete classical run on a copy of the residual, kept as pick
-      keys and dominator keys (`_run_keys`).
-    * Each later one is replayed. Its residual is the previous one minus
-      the targets the base rounds took since, and `_replay` edits the
-      previous run, in place, into exactly the engine's run of this
-      residual, pick for pick and key for key, so the size is exact.
-      Skipped prefixes only make that difference larger.
-    * A replay that reaches `_REPLAY_WORK` times the adjacency entries
-      of a fresh run of its residual (deg + 1 summed over the live
-      targets) is abandoned with its state. That prefix and every later
-      one then run the engine on a copy of the residual, cut off once
-      the run cannot end strictly below the best size so far (`cutoff`
-      of `_greedy_rounds`, which also gets the packing); at best it
-      would tie, and a tie keeps the earlier prefix.
-
-    A winner found by the seed run or a cut-off run keeps its rounds; a
-    replayed winner is run by the engine once more at the end, so the
-    trace is the engine's. A prefix that is evaluated has a chained
-    round left to apply, so its residual has a live target, and every
-    cut-off run that returns is smaller than the best so far.
+    A winner found by the seed run keeps its rounds; a replayed winner
+    is run by the engine once more at the end, so the trace is the
+    engine's. A prefix that is evaluated has a chained round left to
+    apply, so its residual has a live target.
     """
     tids = _vertex_ids(g, targets)
     adj = g.adj
     # the residual after each base prefix, carried forward round by round;
-    # the base run and each engine extension run on a copy
+    # the base run and the seed run run on a copy
     live, gain = _residual(adj, tids)
     base = _greedy_rounds(adj, live[:], gain[:], i)
     if all(len(chosen) == 1 for chosen, _, _, _ in base):
@@ -589,31 +537,20 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     best_p, best_ext = len(base), []  # the full prefix, whose extension is empty
     best_size = sum(len(chosen) for chosen, _, _, _ in base) + 1  # earlier prefixes win ties
     prefix_size = 0
-    run = None  # (pk, dk) of the last evaluated extension, while replays last
-    replaying = True  # until a replay is abandoned
+    run = None  # (pk, dk) of the last evaluated extension
     lost: list[int] = []  # targets the base rounds took since that extension
     for p, (chosen, _, _, _) in enumerate(base):
-        cutoff = best_size - prefix_size
-        if len(chosen) > 1 and packed < cutoff:
-            if run is None and replaying:
+        limit = best_size - prefix_size  # an extension wins below this size
+        if len(chosen) > 1 and packed < limit:
+            if run is None:
                 extension = _greedy_rounds(adj, live[:], gain[:], 2)
                 run = _run_keys(adj, live, extension)
                 size = len(extension)
-                fresh = sum(len(adj[u]) + 1 for u in range(len(adj)) if live[u])
-            elif run is not None:
-                delta = _replay(adj, *run, lost, _REPLAY_WORK * fresh)
+            else:
+                size += _replay(adj, *run, lost)
                 lost = []
-                if delta is None:
-                    run, replaying = None, False
-                else:
-                    size += delta
-                    extension = None  # rebuilt below if it wins
-            if not replaying:
-                extension = _greedy_rounds(adj, live[:], gain[:], 2, cutoff, owner, packed)
-                # a run that returns ends below its cutoff: at the start of
-                # its last round, rounds + max(ceil(left / c), packed) < cutoff
-                size = cutoff if extension is None else len(extension)
-            if size < cutoff:
+                extension = None  # rebuilt below if it wins
+            if size < limit:
                 best_size = prefix_size + size
                 best_p, best_ext = p, extension
         for v in chosen:
@@ -621,10 +558,7 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
             if o >= 0 and live[o]:
                 packed -= 1
             if run is not None:
-                for u in (v, *adj[v]):
-                    if live[u]:
-                        lost.append(u)
-                        fresh -= len(adj[u]) + 1
+                lost += [u for u in (v, *adj[v]) if live[u]]
             _dominate(adj, live, gain, v)
         prefix_size += len(chosen)
     if best_ext is None:  # a replayed extension: run it once more for its rounds

@@ -201,6 +201,31 @@ def reference_chain_pick(adj, pool, chosen) -> int:
     return min(w for w, c in cnt.items() if c == top)
 
 
+def local_max_then_classical(g: Graph, targets, choose) -> list:
+    """Dominate, one after another, local maxima of the residual: vertices
+    of gain |N[v] & A| > 0 whose key (gain descending, id ascending)
+    beats every other vertex within distance 2. `choose` gets the sorted
+    local maxima (never empty while a target is live: the global maximum
+    is one) and returns one to pick, or None to stop; `solve_classical`
+    then finishes what is left. Returns every pick, in order."""
+    hoods = [set(closed_neighborhood(g, v)) for v in range(g.n)]
+    balls = [set().union(*(hoods[u] for u in hoods[v])) for v in range(g.n)]
+    live = set(_vertex_ids(g, targets))
+    picks = []
+    while live:
+        key = [(-len(hood & live), v) for v, hood in enumerate(hoods)]
+        maxima = [
+            v for v in range(g.n)
+            if key[v][0] < 0 and all(key[v] < key[w] for w in balls[v] if w != v)
+        ]
+        v = choose(maxima)
+        if v is None:
+            break
+        picks.append(v)
+        live -= hoods[v]
+    return picks + list(solve_classical(g, sorted(live)).dominating_set)
+
+
 def brute_has_biclique(g: Graph, a: int, b: int) -> bool:
     """Full double enumeration of candidate sides."""
     verts = range(g.n)

@@ -11,6 +11,7 @@ from helpers import (
     brute_min_dominating,
     check_trace,
     closed_neighborhood,
+    local_max_then_classical,
     reference_chain_pick,
     reference_residual,
 )
@@ -155,14 +156,14 @@ class TestHybrid:
 
     @staticmethod
     def engine_log(monkeypatch):
-        """A list that logs `(i, cutoff, live targets)` for every later
+        """A list that logs `(i, live targets)` for every later
         `_greedy_rounds` call."""
         real = solvers._greedy_rounds
         calls = []
 
-        def logging(adj, live, gain, i, cutoff=None, *rest):
-            calls.append((i, cutoff, live.count(1)))
-            return real(adj, live, gain, i, cutoff, *rest)
+        def logging(adj, live, gain, i):
+            calls.append((i, live.count(1)))
+            return real(adj, live, gain, i)
 
         monkeypatch.setattr(solvers, "_greedy_rounds", logging)
         return calls
@@ -177,12 +178,12 @@ class TestHybrid:
     @classmethod
     def call_log(cls, monkeypatch):
         """`engine_log`, which also logs `("replay", lost targets, size
-        change or None)` for every later `_replay` call."""
+        change)` for every later `_replay` call."""
         calls = cls.engine_log(monkeypatch)
         real = solvers._replay
 
-        def logging(adj, pk, dk, lost, budget):
-            delta = real(adj, pk, dk, lost, budget)
+        def logging(adj, pk, dk, lost):
+            delta = real(adj, pk, dk, lost)
             calls.append(("replay", len(lost), delta))
             return delta
 
@@ -193,22 +194,16 @@ class TestHybrid:
         # auto takes (0, 3) then (14, 10): size 4, so the best size starts
         # at 4 + 1. The empty prefix gets the seed run, a complete classical
         # run of 5 picks, which does not beat it. Prefix 1 is replayed from
-        # the seed; when the replay is abandoned, its extension is cut off
-        # at 4 + 1 - 2, read from the base run. The full prefix (an empty
+        # the seed, to 2 picks, and wins. The full prefix (an empty
         # residual) is never run.
         g = gen_d_degenerate(20, 3, 38)
         assert [r.chosen for r in solve_auto(g).trace.rounds] == [(0, 3), (14, 10)]
         assert len(solve_classical(g).dominating_set) == 5
         calls = self.call_log(monkeypatch)
-        monkeypatch.setattr(solvers, "_REPLAY_WORK", float("inf"))
-        expected = solve_hybrid(g)
-        assert [r.chosen for r in expected.trace.rounds] == [(0, 3), (14,), (1,)]
+        result = solve_hybrid(g)
+        assert [r.chosen for r in result.trace.rounds] == [(0, 3), (14,), (1,)]
         # the winner was replayed, so its rounds are run once more
-        assert calls == [(None, None, 20), (2, None, 20), ("replay", 15, -3), (2, None, 5)]
-        calls.clear()
-        monkeypatch.setattr(solvers, "_REPLAY_WORK", 0)
-        assert solve_hybrid(g) == expected
-        assert calls == [(None, None, 20), (2, None, 20), ("replay", 15, None), (2, 3, 5)]
+        assert calls == [(None, 20), (2, 20), ("replay", 15, -3), (2, 5)]
 
     def test_no_extension_on_an_empty_residual(self, monkeypatch, validity_suite):
         calls = self.engine_log(monkeypatch)
@@ -218,7 +213,7 @@ class TestHybrid:
                     start = len(calls)
                     solve_hybrid(g, i, targets)
                     extensions = calls[start + 1:]  # calls[start] is the base run
-                    assert all(live for _, _, live in extensions), (name, i, targets)
+                    assert all(live for _, live in extensions), (name, i, targets)
 
     def test_single_pick_prefixes_are_not_extended(self, monkeypatch):
         # a tree holds no 4-cycle, so every auto round has one pick: the
@@ -238,17 +233,8 @@ class TestHybrid:
         calls = self.call_log(monkeypatch)
         expected = solve_hybrid(g, 3)
         assert expected.trace.rounds == classical
-        assert [c[0] for c in calls[:2]] == [3, 2]
+        assert calls[:2] == [(3, 300), (2, 300)]
         assert [c[0] for c in calls[2:]] == ["replay"] * 8
-        assert all(delta is not None for _, _, delta in calls[2:])
-        # with no replay allowed, the first is abandoned, and the 8
-        # prefixes fall back to extensions cut off at the best size
-        calls.clear()
-        monkeypatch.setattr(solvers, "_REPLAY_WORK", 0)
-        assert solve_hybrid(g, 3) == expected
-        assert calls[:3] == [(3, None, 300), (2, None, 300), ("replay", 12, None)]
-        assert [c[0] for c in calls[3:]] == [2] * 8
-        assert all(cutoff is not None for _, cutoff, _ in calls[3:])
 
     def test_packing_built_only_when_read(self, monkeypatch):
         # auto takes one pick per round on a tree, so the base run is
@@ -572,58 +558,46 @@ class TestEngineIdentities:
             got = solve_hybrid(g, i, targets).trace.rounds
             assert got == hybrid_reference(g, i, targets), name
 
-    def test_cutoff_prunes_exactly_the_runs_that_reach_it(self, validity_suite):
-        # the bound is admissible, with and without a packing: a run of L
-        # rounds is cut off for every limit <= L, and runs to the same
-        # rounds for a limit above L
-        for name, g in validity_suite:
-            tids = tuple(range(g.n))
-            packing = solvers._packing(g.adj, tids)
-            rounds = solvers._greedy_rounds(g.adj, *solvers._residual(g.adj, tids), 2)
-            for cutoff in range(len(rounds) + 2):
-                for extra in ((), packing):
-                    got = solvers._greedy_rounds(
-                        g.adj, *solvers._residual(g.adj, tids), 2, cutoff, *extra
-                    )
-                    if cutoff <= len(rounds):
-                        assert got is None, (name, cutoff, bool(extra))
-                    else:
-                        assert got == rounds, (name, cutoff, bool(extra))
 
-    def test_packing_cuts_off_before_the_first_round(self):
-        # on a tree one high-degree vertex keeps ceil(left / max gain)
-        # low; the packing bound alone ends the run before any pick
-        g = gen_random_tree(300, 1)
-        tids = tuple(range(g.n))
-        owner, packed = solvers._packing(g.adj, tids)
-        live, gain = solvers._residual(g.adj, tids)
-        assert -(-g.n // max(gain)) < packed
-        assert solvers._greedy_rounds(g.adj, live, gain, 2, packed, owner, packed) is None
-        assert live.count(1) == g.n  # no round ran
+class TestLocalMaxConfluence:
+    """Classical greedy is confluent: picking local maxima of the residual
+    in any order, then finishing classically, ends in classical greedy's
+    set. A local max v stays one until classical greedy picks it, as
+    every vertex within distance 2 keeps a lower key and gains only fall,
+    and every earlier pick lies farther out, so N[v] meets none of their
+    closed neighborhoods and the picks commute."""
 
-    @pytest.mark.parametrize("i", [None, 3])
-    def test_packing_only_for_classical_runs(self, i):
-        adj, tids = p4().adj, (0, 1, 2, 3)
-        owner, packed = solvers._packing(adj, tids)
-        with pytest.raises(ValueError):
-            solvers._greedy_rounds(adj, *solvers._residual(adj, tids), i, 5, owner, packed)
+    @given(
+        g=st.one_of(
+            random_graphs,
+            larger_graphs,
+            st.builds(gen_d_degenerate, st.integers(0, 60), st.sampled_from([2, 3]),
+                      st.integers(min_value=0, max_value=2**32)),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_local_maxima_then_classical_is_classical(self, g, data):
+        targets = [v for v in range(g.n) if data.draw(st.booleans())]
+        steps = data.draw(st.integers(min_value=0, max_value=g.n))
 
-    @pytest.mark.parametrize("i", [None, 3])
-    def test_round_limit_only_for_classical_runs(self, i):
-        # fixed:3 takes (4, 0) in one round and dominates all 5 targets,
-        # more than the maximum gain 4: ceil(5 / 4) = 2 would cut the
-        # run off at a limit of 2, though it ends in 1 round
-        adj, tids = Graph(5, [(0, 3), (0, 4), (1, 4), (2, 4)]).adj, tuple(range(5))
-        rounds = solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 3)
-        assert rounds == [((4, 0), (3, 0), 5, [])]
-        with pytest.raises(ValueError):
-            solvers._greedy_rounds(adj, *solvers._residual(adj, tids), i, 2)
+        def choose(maxima):
+            nonlocal steps
+            if not steps:
+                return None
+            steps -= 1
+            return data.draw(st.sampled_from(maxima))
+
+        picks = local_max_then_classical(g, targets, choose)
+        classical = solve_classical(g, targets).dominating_set
+        assert len(picks) == len(classical)
+        assert tuple(sorted(picks)) == classical
 
 
 class TestReplay:
     """`_replay` edits a classical run into the classical run of a smaller
-    residual, and `solve_hybrid` gives the same result whether its
-    replays all run or all fall back."""
+    residual, and `solve_hybrid` evaluates every prefix after the first
+    by a replay."""
 
     sizes = st.integers(min_value=0, max_value=40)
     seeds = st.integers(min_value=0, max_value=2**32)
@@ -656,7 +630,7 @@ class TestReplay:
             lost = [u for u in range(g.n) if live[u] and data.draw(st.booleans())]
             for u in lost:
                 live[u] = 0
-            size += solvers._replay(adj, pk, dk, lost, float("inf"))
+            size += solvers._replay(adj, pk, dk, lost)
             expected = self.keyed_run(adj, live)
             assert sorted(((k, v) for v, k in enumerate(pk) if k), reverse=True) == expected
             assert size == len(expected)
@@ -665,28 +639,38 @@ class TestReplay:
                 if live[u]:
                     assert dk[u] == max(pk[w] for w in (u, *adj[u])), u
 
-    @pytest.mark.parametrize("i", [None, 2, 3, 4])
-    @pytest.mark.parametrize("with_targets", [False, True], ids=["all", "targets"])
-    def test_hybrid_with_and_without_replays(self, monkeypatch, validity_suite, i, with_targets):
-        # a work limit of 0 abandons every replay, so every evaluated
-        # prefix after the seed run falls back to a cut-off extension;
-        # with no limit, no replay is abandoned
-        replays = []
-        real = solvers._replay
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("i", [None, 3])
+    def test_engine_runs_only_the_base_the_seed_and_the_winner(self, monkeypatch, seed, i):
+        # on 3-degenerate graphs consecutive classical extensions differ in
+        # about half their picks, and still every evaluated prefix after
+        # the first is a replay
+        g = gen_d_degenerate(350, 3, seed)
+        calls = TestHybrid.call_log(monkeypatch)
+        got = solve_hybrid(g, i)
+        assert calls[:2] == [(i, g.n), (2, g.n)]  # the base run, the seed run
+        kinds = [call[0] for call in calls[2:]]
+        if kinds[-1] == 2:  # a replayed winner, run once more
+            kinds.pop()
+        assert kinds == ["replay"] * len(kinds) and len(kinds) >= 10, kinds
+        assert got.trace.rounds == hybrid_reference(g, i, None)
 
-        def logging(*args):
-            replays.append(real(*args))
-            return replays[-1]
-
-        monkeypatch.setattr(solvers, "_replay", logging)
-        for name, g in validity_suite:
-            targets = list(range(0, g.n, 2)) if with_targets else None
-            expected = hybrid_reference(g, i, targets)
-            for limit in (0, float("inf")):
-                monkeypatch.setattr(solvers, "_REPLAY_WORK", limit)
-                replays.clear()
-                assert solve_hybrid(g, i, targets).trace.rounds == expected, (name, limit)
-                assert all((delta is None) == (limit == 0) for delta in replays), (name, limit)
+    @given(
+        g=st.one_of(
+            st.builds(gen_d_degenerate, st.integers(65, 200), st.just(3), seeds),
+            st.builds(lambda n, seed: gen_gnp(n, 4 / n, seed), st.integers(65, 200), seeds),
+        ),
+        i=st.sampled_from([None, 3]),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_long_replay_chains(self, g, i, data):
+        # past the validity suite's n <= 64, hybrid makes up to about 15
+        # replays in a row, each edited from the one before
+        targets = None
+        if data.draw(st.booleans()):
+            targets = [v for v in range(g.n) if data.draw(st.booleans())]
+        assert solve_hybrid(g, i, targets).trace.rounds == hybrid_reference(g, i, targets)
 
 
 class TestEngineState:
