@@ -16,8 +16,8 @@ The first part of a cell's name says what it times:
   `solve_auto` on a random tree, a square grid and a 3-degenerate graph
   at n = 10^3, 10^4 and 10^5, and `solve_hybrid(g)` (`hybrid`) or
   `solve_hybrid(g, 3)` (`hybrid:3`) on the same graphs at n = 10^3 and
-  10^4, up to the `to_json()` text of the result (the graph is made
-  once, outside the timed runs).
+  10^4 and on the `gen/...` graphs, up to the `to_json()` text of the
+  result (the graph is made once, outside the timed runs).
 
     python3 benchmarks/scaling.py --label NAME            # writes BENCH_NAME.json
     python3 benchmarks/scaling.py --label NAME --src DIR  # measures DIR/domset
@@ -115,6 +115,9 @@ for _n in (10**3, 10**4, 10**5):
             continue
         for _name, _spec in families(_n).items():
             CELLS[f"solve/{_algo}/{_name}"] = [_spec]
+for _n in (1000, 4000):
+    for _algo in ("hybrid", "hybrid:3"):
+        CELLS[f"solve/{_algo}/gnp/n{_n}/p4n/seed1"] = CELLS[f"gen/gnp/n{_n}/p4n/seed1"]
 SMOKE_CELLS = {
     "oracle/random_tree/n40/seeds0-4": CELLS["oracle/random_tree/n40/seeds0-99"][:5],
     "oracle/d_degenerate/n40/d2/seeds0-4": CELLS["oracle/d_degenerate/n40/d2/seeds0-59"][:5],
@@ -123,6 +126,7 @@ SMOKE_CELLS = {
     "gen/gnp/n1000/p4n/seed1": CELLS["gen/gnp/n1000/p4n/seed1"],
     "solve/auto/d_degenerate/n1000/d3/seed1": CELLS["solve/auto/d_degenerate/n1000/d3/seed1"],
     "solve/hybrid:3/random_tree/n1000/seed1": CELLS["solve/hybrid:3/random_tree/n1000/seed1"],
+    "solve/hybrid:3/d_degenerate/n1000/d3/seed1": CELLS["solve/hybrid:3/d_degenerate/n1000/d3/seed1"],
 }
 
 

@@ -50,9 +50,11 @@ prefix whose next base round has a single pick, returns a base run with
 no chained round as it is, and skips a prefix that a 2-packing of the
 targets shows cannot win. It runs the first evaluated extension in
 full and derives each later one from the previous by a replay
-(`_replay`) that visits only the picks near a change and yields exactly
-the classical run. `solve_hybrid` gives each rule and why the result is
-unchanged.
+(`_replay`) that yields exactly the classical run. The replay visits
+only the old picks near a change and the vertices next to targets a
+dropped pick left undominated; it counts those targets per vertex, and
+passes over a vertex left with none without reading its adjacency.
+`solve_hybrid` gives each rule and why the result is unchanged.
 """
 
 from __future__ import annotations
@@ -323,33 +325,49 @@ def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int
     return pk, dk
 
 
-def _replay(adj, pk: list[int], dk: list[int], lost: list[int]) -> int:
+def _replay(
+    adj, pk: list[int], dk: list[int], lost: list[int], queued: list[int], miss: list[int]
+) -> int:
     """Edit the classical run (pk, dk) of a residual X (see `_run_keys`),
     in place, into the classical run of X minus the targets `lost`, and
-    return the change in its number of picks.
+    return the change in its number of picks. `queued` and `miss` are
+    all-zero arrays of n entries, and are all zeros again on return.
 
     Target u is live at key t (after every pick of a key above t) iff
     dk[u] <= t. A lost target gets dk = (n + 1) * n, so it is never
     live. A target whose pick is dropped gets dk = 0 ("missed"), so it
-    stays live until a pick dominates it.
+    stays live until a pick dominates it; miss[w] counts the missed
+    targets in N[w].
 
     The new run is merged from two max-heaps of keys:
 
     * D: old picks whose key may have changed. These are the dominators
       of lost targets, and of targets that a new pick took over.
-    * H: vertices next to missed targets, each under an upper bound of
-      its key.
+    * H: vertices under an upper bound of their key, at most one entry
+      each (queued[w] is 1 while w has one). Every vertex with a missed
+      target has an entry; a vertex whose missed targets were all taken
+      since may keep one.
 
     No other vertex is visited, and this is exact. An old pick not in D
-    keeps its key. Any other vertex w outside H has no missed target, so
-    its live targets at a key t are all live at t in the old run; as
-    that run was classical, w's key is below the old pick next in line.
-    So the old picks between two events keep their places.
+    keeps its key. A vertex w with no missed target is below the old
+    pick next in line: a target in N[w] that is live at a key t below
+    the sweep was live at t in the old run too (a new pick only raised
+    its targets' dk, to its own key, above t), and as that run was
+    classical, w's key there was below that pick's. So the old picks
+    between two events keep their places, and an H entry of a vertex
+    with no missed target is popped without reading its key. An entry
+    stays an upper bound as the sweep goes down: the targets it counted
+    were live at the key it was made at, and since then targets have
+    only left the live set, save the missed ones, which were counted
+    too (their dropped pick's key is at or below the entry's). So a
+    vertex that has an entry gets no second one, and its key is not
+    read.
 
     At each step the larger top goes. A D pick whose key is unchanged
     stays; otherwise it is dropped, its live targets become missed, and
-    their neighbours enter H. An H top whose key is current is picked,
-    and the old picks of the targets it takes over enter D."""
+    their neighbours that have no entry in H get one. An H top whose
+    key is current is picked, and the old picks of the targets it takes
+    over enter D."""
     n = len(adj)
     dirty = {dk[u] for u in lost}
     for u in lost:
@@ -357,7 +375,6 @@ def _replay(adj, pk: list[int], dk: list[int], lost: list[int]) -> int:
     D = [-k for k in dirty]
     heapify(D)
     H: list[int] = []
-    top: dict[int, int] = {}  # vertex -> the key of its current entry in H
     delta = 0
 
     def key_at(w: int, t: int) -> int:
@@ -372,20 +389,16 @@ def _replay(adj, pk: list[int], dk: list[int], lost: list[int]) -> int:
         if H and (not D or H[0] < D[0]):  # a tie is one vertex, which either branch picks
             t = -H[0]
             v = n - 1 - t % n
-            if top.get(v) != t:  # superseded by a higher entry
+            if not miss[v]:  # below the old pick next in line
                 heappop(H)
+                queued[v] = 0
                 continue
-            k = key_at(v, t)
+            k = key_at(v, t)  # a missed target keeps the gain above 0
             if k != t:
-                if k >= n:  # a gain above 0
-                    heapreplace(H, -k)
-                    top[v] = k
-                else:
-                    heappop(H)
-                    del top[v]
+                heapreplace(H, -k)
                 continue
             heappop(H)
-            del top[v]
+            queued[v] = 0
             if not pk[v]:
                 delta += 1
             pk[v] = k  # a later old key of v is now stale
@@ -397,21 +410,23 @@ def _replay(adj, pk: list[int], dk: list[int], lost: list[int]) -> int:
             if key_at(v, k) != k:
                 pk[v] = 0
                 delta -= 1
-                missed = [u for u in (v, *adj[v]) if dk[u] == k]
-                for u in missed:
-                    dk[u] = 0
-                for u in missed:  # each is live, so its neighbours' gains are above 0
-                    for w in (u, *adj[u]):
-                        kw = key_at(w, k)
-                        if kw > top.get(w, 0):
-                            top[w] = kw
-                            heappush(H, -kw)
+                for u in (v, *adj[v]):
+                    if dk[u] == k:
+                        dk[u] = 0
+                        for w in (u, *adj[u]):
+                            miss[w] += 1
+                            if not queued[w]:
+                                queued[w] = 1
+                                heappush(H, -key_at(w, k))
                 continue
         # v is picked at key k: it dominates every target live at k
         for u in (v, *adj[v]):
             x = dk[u]
             if x <= k:
-                if x and x != k and x not in dirty:  # u's old pick loses it
+                if not x:
+                    for w in (u, *adj[u]):
+                        miss[w] -= 1
+                elif x != k and x not in dirty:  # u's old pick loses it
                     dirty.add(x)
                     heappush(D, -x)
                 dk[u] = k
@@ -517,7 +532,8 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     since, and `_replay` edits the previous run, in place, into exactly
     the engine's run of this residual, pick for pick and key for key, so
     the size is exact. Skipped prefixes only make that difference
-    larger.
+    larger. The replay's two scratch arrays are made with the seed run
+    and are all zeros between replays, so no replay allocates n entries.
 
     A winner found by the seed run keeps its rounds; a replayed winner
     is run by the engine once more at the end, so the trace is the
@@ -545,9 +561,10 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
             if run is None:
                 extension = _greedy_rounds(adj, live[:], gain[:], 2)
                 run = _run_keys(adj, live, extension)
+                scratch = [0] * len(adj), [0] * len(adj)  # _replay's queued and miss
                 size = len(extension)
             else:
-                size += _replay(adj, *run, lost)
+                size += _replay(adj, *run, lost, *scratch)
                 lost = []
                 extension = None  # rebuilt below if it wins
             if size < limit:

@@ -182,8 +182,8 @@ class TestHybrid:
         calls = cls.engine_log(monkeypatch)
         real = solvers._replay
 
-        def logging(adj, pk, dk, lost):
-            delta = real(adj, pk, dk, lost)
+        def logging(adj, pk, dk, lost, queued, miss):
+            delta = real(adj, pk, dk, lost, queued, miss)
             calls.append(("replay", len(lost), delta))
             return delta
 
@@ -625,12 +625,14 @@ class TestReplay:
         live, _ = solvers._residual(adj, tids)
         rounds = solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 2)
         pk, dk = solvers._run_keys(adj, live, rounds)
+        queued, miss = [0] * g.n, [0] * g.n
         size = len(rounds)
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             lost = [u for u in range(g.n) if live[u] and data.draw(st.booleans())]
             for u in lost:
                 live[u] = 0
-            size += solvers._replay(adj, pk, dk, lost)
+            size += solvers._replay(adj, pk, dk, lost, queued, miss)
+            assert not any(queued) and not any(miss)  # the scratch is zero again
             expected = self.keyed_run(adj, live)
             assert sorted(((k, v) for v, k in enumerate(pk) if k), reverse=True) == expected
             assert size == len(expected)
