@@ -28,10 +28,11 @@ identical results.
 
 The engine works on the adjacency lists (lazy greedy, Minoux 1978). It
 keeps a live flag per target and a gain per vertex, gain[v] = |N[v] & A|;
-dominating a target u lowers gain[w] for every w in N[u]. A heap holds
-at most one entry per vertex, the int key v - gain[v] * n (n the vertex
-count). Min-heap order on it is gain descending, then id ascending (the
-order of (-gain, id)), and v = key % n. The v_1 pick re-keys the top
+dominating a target u lowers gain[w] for every w in N[u]. Only
+`_residual`, which builds this state, and the engine write gains. A
+heap holds at most one entry per vertex, the int key v - gain[v] * n (n
+the vertex count). Min-heap order on it is gain descending, then id
+ascending (the order of (-gain, id)), and v = key % n. The v_1 pick re-keys the top
 until its key is current, and as gains only fall that top is the
 lowest-id maximum. With every vertex a target, gain[v] starts at
 deg(v) + 1 and needs no pass over the edges. A chain pick counts
@@ -48,9 +49,11 @@ round's pool only, so chains of at most c picks add O(c (n + m)).
 Hybrid extends only the prefixes that can change the answer: it skips a
 prefix whose next base round has a single pick, returns a base run with
 no chained round as it is, and skips a prefix that a 2-packing of the
-targets shows cannot win. It runs the first evaluated extension in
-full and derives each later one from the previous by a replay
-(`_replay`) that yields exactly the classical run. The replay visits
+targets shows cannot win. Its walk over the base rounds carries only
+the live set. The first evaluated extension is a full engine run on
+`_residual` of that prefix; each later one is derived from the previous
+by a replay (`_replay`) that yields exactly the classical run. The
+replay orders picks by the engine's own key, v - gain * n. It visits
 only the old picks near a change and the vertices next to targets a
 dropped pick left undominated; it counts those targets per vertex, and
 passes over a vertex left with none without reading its adjacency.
@@ -172,35 +175,29 @@ def _json_ints(ints, indent: int) -> str:
     return "[" + pad + ("," + pad).join(map(str, ints)) + pad[:-2] + "]"
 
 
-def _residual(adj, tids: tuple[int, ...]) -> tuple[bytearray, list[int]]:
-    """Engine state for the targets `tids`: live[u] is 1 while target u
-    is undominated, and gain[v] = |N[v] & A| over the live set A. With
-    every vertex a target, gain[v] is |N[v]| = deg(v) + 1."""
+def _residual(adj, tids: tuple[int, ...], prefix=()) -> tuple[bytearray, list[int]]:
+    """Engine state for the targets `tids` that no pick of the rounds
+    `prefix` dominates: live[u] is 1 while target u is undominated, and
+    gain[v] = |N[v] & A| over the live set A. With every vertex a target
+    and no prefix, gain[v] is |N[v]| = deg(v) + 1."""
     n = len(adj)
-    if len(tids) == n:  # the ids are distinct, so every vertex
+    if len(tids) == n and not prefix:  # the ids are distinct, so every vertex
         return bytearray(b"\x01") * n, [len(a) + 1 for a in adj]
     live = bytearray(n)
-    gain = [0] * n
     for u in tids:
         live[u] = 1
-        gain[u] += 1
-        for w in adj[u]:
-            gain[w] += 1
-    return live, gain
-
-
-def _dominate(adj, live: bytearray, gain: list[int], v: int) -> int:
-    """Mark the live targets of N[v] dominated, lowering the gain of
-    every vertex next to each; returns how many were live."""
-    k = 0
-    for u in (v, *adj[v]):
+    for chosen, _, _, _ in prefix:
+        for v in chosen:
+            live[v] = 0
+            for u in adj[v]:
+                live[u] = 0
+    gain = [0] * n
+    for u in tids:
         if live[u]:
-            live[u] = 0
-            k += 1
-            gain[u] -= 1
+            gain[u] += 1
             for w in adj[u]:
-                gain[w] -= 1
-    return k
+                gain[w] += 1
+    return live, gain
 
 
 def _packing(adj, tids: tuple[int, ...]) -> tuple[list[int], int]:
@@ -300,7 +297,13 @@ def _greedy_rounds(adj, live: bytearray, gain: list[int], i: int | None) -> list
             b_sizes.append(len(pool))
         covered = 0
         for v in chosen:
-            covered += _dominate(adj, live, gain, v)
+            for u in (v, *adj[v]):
+                if live[u]:
+                    live[u] = 0
+                    covered += 1
+                    gain[u] -= 1
+                    for w in adj[u]:
+                        gain[w] -= 1
         left -= covered
         rounds.append((tuple(chosen), tuple(b_sizes), covered, pool))
     return rounds
@@ -309,15 +312,16 @@ def _greedy_rounds(adj, live: bytearray, gain: list[int], i: int | None) -> list
 def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int], list[int]]:
     """The classical run `rounds` of the live targets as replay state: the
     pick key pk[v] of each pick, 0 for other vertices, and the key dk[u]
-    of each live target's dominating pick, (n + 1) * n for other vertices.
-    A pick's key is gain * n + n - 1 - v at its pick time, so larger keys
-    win, v = n - 1 - key % n, and keys fall strictly along the run."""
+    of each live target's dominating pick, -(n + 1) * n for other
+    vertices. A pick's key is the engine's heap key v - gain * n at its
+    pick time: smaller keys win, v = key % n, every key is negative, and
+    keys rise strictly along the run."""
     n = len(adj)
     pk = [0] * n
-    dk = [(n + 1) * n] * n  # above every key: never live
+    dk = [-(n + 1) * n] * n  # below every key: never live
     alive = live[:]
     for (v,), _, covered, _ in rounds:
-        key = pk[v] = covered * n + n - 1 - v
+        key = pk[v] = v - covered * n
         for u in (v, *adj[v]):
             if alive[u]:
                 alive[u] = 0
@@ -333,37 +337,38 @@ def _replay(
     return the change in its number of picks. `queued` and `miss` are
     all-zero arrays of n entries, and are all zeros again on return.
 
-    Target u is live at key t (after every pick of a key above t) iff
-    dk[u] <= t. A lost target gets dk = (n + 1) * n, so it is never
-    live. A target whose pick is dropped gets dk = 0 ("missed"), so it
-    stays live until a pick dominates it; miss[w] counts the missed
-    targets in N[w].
+    Target u is live at key t (after every pick of a key below t) iff
+    dk[u] >= t. A lost target gets dk = -(n + 1) * n, so it is never
+    live. A target whose pick is dropped gets dk = 0 ("missed"), above
+    every key, so it stays live until a pick dominates it; miss[w]
+    counts the missed targets in N[w].
 
-    The new run is merged from two max-heaps of keys:
+    The new run is merged from two min-heaps of keys, read as the
+    engine reads its heap:
 
     * D: old picks whose key may have changed. These are the dominators
       of lost targets, and of targets that a new pick took over.
-    * H: vertices under an upper bound of their key, at most one entry
+    * H: vertices over a lower bound of their key, at most one entry
       each (queued[w] is 1 while w has one). Every vertex with a missed
       target has an entry; a vertex whose missed targets were all taken
       since may keep one.
 
     No other vertex is visited, and this is exact. An old pick not in D
-    keeps its key. A vertex w with no missed target is below the old
-    pick next in line: a target in N[w] that is live at a key t below
-    the sweep was live at t in the old run too (a new pick only raised
-    its targets' dk, to its own key, above t), and as that run was
-    classical, w's key there was below that pick's. So the old picks
+    keeps its key. A vertex w with no missed target ranks after the old
+    pick next in line: a target in N[w] that is live at a key t past the
+    sweep was live at t in the old run too (a new pick only lowered its
+    targets' dk, to its own key, below t), and as that run was
+    classical, w's key there was above that pick's. So the old picks
     between two events keep their places, and an H entry of a vertex
     with no missed target is popped without reading its key. An entry
-    stays an upper bound as the sweep goes down: the targets it counted
+    stays a lower bound as the sweep goes up: the targets it counted
     were live at the key it was made at, and since then targets have
     only left the live set, save the missed ones, which were counted
-    too (their dropped pick's key is at or below the entry's). So a
+    too (their dropped pick's key is at or above the entry's). So a
     vertex that has an entry gets no second one, and its key is not
     read.
 
-    At each step the larger top goes. A D pick whose key is unchanged
+    At each step the smaller top goes. A D pick whose key is unchanged
     stays; otherwise it is dropped, its live targets become missed, and
     their neighbours that have no entry in H get one. An H top whose
     key is current is picked, and the old picks of the targets it takes
@@ -371,31 +376,31 @@ def _replay(
     n = len(adj)
     dirty = {dk[u] for u in lost}
     for u in lost:
-        dk[u] = (n + 1) * n
-    D = [-k for k in dirty]
+        dk[u] = -(n + 1) * n
+    D = list(dirty)
     heapify(D)
     H: list[int] = []
     delta = 0
 
     def key_at(w: int, t: int) -> int:
-        """The key of w after every pick of key above t."""
-        c = dk[w] <= t
+        """The key of w after every pick of key below t."""
+        c = dk[w] >= t
         for u in adj[w]:
-            if dk[u] <= t:
+            if dk[u] >= t:
                 c += 1
-        return c * n + n - 1 - w
+        return w - c * n
 
     while D or H:
         if H and (not D or H[0] < D[0]):  # a tie is one vertex, which either branch picks
-            t = -H[0]
-            v = n - 1 - t % n
-            if not miss[v]:  # below the old pick next in line
+            t = H[0]
+            v = t % n
+            if not miss[v]:  # ranks after the old pick next in line
                 heappop(H)
                 queued[v] = 0
                 continue
             k = key_at(v, t)  # a missed target keeps the gain above 0
             if k != t:
-                heapreplace(H, -k)
+                heapreplace(H, k)
                 continue
             heappop(H)
             queued[v] = 0
@@ -403,8 +408,8 @@ def _replay(
                 delta += 1
             pk[v] = k  # a later old key of v is now stale
         else:
-            k = -heappop(D)
-            v = n - 1 - k % n
+            k = heappop(D)
+            v = k % n
             if pk[v] != k:  # v was picked earlier, from H
                 continue
             if key_at(v, k) != k:
@@ -417,18 +422,18 @@ def _replay(
                             miss[w] += 1
                             if not queued[w]:
                                 queued[w] = 1
-                                heappush(H, -key_at(w, k))
+                                heappush(H, key_at(w, k))
                 continue
         # v is picked at key k: it dominates every target live at k
         for u in (v, *adj[v]):
             x = dk[u]
-            if x <= k:
+            if x >= k:
                 if not x:
                     for w in (u, *adj[u]):
                         miss[w] -= 1
                 elif x != k and x not in dirty:  # u's old pick loses it
                     dirty.add(x)
-                    heappush(D, -x)
+                    heappush(D, x)
                 dk[u] = k
     return delta
 
@@ -500,11 +505,12 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     the classical run, so the result is never larger than classical
     greedy. Ties go to the earliest prefix.
 
-    The search walks the base rounds once, carrying the residual's
-    live/gain state along them. The full prefix, whose extension is
-    empty, is the first incumbent: the best size starts at the base
-    run's size + 1, so an earlier prefix that ties the base run still
-    wins. At round p, prefix p is evaluated unless skipped below, and
+    The search walks the base rounds once, carrying the residual's live
+    set along them: each base pick clears its closed neighbourhood,
+    noting the targets it takes, and no gain is kept. The full prefix,
+    whose extension is empty, is the first incumbent: the best size
+    starts at the base run's size + 1, so an earlier prefix that ties
+    the base run still wins. At round p, prefix p is evaluated unless skipped below, and
     then round p is applied to the residual.
 
     Two kinds of prefix are skipped, and neither changes the result:
@@ -526,26 +532,26 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
 
     Evaluating a prefix finds the size of its classical extension. The
     first evaluated prefix gets the seed run: the engine's complete
-    classical run on a copy of the residual, kept as pick keys and
-    dominator keys (`_run_keys`). Each later one is replayed: its
-    residual is the previous one minus the targets the base rounds took
-    since, and `_replay` edits the previous run, in place, into exactly
-    the engine's run of this residual, pick for pick and key for key, so
-    the size is exact. Skipped prefixes only make that difference
-    larger. The replay's two scratch arrays are made with the seed run
+    classical run on the residual that `_residual` builds for the
+    prefix, kept as pick keys and dominator keys (`_run_keys`). Each
+    later one is replayed: its residual is the previous one minus the
+    targets the base rounds took since, and `_replay` edits the previous
+    run, in place, into exactly the engine's run of this residual, pick
+    for pick and key for key, so the size is exact. Skipped prefixes
+    only make that difference larger. The replay's two scratch arrays are made with the seed run
     and are all zeros between replays, so no replay allocates n entries.
 
     A winner found by the seed run keeps its rounds; a replayed winner
-    is run by the engine once more at the end, so the trace is the
-    engine's. A prefix that is evaluated has a chained round left to
-    apply, so its residual has a live target.
+    is run by the engine once more at the end, on `_residual` of its
+    prefix, so the trace is the engine's. A prefix that is evaluated has
+    a chained round left to apply, so its residual has a live target.
     """
     tids = _vertex_ids(g, targets)
     adj = g.adj
-    # the residual after each base prefix, carried forward round by round;
-    # the base run and the seed run run on a copy
+    # the live set after each base prefix, carried forward round by round;
+    # the base run consumes a copy of it and the gains
     live, gain = _residual(adj, tids)
-    base = _greedy_rounds(adj, live[:], gain[:], i)
+    base = _greedy_rounds(adj, live[:], gain, i)
     if all(len(chosen) == 1 for chosen, _, _, _ in base):
         return _assemble("hybrid", tids, base)
     owner, packed = _packing(adj, tids)  # every member is live at prefix 0
@@ -559,31 +565,27 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
         limit = best_size - prefix_size  # an extension wins below this size
         if len(chosen) > 1 and packed < limit:
             if run is None:
-                extension = _greedy_rounds(adj, live[:], gain[:], 2)
+                extension = _greedy_rounds(adj, *_residual(adj, tids, base[:p]), 2)
                 run = _run_keys(adj, live, extension)
                 scratch = [0] * len(adj), [0] * len(adj)  # _replay's queued and miss
                 size = len(extension)
             else:
                 size += _replay(adj, *run, lost, *scratch)
-                lost = []
                 extension = None  # rebuilt below if it wins
+            lost = []
             if size < limit:
                 best_size = prefix_size + size
                 best_p, best_ext = p, extension
         for v in chosen:
-            o = owner[v]
-            if o >= 0 and live[o]:
-                packed -= 1
-            if run is not None:
-                lost += [u for u in (v, *adj[v]) if live[u]]
-            _dominate(adj, live, gain, v)
+            for u in (v, *adj[v]):
+                if live[u]:
+                    live[u] = 0
+                    lost.append(u)
+                    if owner[u] == u:  # a member of the packing
+                        packed -= 1
         prefix_size += len(chosen)
     if best_ext is None:  # a replayed extension: run it once more for its rounds
-        live, gain = _residual(adj, tids)
-        for chosen, _, _, _ in base[:best_p]:
-            for v in chosen:
-                _dominate(adj, live, gain, v)
-        best_ext = _greedy_rounds(adj, live, gain, 2)
+        best_ext = _greedy_rounds(adj, *_residual(adj, tids, base[:best_p]), 2)
     return _assemble("hybrid", tids, base[:best_p] + best_ext)
 
 

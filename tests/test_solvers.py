@@ -615,7 +615,7 @@ class TestReplay:
         n = len(adj)
         tids = tuple(u for u in range(n) if live[u])
         rounds = solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 2)
-        return [(covered * n + n - 1 - v, v) for (v,), _, covered, _ in rounds]
+        return [(v - covered * n, v) for (v,), _, covered, _ in rounds]
 
     @given(g=graphs, data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -634,12 +634,12 @@ class TestReplay:
             size += solvers._replay(adj, pk, dk, lost, queued, miss)
             assert not any(queued) and not any(miss)  # the scratch is zero again
             expected = self.keyed_run(adj, live)
-            assert sorted(((k, v) for v, k in enumerate(pk) if k), reverse=True) == expected
+            assert sorted((k, v) for v, k in enumerate(pk) if k) == expected
             assert size == len(expected)
             # each live target's key is that of its first pick in N[u]
             for u in range(g.n):
                 if live[u]:
-                    assert dk[u] == max(pk[w] for w in (u, *adj[u])), u
+                    assert dk[u] == min(pk[w] for w in (u, *adj[u]) if pk[w]), u
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("i", [None, 3])
@@ -705,9 +705,16 @@ class TestEngineState:
                 [v if v != missing else (v + 1) % g.n for v in every],  # n ids, a vertex short
                 data.draw(st.lists(st.sampled_from(every), max_size=g.n - 1)),
             ]
+        i = data.draw(st.sampled_from([None, 2, 3]))
         for targets in target_lists:
             tids = _vertex_ids(g, targets)
             assert solvers._residual(g.adj, tids) == reference_residual(g.adj, tids)
+            # after a prefix of a base run, as hybrid's seed run starts
+            base = solvers._greedy_rounds(g.adj, *solvers._residual(g.adj, tids), i)
+            prefix = base[: data.draw(st.integers(0, len(base)))]
+            taken = {u for chosen, _, _, _ in prefix for v in chosen for u in (v, *g.adj[v])}
+            left = [u for u in tids if u not in taken]
+            assert solvers._residual(g.adj, tids, prefix) == reference_residual(g.adj, left)
 
     @pytest.mark.parametrize("tids", [(0, 1, 2, 3), (1, 2)], ids=["every-vertex", "subset"])
     def test_residual_objects_are_fresh(self, tids):
