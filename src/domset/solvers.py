@@ -50,13 +50,16 @@ Hybrid extends only the prefixes that can change the answer: it skips a
 prefix whose next base round has a single pick, returns a base run with
 no chained round as it is, and skips a prefix that a 2-packing of the
 targets shows cannot win. Its walk over the base rounds carries only
-the live set. The first evaluated extension is a full engine run on
-`_residual` of that prefix; each later one is derived from the previous
-by a replay (`_replay`) that yields exactly the classical run. The
-replay orders picks by the engine's own key, v - gain * n. It visits
-only the old picks near a change and the vertices next to targets a
-dropped pick left undominated; it counts those targets per vertex, and
-passes over a vertex left with none without reading its adjacency.
+the live set. The engine runs twice at most: the base run, and the
+classical run, which is the empty prefix's extension. Each later
+evaluated extension is derived from the previous by a replay
+(`_replay`) that yields exactly the classical run, and a replayed
+winner's rounds are read back from its replay state (`_rounds_of`).
+The replay orders picks by the engine's own key, v - gain * n. It
+visits only the old picks near a change and the vertices next to
+targets a dropped pick left undominated; it counts those targets per
+vertex, and passes over a vertex left with none without reading its
+adjacency.
 `solve_hybrid` gives each rule and why the result is unchanged.
 """
 
@@ -175,28 +178,20 @@ def _json_ints(ints, indent: int) -> str:
     return "[" + pad + ("," + pad).join(map(str, ints)) + pad[:-2] + "]"
 
 
-def _residual(adj, tids: tuple[int, ...], prefix=()) -> tuple[bytearray, list[int]]:
-    """Engine state for the targets `tids` that no pick of the rounds
-    `prefix` dominates: live[u] is 1 while target u is undominated, and
-    gain[v] = |N[v] & A| over the live set A. With every vertex a target
-    and no prefix, gain[v] is |N[v]| = deg(v) + 1."""
+def _residual(adj, tids: tuple[int, ...]) -> tuple[bytearray, list[int]]:
+    """Engine state for the targets `tids`: live[u] is 1 while target u
+    is undominated, and gain[v] = |N[v] & A| over the live set A. With
+    every vertex a target, gain[v] is |N[v]| = deg(v) + 1."""
     n = len(adj)
-    if len(tids) == n and not prefix:  # the ids are distinct, so every vertex
+    if len(tids) == n:  # the ids are distinct, so every vertex
         return bytearray(b"\x01") * n, [len(a) + 1 for a in adj]
     live = bytearray(n)
-    for u in tids:
-        live[u] = 1
-    for chosen, _, _, _ in prefix:
-        for v in chosen:
-            live[v] = 0
-            for u in adj[v]:
-                live[u] = 0
     gain = [0] * n
     for u in tids:
-        if live[u]:
-            gain[u] += 1
-            for w in adj[u]:
-                gain[w] += 1
+        live[u] = 1
+        gain[u] += 1
+        for w in adj[u]:
+            gain[w] += 1
     return live, gain
 
 
@@ -245,8 +240,8 @@ def _chain_pick(adj, pool: list[int], chosen: list[int], cnt: list[int]) -> int:
 
 # A round as the engine records it: (chosen, b_sizes, newly_dominated,
 # pool), the fields of `Round` in order and then the round's final chain
-# pool, sorted.
-RoundRecord = tuple[tuple[int, ...], tuple[int, ...], int, list[int]]
+# pool, sorted (None in a round `_rounds_of` reads back).
+RoundRecord = tuple[tuple[int, ...], tuple[int, ...], int, list[int] | None]
 
 
 def _check_i(i: int | None) -> None:
@@ -315,7 +310,8 @@ def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int
     of each live target's dominating pick, -(n + 1) * n for other
     vertices. A pick's key is the engine's heap key v - gain * n at its
     pick time: smaller keys win, v = key % n, every key is negative, and
-    keys rise strictly along the run."""
+    keys rise strictly along the run. `_rounds_of` reads the rounds
+    back."""
     n = len(adj)
     pk = [0] * n
     dk = [-(n + 1) * n] * n  # below every key: never live
@@ -327,6 +323,22 @@ def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int
                 alive[u] = 0
                 dk[u] = key
     return pk, dk
+
+
+def _rounds_of(pk: list[int], dk: list[int]) -> list[RoundRecord]:
+    """The rounds of the classical run held as replay state (pk, dk), the
+    inverse of `_run_keys`. The picks go in ascending key order, and a
+    pick v of key k covered c = (v - k) // n targets. Its pool, its live
+    neighbours, holds c of them less v itself when v was live, that is
+    when v's first dominator is v (dk[v] == k). The pool is not kept
+    (None): only the fields of `Round` are read."""
+    n = len(pk)
+    rounds: list[RoundRecord] = []
+    for k in sorted(filter(None, pk)):
+        v = k % n
+        c = (v - k) // n
+        rounds.append(((v,), (c - (dk[v] == k),), c, None))
+    return rounds
 
 
 def _replay(
@@ -505,13 +517,14 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     the classical run, so the result is never larger than classical
     greedy. Ties go to the earliest prefix.
 
-    The search walks the base rounds once, carrying the residual's live
-    set along them: each base pick clears its closed neighbourhood,
-    noting the targets it takes, and no gain is kept. The full prefix,
-    whose extension is empty, is the first incumbent: the best size
-    starts at the base run's size + 1, so an earlier prefix that ties
-    the base run still wins. At round p, prefix p is evaluated unless skipped below, and
-    then round p is applied to the residual.
+    The first incumbent is the empty prefix (the classical run) if it
+    is no larger than the base run, and otherwise the full prefix, whose
+    extension is empty, at the base run's size + 1, so a later prefix
+    that ties the base run still wins. The search then walks the base
+    rounds once, carrying the residual's live set along them: each base
+    pick clears its closed neighbourhood, noting the targets it takes,
+    and no gain is kept. At round p >= 1, prefix p is evaluated unless
+    skipped below, and then round p is applied to the residual.
 
     Two kinds of prefix are skipped, and neither changes the result:
 
@@ -525,26 +538,29 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
       auto on every tree, for i = 2 and for an empty target set.
     * a prefix whose size plus `packed` is at least the best size so
       far. `packed` counts the live members of a 2-packing P of the
-      targets (`_packing`), built once, before the first prefix, when
+      targets (`_packing`), built once, before the classical run, when
       some base round is chained: each member needs its own dominator,
       so any extension has at least `packed` picks, and the prefix
       could at best tie.
 
     Evaluating a prefix finds the size of its classical extension. The
-    first evaluated prefix gets the seed run: the engine's complete
-    classical run on the residual that `_residual` builds for the
-    prefix, kept as pick keys and dominator keys (`_run_keys`). Each
-    later one is replayed: its residual is the previous one minus the
-    targets the base rounds took since, and `_replay` edits the previous
-    run, in place, into exactly the engine's run of this residual, pick
-    for pick and key for key, so the size is exact. Skipped prefixes
-    only make that difference larger. The replay's two scratch arrays are made with the seed run
-    and are all zeros between replays, so no replay allocates n entries.
+    empty prefix's extension is the classical run itself: the engine
+    runs it once, after the packing, and keeps it also as pick keys and
+    dominator keys (`_run_keys`). Every later prefix that is evaluated
+    is replayed: its residual is the previous one minus the targets the
+    base rounds took since, and `_replay` edits the previous run, in
+    place, into exactly the engine's run of this residual, pick for pick
+    and key for key, so the size is exact.
+    Skipped prefixes only make that difference larger; single-pick base
+    rounds before the first replay are classical rounds, so it only
+    drops their picks. The replay's two scratch arrays are made with the
+    classical run and are all zeros between replays, so no replay
+    allocates n entries.
 
-    A winner found by the seed run keeps its rounds; a replayed winner
-    is run by the engine once more at the end, on `_residual` of its
-    prefix, so the trace is the engine's. A prefix that is evaluated has
-    a chained round left to apply, so its residual has a live target.
+    The classical run's rounds are kept only while it is the
+    incumbent. A replayed winner keeps a copy of its keys, and its
+    rounds are read back from them once, at the end (`_rounds_of`). So
+    the engine runs at most twice per call.
     """
     tids = _vertex_ids(g, targets)
     adj = g.adj
@@ -555,27 +571,24 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     if all(len(chosen) == 1 for chosen, _, _, _ in base):
         return _assemble("hybrid", tids, base)
     owner, packed = _packing(adj, tids)  # every member is live at prefix 0
-
-    best_p, best_ext = len(base), []  # the full prefix, whose extension is empty
-    best_size = sum(len(chosen) for chosen, _, _, _ in base) + 1  # earlier prefixes win ties
+    best_p, best_ext = 0, _greedy_rounds(adj, *_residual(adj, tids), 2)  # the classical run
+    pk, dk = _run_keys(adj, live, best_ext)
+    scratch = [0] * len(adj), [0] * len(adj)  # _replay's queued and miss
+    size = len(best_ext)
+    full = sum(len(chosen) for chosen, _, _, _ in base)  # the full prefix's size
+    if size > full:  # the full prefix, whose extension is empty, is smaller
+        best_p, best_ext = len(base), []
+    best_size = min(size, full + 1)  # earlier prefixes win ties
     prefix_size = 0
-    run = None  # (pk, dk) of the last evaluated extension
-    lost: list[int] = []  # targets the base rounds took since that extension
+    lost: list[int] = []  # targets the base rounds took since the last evaluation
     for p, (chosen, _, _, _) in enumerate(base):
         limit = best_size - prefix_size  # an extension wins below this size
-        if len(chosen) > 1 and packed < limit:
-            if run is None:
-                extension = _greedy_rounds(adj, *_residual(adj, tids, base[:p]), 2)
-                run = _run_keys(adj, live, extension)
-                scratch = [0] * len(adj), [0] * len(adj)  # _replay's queued and miss
-                size = len(extension)
-            else:
-                size += _replay(adj, *run, lost, *scratch)
-                extension = None  # rebuilt below if it wins
+        if p and len(chosen) > 1 and packed < limit:
+            size += _replay(adj, pk, dk, lost, *scratch)
             lost = []
             if size < limit:
                 best_size = prefix_size + size
-                best_p, best_ext = p, extension
+                best_p, best_ext = p, (pk[:], dk[:])  # its rounds are read at the end
         for v in chosen:
             for u in (v, *adj[v]):
                 if live[u]:
@@ -584,8 +597,8 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
                     if owner[u] == u:  # a member of the packing
                         packed -= 1
         prefix_size += len(chosen)
-    if best_ext is None:  # a replayed extension: run it once more for its rounds
-        best_ext = _greedy_rounds(adj, *_residual(adj, tids, base[:best_p]), 2)
+    if isinstance(best_ext, tuple):  # a replayed winner's keys
+        best_ext = _rounds_of(*best_ext)
     return _assemble("hybrid", tids, base[:best_p] + best_ext)
 
 

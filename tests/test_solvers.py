@@ -191,29 +191,37 @@ class TestHybrid:
         return calls
 
     def test_base_run_is_the_first_incumbent(self, monkeypatch):
-        # auto takes (0, 3) then (14, 10): size 4, so the best size starts
-        # at 4 + 1. The empty prefix gets the seed run, a complete classical
-        # run of 5 picks, which does not beat it. Prefix 1 is replayed from
-        # the seed, to 2 picks, and wins. The full prefix (an empty
-        # residual) is never run.
+        # auto takes (0, 3) then (14, 10): size 4. The empty prefix's
+        # extension, the classical run of 5 picks, is larger, so the base
+        # run is the first incumbent and the best size starts at 4 + 1.
+        # Prefix 1 is replayed from the classical run, to 2 picks, and
+        # wins; its rounds are read from its keys, so the engine does not
+        # run again. The full prefix (an empty residual) is never run.
         g = gen_d_degenerate(20, 3, 38)
         assert [r.chosen for r in solve_auto(g).trace.rounds] == [(0, 3), (14, 10)]
         assert len(solve_classical(g).dominating_set) == 5
         calls = self.call_log(monkeypatch)
         result = solve_hybrid(g)
         assert [r.chosen for r in result.trace.rounds] == [(0, 3), (14,), (1,)]
-        # the winner was replayed, so its rounds are run once more
-        assert calls == [(None, 20), (2, 20), ("replay", 15, -3), (2, 5)]
+        assert calls == [(None, 20), (2, 20), ("replay", 15, -3)]
 
     def test_no_extension_on_an_empty_residual(self, monkeypatch, validity_suite):
+        # the engine runs the base run, and then the classical run on every
+        # target exactly when some base round is chained; every other
+        # extension is a replay
+        engine = solvers._greedy_rounds
         calls = self.engine_log(monkeypatch)
         for name, g in validity_suite:
             for i in (None, 2, 3, 4):
                 for targets in (None, range(0, g.n, 2)):
                     start = len(calls)
                     solve_hybrid(g, i, targets)
-                    extensions = calls[start + 1:]  # calls[start] is the base run
-                    assert all(live for _, live in extensions), (name, i, targets)
+                    tids = _vertex_ids(g, targets)
+                    base = engine(g.adj, *solvers._residual(g.adj, tids), i)
+                    expected = [(i, len(tids))]
+                    if any(len(chosen) > 1 for chosen, _, _, _ in base):
+                        expected.append((2, len(tids)))
+                    assert calls[start:] == expected, (name, i, targets)
 
     def test_single_pick_prefixes_are_not_extended(self, monkeypatch):
         # a tree holds no 4-cycle, so every auto round has one pick: the
@@ -226,8 +234,9 @@ class TestHybrid:
     def test_packing_skips_chained_prefixes(self, monkeypatch):
         # fixed:3 chains two picks per round on a tree, so every prefix
         # is a candidate; the packing bound skips all but 9 of them (94
-        # are evaluated without it). The first gets the seed run and the
-        # other 8 are replayed; none beats the seed, the classical run.
+        # are evaluated without it). The first is the empty prefix, whose
+        # extension is the classical run, and the other 8 are replayed;
+        # none beats the classical run.
         g = gen_random_tree(300, 1)
         classical = solve_classical(g).trace.rounds
         calls = self.call_log(monkeypatch)
@@ -596,8 +605,8 @@ class TestLocalMaxConfluence:
 
 class TestReplay:
     """`_replay` edits a classical run into the classical run of a smaller
-    residual, and `solve_hybrid` evaluates every prefix after the first
-    by a replay."""
+    residual, and `solve_hybrid` evaluates every prefix after the empty
+    one by a replay."""
 
     sizes = st.integers(min_value=0, max_value=40)
     seeds = st.integers(min_value=0, max_value=2**32)
@@ -610,12 +619,10 @@ class TestReplay:
     )
 
     @staticmethod
-    def keyed_run(adj, live):
-        """(key, pick) of each pick of the engine's classical run, in order."""
-        n = len(adj)
-        tids = tuple(u for u in range(n) if live[u])
-        rounds = solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 2)
-        return [(v - covered * n, v) for (v,), _, covered, _ in rounds]
+    def classical_run(adj, live):
+        """The engine's classical run of the live targets."""
+        tids = tuple(u for u in range(len(adj)) if live[u])
+        return solvers._greedy_rounds(adj, *solvers._residual(adj, tids), 2)
 
     @given(g=graphs, data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -633,9 +640,12 @@ class TestReplay:
                 live[u] = 0
             size += solvers._replay(adj, pk, dk, lost, queued, miss)
             assert not any(queued) and not any(miss)  # the scratch is zero again
-            expected = self.keyed_run(adj, live)
+            run = self.classical_run(adj, live)
+            expected = [(v - covered * g.n, v) for (v,), _, covered, _ in run]
             assert sorted((k, v) for v, k in enumerate(pk) if k) == expected
             assert size == len(expected)
+            # the rounds read back from the keys are the engine's
+            assert [r[:3] for r in solvers._rounds_of(pk, dk)] == [r[:3] for r in run]
             # each live target's key is that of its first pick in N[u]
             for u in range(g.n):
                 if live[u]:
@@ -645,15 +655,14 @@ class TestReplay:
     @pytest.mark.parametrize("i", [None, 3])
     def test_engine_runs_only_the_base_the_seed_and_the_winner(self, monkeypatch, seed, i):
         # on 3-degenerate graphs consecutive classical extensions differ in
-        # about half their picks, and still every evaluated prefix after
-        # the first is a replay
+        # about half their picks, and still the engine runs only the base
+        # run and the classical run (the seed); every evaluated prefix
+        # after that is a replay, and a replayed winner is not run again
         g = gen_d_degenerate(350, 3, seed)
         calls = TestHybrid.call_log(monkeypatch)
         got = solve_hybrid(g, i)
-        assert calls[:2] == [(i, g.n), (2, g.n)]  # the base run, the seed run
+        assert calls[:2] == [(i, g.n), (2, g.n)]  # the base run, the classical run
         kinds = [call[0] for call in calls[2:]]
-        if kinds[-1] == 2:  # a replayed winner, run once more
-            kinds.pop()
         assert kinds == ["replay"] * len(kinds) and len(kinds) >= 10, kinds
         assert got.trace.rounds == hybrid_reference(g, i, None)
 
@@ -705,16 +714,9 @@ class TestEngineState:
                 [v if v != missing else (v + 1) % g.n for v in every],  # n ids, a vertex short
                 data.draw(st.lists(st.sampled_from(every), max_size=g.n - 1)),
             ]
-        i = data.draw(st.sampled_from([None, 2, 3]))
         for targets in target_lists:
             tids = _vertex_ids(g, targets)
             assert solvers._residual(g.adj, tids) == reference_residual(g.adj, tids)
-            # after a prefix of a base run, as hybrid's seed run starts
-            base = solvers._greedy_rounds(g.adj, *solvers._residual(g.adj, tids), i)
-            prefix = base[: data.draw(st.integers(0, len(base)))]
-            taken = {u for chosen, _, _, _ in prefix for v in chosen for u in (v, *g.adj[v])}
-            left = [u for u in tids if u not in taken]
-            assert solvers._residual(g.adj, tids, prefix) == reference_residual(g.adj, left)
 
     @pytest.mark.parametrize("tids", [(0, 1, 2, 3), (1, 2)], ids=["every-vertex", "subset"])
     def test_residual_objects_are_fresh(self, tids):
