@@ -16,9 +16,10 @@ the chain stops:
 * classical     -- fixed_i with i = 2: never chains (one vertex per
                    round).
 * auto          -- chains while the best pick would leave |B_{s+1}| >=
-                   s+1; the deepest chain length certifies a complete
-                   bipartite subgraph found along the way, reported as
-                   a witness.
+                   s+1, and stops before a pick once |B_s| <= s (B_{s+1}
+                   lies in B_s); the deepest chain length certifies a
+                   complete bipartite subgraph found along the way,
+                   reported as a witness.
 * hybrid        -- runs fixed_i or auto once, then extends every round
                    prefix of that run with the classical rule and keeps
                    the smallest result.
@@ -40,9 +41,11 @@ deg(v) + 1 and needs no pass over the edges. A chain pick counts
 pool, in one flat array of n counts per run; each pick resets the
 entries it touched. Rounds are recorded as
 plain (chosen, b_sizes, newly_dominated, pool) tuples, pool being the
-round's final chain pool, sorted; a round of l picks with a non-empty
-pool certifies a K_{l,l}, and auto reads its witness from these records
-alone. `Round` objects are built only for the rounds a result returns.
+round's final chain pool, sorted; a classical round keeps no pool
+(None), its |B_1| being gain[v_1] less v_1's own liveness. A round of l
+picks with a non-empty pool certifies a K_{l,l}, and auto reads its
+witness from these records alone. `Round` objects are built only for
+the rounds a result returns.
 A run costs O((n + m) log n) for the v_1 picks and gain updates. A
 chain step costs the degree sum of its pool, and each vertex enters one
 round's pool only, so chains of at most c picks add O(c (n + m)).
@@ -136,8 +139,10 @@ class SolveResult:
         an indent, `json` falls back to its pure-Python encoder."""
         w = self.witness
         rounds = [
-            _ROUND % (_JOIN8.join(map(str, r.chosen)), _JOIN8.join(map(str, r.b_sizes)),
-                      r.newly_dominated)
+            _ROUND % (r.chosen[0], r.b_sizes[0], r.newly_dominated)
+            if len(r.chosen) == 1 == len(r.b_sizes)
+            else _ROUND % (_JOIN8.join(map(str, r.chosen)), _JOIN8.join(map(str, r.b_sizes)),
+                           r.newly_dominated)
             if r.chosen and r.b_sizes
             else _ROUND_ANY % (_json_ints(r.chosen, 8), _json_ints(r.b_sizes, 8),
                                r.newly_dominated)
@@ -201,16 +206,21 @@ def _packing(adj, tids: tuple[int, ...]) -> tuple[list[int], int]:
     owner[v] is the member of P in N[v], or -1; it is unique because P
     is a 2-packing, and P is the set of u with owner[u] == u. Targets
     join in (degree, id) order, so leaves go first, as in a tree's
-    largest 2-packing."""
+    largest 2-packing. A target joins when neither it nor any neighbour
+    has an owner yet; the scan stops at the first owned vertex."""
     owner = [-1] * len(adj)
     size = 0
     degree = list(map(len, adj))
     for u in sorted(tids, key=degree.__getitem__):  # stable: ids stay sorted
-        hood = (u, *adj[u])
-        if max(map(owner.__getitem__, hood)) < 0:  # N[u] meets no member's
-            for w in hood:
-                owner[w] = u
-            size += 1
+        if owner[u] < 0:
+            for w in adj[u]:
+                if owner[w] >= 0:
+                    break
+            else:  # N[u] meets no member's
+                owner[u] = u
+                for w in adj[u]:
+                    owner[w] = u
+                size += 1
     return owner, size
 
 
@@ -240,7 +250,8 @@ def _chain_pick(adj, pool: list[int], chosen: list[int], cnt: list[int]) -> int:
 
 # A round as the engine records it: (chosen, b_sizes, newly_dominated,
 # pool), the fields of `Round` in order and then the round's final chain
-# pool, sorted (None in a round `_rounds_of` reads back).
+# pool, sorted (None in a classical round and in a round `_rounds_of`
+# reads back).
 RoundRecord = tuple[tuple[int, ...], tuple[int, ...], int, list[int] | None]
 
 
@@ -254,9 +265,11 @@ def _check_i(i: int | None) -> None:
 def _greedy_rounds(adj, live: bytearray, gain: list[int], i: int | None) -> list[RoundRecord]:
     """Run rounds until no live target remains, consuming `live` and
     `gain`. An integer i >= 2 allows at most i-1 picks per round (i = 2
-    is classical); i None chains while |B_{s+1}| >= s+1 (auto). A chain
-    runs only while its pool is non-empty. Returns the rounds, each with
-    its final chain pool."""
+    is classical); i None chains while |B_{s+1}| >= s+1 (auto), and
+    makes no pick once |B_s| <= s, as B_{s+1} lies in B_s. A chain runs
+    only while its pool is non-empty. Returns the rounds, each with its
+    final chain pool, or None for a classical round: only auto reads a
+    pool, and |B_1| = gain[v1] - live[v1] needs none."""
     _check_i(i)
     n = len(adj)
     cnt = [0] * n if i != 2 else None  # chain pick counts, zero between picks
@@ -279,9 +292,9 @@ def _greedy_rounds(adj, live: bytearray, gain: list[int], i: int | None) -> list
                 heappop(heap)
         heappop(heap)  # every vertex picked this round ends with gain 0
         chosen = [v1]
-        pool = [w for w in adj[v1] if live[w]]
-        b_sizes = [len(pool)]
-        while pool and (i is None or len(chosen) < i - 1):
+        pool = [w for w in adj[v1] if live[w]] if i != 2 else None
+        b_sizes = [c - live[v1]]  # |B_1|: v1's live neighbours
+        while pool and (len(pool) > len(chosen) if i is None else len(chosen) < i - 1):
             v = _chain_pick(adj, pool, chosen, cnt)
             nbrs = set(adj[v])
             b_next = [b for b in pool if b in nbrs]

@@ -201,6 +201,21 @@ def reference_chain_pick(adj, pool, chosen) -> int:
     return min(w for w, c in cnt.items() if c == top)
 
 
+def reference_packing(adj, tids) -> tuple:
+    """`solvers._packing` as a tuple-and-`max` scan: each target, in
+    (degree, id) order, joins when no vertex of N[u] has an owner yet."""
+    owner = [-1] * len(adj)
+    size = 0
+    degree = list(map(len, adj))
+    for u in sorted(tids, key=degree.__getitem__):  # stable: ids stay sorted
+        hood = (u, *adj[u])
+        if max(map(owner.__getitem__, hood)) < 0:  # N[u] meets no member's
+            for w in hood:
+                owner[w] = u
+            size += 1
+    return owner, size
+
+
 def local_max_then_classical(g: Graph, targets, choose) -> list:
     """Dominate, one after another, local maxima of the residual: vertices
     of gain |N[v] & A| > 0 whose key (gain descending, id ascending)

@@ -13,6 +13,7 @@ from helpers import (
     closed_neighborhood,
     local_max_then_classical,
     reference_chain_pick,
+    reference_packing,
     reference_residual,
 )
 
@@ -135,6 +136,23 @@ class TestAuto:
             if r.witness is not None:
                 assert len(r.witness.left) == len(r.witness.right) == r.t_detected - 1
                 assert verify_witness(g, r.witness)
+
+    def test_no_chain_pick_once_the_pool_is_too_small(self, monkeypatch, validity_suite):
+        # auto keeps v_{s+1} only if |B_{s+1}| >= s+1, and B_{s+1} lies in
+        # B_s, so a pick from a pool of at most s members is always dropped
+        real = solvers._chain_pick
+        calls = []
+
+        def checked(adj, pool, chosen, cnt):
+            calls.append(len(pool) > len(chosen))
+            return real(adj, pool, chosen, cnt)
+
+        monkeypatch.setattr(solvers, "_chain_pick", checked)
+        for name, g in validity_suite:
+            start = len(calls)
+            solve_auto(g)
+            assert all(calls[start:]), name
+        assert calls  # chains were tried
 
 
 class TestHybrid:
@@ -526,6 +544,8 @@ class TestPacking:
     def test_owner_table_of_a_2_packing(self, g, data):
         tids = tuple(v for v in range(g.n) if data.draw(st.booleans()))
         owner, size = solvers._packing(g.adj, tids)
+        # the join order decides which hybrid prefixes the packing skips
+        assert (owner, size) == reference_packing(g.adj, tids)
         members = [u for u in range(g.n) if owner[u] == u]
         assert size == len(members)
         assert set(members) <= set(tids)
@@ -913,6 +933,7 @@ class TestResultWriter:
 
     @pytest.mark.parametrize("case", [
         "zero-vertices", "no-targets", "edgeless-auto", "classical", "auto-witness", "empty-lists",
+        "one-pick-two-sizes",
     ])
     def test_edge_cases(self, case):
         r = {
@@ -925,6 +946,10 @@ class TestResultWriter:
             "empty-lists": lambda: solvers.SolveResult(
                 'a "quoted" name', (), solvers.GreedyTrace((), (Round((), (), 0),), ()),
                 1, BicliqueWitness((), ()),
+            ),
+            # not an engine result either: one pick with two pool sizes
+            "one-pick-two-sizes": lambda: solvers.SolveResult(
+                "fixed", (3,), solvers.GreedyTrace((3,), (Round((3,), (2, 1), 1),), (3,)),
             ),
         }[case]()
         assert r.to_json() == json.dumps(r.as_document(), indent=2)
