@@ -16,8 +16,12 @@ The first part of a cell's name says what it times:
   `solve_auto` on a random tree, a square grid and a 3-degenerate graph
   at n = 10^3, 10^4 and 10^5, and `solve_hybrid(g)` (`hybrid`) or
   `solve_hybrid(g, 3)` (`hybrid:3`) on the same graphs at n = 10^3 and
-  10^4 and on the `gen/...` graphs, up to the `to_json()` text of the
-  result (the graph is made once, outside the timed runs).
+  10^4 and on the `gen/...` graphs, and the first three also on
+  `reduced_sc/...`, the reduced graph (`reduce_set_cover`) of
+  `gen_intersection_one(100000, 600, 600, 1)`: n = 169 571, a hub x of
+  degree 69 570 and set vertices of many gains. A solve cell times up
+  to the `to_json()` text of the result (the graph is made once,
+  outside the timed runs, and shared by the cells that solve it).
 
     python3 benchmarks/scaling.py --label NAME            # writes BENCH_NAME.json
     python3 benchmarks/scaling.py --label NAME --src DIR  # measures DIR/domset
@@ -47,9 +51,12 @@ With `--against DIR`, a second copy of the package is loaded from DIR
 and timed in the same process, alternating with the first: in even
 repetitions the measured copy runs first, in odd ones the other. Each
 cell then also gives, under "against", the other copy's peak_mib and
-quartiles, the median of the per-repetition time ratios (measured /
-other) and the number of repetitions the measured copy was faster; the
-run stops with exit 1 if the two copies' outputs differ.
+quartiles, the median and quartiles of the per-repetition time ratios
+(measured / other: ratio_median, ratio_q1, ratio_q3) and the number of
+repetitions the measured copy was faster; the run stops with exit 1 if
+the two copies' outputs differ. A cell whose ratio quartiles straddle 1
+is unresolved: cells that run the same code on both sides have read up
+to 1.04x in the median.
 """
 
 from __future__ import annotations
@@ -122,6 +129,12 @@ for _n in (10**3, 10**4, 10**5):
 for _n in (1000, 4000):
     for _algo in ("hybrid", "hybrid:3"):
         CELLS[f"solve/{_algo}/gnp/n{_n}/p4n/seed1"] = CELLS[f"gen/gnp/n{_n}/p4n/seed1"]
+# a graph spec ("reduced", (generator name, args)) is the reduced graph of
+# the generated set cover
+for _algo in ("classical", "fixed:3", "auto"):
+    CELLS[f"solve/{_algo}/reduced_sc/u100000/s600/w600/seed1"] = [
+        ("reduced", ("gen_intersection_one", (100000, 600, 600, 1)))
+    ]
 SMOKE_CELLS = {
     "oracle/random_tree/n40/seeds0-4": CELLS["oracle/random_tree/n40/seeds0-99"][:5],
     "oracle/d_degenerate/n40/d2/seeds0-4": CELLS["oracle/d_degenerate/n40/d2/seeds0-59"][:5],
@@ -131,6 +144,9 @@ SMOKE_CELLS = {
     "solve/auto/d_degenerate/n1000/d3/seed1": CELLS["solve/auto/d_degenerate/n1000/d3/seed1"],
     "solve/hybrid:3/random_tree/n1000/seed1": CELLS["solve/hybrid:3/random_tree/n1000/seed1"],
     "solve/hybrid:3/d_degenerate/n1000/d3/seed1": CELLS["solve/hybrid:3/d_degenerate/n1000/d3/seed1"],
+    "solve/auto/reduced_sc/u2000/s60/w60/seed1": [
+        ("reduced", ("gen_intersection_one", (2000, 60, 60, 1)))
+    ],
 }
 
 
@@ -165,16 +181,29 @@ class Subject:
         self.oracles = importlib.import_module(f"{name}.oracles")
         self.graph = importlib.import_module(f"{name}.graph")
         self.solvers = importlib.import_module(f"{name}.solvers")
+        reduction = importlib.import_module(f"{name}.reduction")
         gens = importlib.import_module(f"{name}.generators")
+        graphs = {}  # spec -> graph, made once and shared by the cells that read it
+
+        def build(fn: str, args: tuple):
+            if (fn, args) not in graphs:
+                if fn == "reduced":
+                    gen, gen_args = args
+                    g = reduction.reduce_set_cover(getattr(gens, gen)(*gen_args)).graph
+                else:
+                    g = getattr(gens, fn)(*args)
+                graphs[fn, args] = g
+            return graphs[fn, args]
+
         self.inputs = {}
         for cell, specs in cells.items():
-            makes = [functools.partial(getattr(gens, fn), *args) for fn, args in specs]
             if kind(cell) == "gen":
-                self.inputs[cell] = makes
+                self.inputs[cell] = [functools.partial(getattr(gens, fn), *args)
+                                     for fn, args in specs]
             elif kind(cell) == "ingest":
-                self.inputs[cell] = [self.graph.serialize_graph(make()) for make in makes]
+                self.inputs[cell] = [self.graph.serialize_graph(build(*spec)) for spec in specs]
             else:
-                self.inputs[cell] = [make() for make in makes]
+                self.inputs[cell] = [build(*spec) for spec in specs]
 
     def function(self, cell: str):
         """What one repetition of `cell` calls on each of its inputs."""
@@ -303,10 +332,13 @@ def measure(subject: Subject, other: Subject | None, cells: dict, reps: int) -> 
                 mine.append(subject.run(cell))
         entry.update(quartiles(mine))
         if other is not None:
+            q1, q2, q3 = statistics.quantiles([a / b for a, b in zip(mine, theirs)], n=4)
             entry["against"] = {
                 "peak_mib": other.peak_mib(cell),
                 **quartiles(theirs),
-                "ratio_median": round(statistics.median(a / b for a, b in zip(mine, theirs)), 3),
+                "ratio_median": round(q2, 3),
+                "ratio_q1": round(q1, 3),
+                "ratio_q3": round(q3, 3),
                 "wins": sum(a < b for a, b in zip(mine, theirs)),
             }
         out[cell] = entry

@@ -27,15 +27,20 @@ the chain stops:
 Every tie breaks to the lowest vertex id, so identical inputs produce
 identical results.
 
-The engine works on the adjacency lists (lazy greedy, Minoux 1978). It
-keeps a live flag per target and a gain per vertex, gain[v] = |N[v] & A|;
-dominating a target u lowers gain[w] for every w in N[u]. Only
-`_residual`, which builds this state, and the engine write gains. A
-heap holds at most one entry per vertex, the int key v - gain[v] * n (n
-the vertex count). Min-heap order on it is gain descending, then id
-ascending (the order of (-gain, id)), and v = key % n. The v_1 pick re-keys the top
-until its key is current, and as gains only fall that top is the
-lowest-id maximum. With every vertex a target, gain[v] starts at
+The engine works on the adjacency lists. It keeps a live flag per
+target and a gain per vertex, gain[v] = |N[v] & A|; dominating a target
+u lowers gain[w] for every w in N[u]. Only `_residual`, which builds
+this state, and the engine write gains. The v_1 pick is a level scan
+(`_v1_picks`) that rests on one lemma: gains only fall, so once x, the
+lowest-id vertex of maximum gain G, is picked, every lower id stays
+below G and x drops to 0. The picks at one level therefore come in
+increasing id order, and the next is the first vertex after x whose
+gain is G. Levels up to twice the mean starting gain scan the gain list
+itself; higher levels, which few vertices can reach, scan an id-sorted
+snapshot of just those vertices. So the picks go in the order of the
+int key v - gain[v] * n (n the vertex count): smaller keys win, which is
+gain descending, then id ascending (the order of (-gain, id)), and
+v = key % n. With every vertex a target, gain[v] starts at
 deg(v) + 1 and needs no pass over the edges. A chain pick counts
 |N[w] & B_s| only over w in N[B_s], the only vertices that meet the
 pool, in one flat array of n counts per run; each pick resets the
@@ -46,9 +51,10 @@ round's final chain pool, sorted; a classical round keeps no pool
 picks with a non-empty pool certifies a K_{l,l}, and auto reads its
 witness from these records alone. `Round` objects are built only for
 the rounds a result returns.
-A run costs O((n + m) log n) for the v_1 picks and gain updates. A
-chain step costs the degree sum of its pool, and each vertex enters one
-round's pool only, so chains of at most c picks add O(c (n + m)).
+A run's v_1 scans read O(n + m) entries, and its gain updates cost
+O(n + m). A chain step costs the degree sum of its pool, and each
+vertex enters one round's pool only, so chains of at most c picks add
+O(c (n + m)).
 Hybrid extends only the prefixes that can change the answer: it skips a
 prefix whose next base round has a single pick, returns a base run with
 no chained round as it is, and skips a prefix that a 2-packing of the
@@ -71,6 +77,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import compress, groupby
 from typing import Iterable
 
 from .errors import ValidationError
@@ -262,35 +269,91 @@ def _check_i(i: int | None) -> None:
         raise ValidationError(f"parameter i must be >= 2, got {i}")
 
 
+def _v1_picks(gain: list[int]):
+    """Yield the v_1 of each round: the lowest-id vertex of maximum gain,
+    read from `gain` as the engine leaves it when it resumes the
+    generator, which it does only while a target is live.
+
+    Gains only fall, so once x, the lowest-id vertex of maximum gain G,
+    is picked, every lower id stays below G and x drops to 0. The picks
+    at one level therefore come in increasing id order, and each is the
+    first vertex after the last whose gain is G; a level ends when none
+    is left, and the next starts again from the lowest id.
+
+    With T = 2 * sum(gain) // n, the levels at or below T scan `gain`
+    itself with `index`, each from the new maximum `max(gain)`: at most
+    T levels of about 3n entries each. A level above T scans an
+    id-sorted snapshot of the vertices whose starting gain reaches it,
+    as only they can have that gain. The vertices of starting gain above
+    T wait in one bucket per gain, highest first; while the snapshot's
+    maximum is at most the next bucket's gain, that bucket joins and the
+    maximum is taken again, so the level never steps down one at a time.
+    At each new level the snapshot drops the vertices whose gain has
+    reached 0, and its candidates, read from the gains at the level's
+    start, are re-checked against the live gain. A snapshot at level G
+    holds only vertices of starting gain G or more, so over all levels
+    the snapshots hold at most the sum of the starting gains, and a
+    run's scans read O(n + m) entries."""
+    n = len(gain)
+    top = 2 * sum(gain) // n
+    high = list(compress(range(n), map(top.__lt__, gain)))
+    high.sort(key=gain.__getitem__, reverse=True)  # stable: ids ascend within a gain
+    buckets = [(c, list(vs)) for c, vs in groupby(high, gain.__getitem__)]
+    b = 0
+    snap: list[int] = []
+    while True:
+        g = max(map(gain.__getitem__, snap), default=0)
+        merged = b
+        while b < len(buckets) and buckets[b][0] >= g:
+            vs = buckets[b][1]
+            g = max(g, max(map(gain.__getitem__, vs)))
+            snap += vs
+            b += 1
+        if g <= top:  # every bucket has joined
+            break
+        if b > merged:
+            snap.sort()  # a merge of sorted runs
+        gs = list(map(gain.__getitem__, snap))
+        snap = list(compress(snap, gs))
+        gs = list(filter(None, gs))
+        p = 0
+        try:
+            while True:
+                p = gs.index(g, p) + 1
+                v = snap[p - 1]
+                if gain[v] == g:
+                    yield v
+        except ValueError:  # the level is done
+            pass
+    while True:
+        g = max(gain)
+        p = 0
+        try:
+            while True:
+                p = gain.index(g, p)
+                yield p
+                p += 1
+        except ValueError:  # the level is done
+            pass
+
+
 def _greedy_rounds(adj, live: bytearray, gain: list[int], i: int | None) -> list[RoundRecord]:
     """Run rounds until no live target remains, consuming `live` and
-    `gain`. An integer i >= 2 allows at most i-1 picks per round (i = 2
-    is classical); i None chains while |B_{s+1}| >= s+1 (auto), and
-    makes no pick once |B_s| <= s, as B_{s+1} lies in B_s. A chain runs
-    only while its pool is non-empty. Returns the rounds, each with its
+    `gain`. Each round's v_1 comes from the level scan of `_v1_picks`.
+    An integer i >= 2 allows at most i-1 picks per round (i = 2 is
+    classical); i None chains while |B_{s+1}| >= s+1 (auto), and makes
+    no pick once |B_s| <= s, as B_{s+1} lies in B_s. A chain runs only
+    while its pool is non-empty. Returns the rounds, each with its
     final chain pool, or None for a classical round: only auto reads a
     pool, and |B_1| = gain[v1] - live[v1] needs none."""
     _check_i(i)
-    n = len(adj)
-    cnt = [0] * n if i != 2 else None  # chain pick counts, zero between picks
-    heap = [v - c * n for v, c in enumerate(gain) if c]
-    heapify(heap)
+    cnt = [0] * len(adj) if i != 2 else None  # chain pick counts, zero between picks
+    pick = _v1_picks(gain).__next__
     left = live.count(1)
     rounds: list[RoundRecord] = []
     while left:
-        # Gains only fall, so a stored key is never below the current
-        # one; the first top whose key is current is the lowest-id maximum.
-        while True:
-            key = heap[0]
-            v1 = key % n
-            c = gain[v1]
-            if key == v1 - c * n:
-                break
-            if c:
-                heapreplace(heap, v1 - c * n)
-            else:
-                heappop(heap)
-        heappop(heap)  # every vertex picked this round ends with gain 0
+        v1 = pick()
+        c = gain[v1]
         chosen = [v1]
         pool = [w for w in adj[v1] if live[w]] if i != 2 else None
         b_sizes = [c - live[v1]]  # |B_1|: v1's live neighbours
@@ -321,7 +384,7 @@ def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int
     """The classical run `rounds` of the live targets as replay state: the
     pick key pk[v] of each pick, 0 for other vertices, and the key dk[u]
     of each live target's dominating pick, -(n + 1) * n for other
-    vertices. A pick's key is the engine's heap key v - gain * n at its
+    vertices. A pick's key is the engine's pick key v - gain * n at its
     pick time: smaller keys win, v = key % n, every key is negative, and
     keys rise strictly along the run. `_rounds_of` reads the rounds
     back."""
@@ -368,8 +431,8 @@ def _replay(
     every key, so it stays live until a pick dominates it; miss[w]
     counts the missed targets in N[w].
 
-    The new run is merged from two min-heaps of keys, read as the
-    engine reads its heap:
+    The new run is merged from two min-heaps of keys, the lowest key
+    going first, as in the engine's pick order:
 
     * D: old picks whose key may have changed. These are the dominators
       of lost targets, and of targets that a new pick took over.

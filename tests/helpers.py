@@ -9,6 +9,7 @@ oracle, and `reference_exact` its greedy seed from classical greedy.
 
 import sys
 from collections import Counter
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations
 
 from domset.errors import RangeError, ResourceLimitError, ValidationError
@@ -21,7 +22,7 @@ from domset.generators import (
 )
 from domset.graph import Graph, _vertex_ids
 from domset.oracles import OracleResult, exact_min_dominating_set
-from domset.solvers import BicliqueWitness, solve_classical
+from domset.solvers import BicliqueWitness, _chain_pick, _check_i, solve_classical
 
 
 def target_mask(g: Graph, targets=None) -> int:
@@ -214,6 +215,76 @@ def reference_packing(adj, tids) -> tuple:
                 owner[w] = u
             size += 1
     return owner, size
+
+
+def reference_greedy_rounds(adj, live, gain, i) -> list:
+    """`solvers._greedy_rounds` with its v_1 taken from a lazy heap
+    (Minoux 1978) in place of the level scan: one int key v - gain[v] * n
+    per vertex, min-heap order being gain descending, then id ascending,
+    and the top re-keyed until its key is current. Consumes `live` and
+    `gain` and returns the same records."""
+    _check_i(i)
+    n = len(adj)
+    cnt = [0] * n if i != 2 else None
+    heap = [v - c * n for v, c in enumerate(gain) if c]
+    heapify(heap)
+    left = live.count(1)
+    rounds = []
+    while left:
+        # gains only fall, so a stored key is never below the current one
+        while True:
+            key = heap[0]
+            v1 = key % n
+            c = gain[v1]
+            if key == v1 - c * n:
+                break
+            if c:
+                heapreplace(heap, v1 - c * n)
+            else:
+                heappop(heap)
+        heappop(heap)  # every vertex picked this round ends with gain 0
+        chosen = [v1]
+        pool = [w for w in adj[v1] if live[w]] if i != 2 else None
+        b_sizes = [c - live[v1]]
+        while pool and (len(pool) > len(chosen) if i is None else len(chosen) < i - 1):
+            v = _chain_pick(adj, pool, chosen, cnt)
+            nbrs = set(adj[v])
+            b_next = [b for b in pool if b in nbrs]
+            if i is None and len(b_next) < len(chosen) + 1:
+                break
+            chosen.append(v)
+            pool = b_next
+            b_sizes.append(len(pool))
+        covered = 0
+        for v in chosen:
+            for u in (v, *adj[v]):
+                if live[u]:
+                    live[u] = 0
+                    covered += 1
+                    gain[u] -= 1
+                    for w in adj[u]:
+                        gain[w] -= 1
+        left -= covered
+        rounds.append((tuple(chosen), tuple(b_sizes), covered, pool))
+    return rounds
+
+
+def star_forest(k: int, seed=None) -> Graph:
+    """The disjoint stars K_{1,1}, ..., K_{1,k}, each centre before its
+    leaves; with a seed, the ids are shuffled by a splitmix64 draw. The
+    centres' gains 2..k+1 make k levels with one vertex each."""
+    edges = []
+    first = 0
+    for leaves in range(1, k + 1):
+        edges += [(first, first + j) for j in range(1, leaves + 1)]
+        first += leaves + 1
+    ids = list(range(first))
+    if seed is not None:
+        rng = SplitMix64(seed)
+        for a in range(first - 1, 0, -1):  # Fisher-Yates
+            b = rng.next_below(a + 1)
+            ids[a], ids[b] = ids[b], ids[a]
+    return Graph(first, [(ids[u], ids[v]) for u, v in edges])
 
 
 def local_max_then_classical(g: Graph, targets, choose) -> list:

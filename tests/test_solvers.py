@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +14,25 @@ from helpers import (
     closed_neighborhood,
     local_max_then_classical,
     reference_chain_pick,
+    reference_greedy_rounds,
     reference_packing,
     reference_residual,
+    star_forest,
 )
 
 from domset import solvers
 from domset.errors import RangeError, ValidationError
-from domset.generators import gen_d_degenerate, gen_gnp, gen_grid, gen_random_tree
+from domset.generators import (
+    SplitMix64,
+    gen_d_degenerate,
+    gen_gnp,
+    gen_grid,
+    gen_intersection_one,
+    gen_random_tree,
+)
 from domset.graph import Graph, _vertex_ids, is_dominating
 from domset.oracles import harmonic
+from domset.reduction import reduce_set_cover
 from domset.solvers import (
     BicliqueWitness,
     Round,
@@ -392,9 +403,9 @@ class TestInvariants:
         ):
             assert is_dominating(g, r.dominating_set, targets)
 
-    # Larger graphs and subset targets: stale heap entries are common
-    # from n ~ 30 on, and non-target vertices enter the engine with a
-    # gain of 0 or only their target neighbors.
+    # Larger graphs and subset targets: gains often fall between the
+    # picks of one level from n ~ 30 on, and non-target vertices enter
+    # the engine with a gain of 0 or only their target neighbors.
     @pytest.mark.parametrize("algo", TRACE_RULES)
     @given(g=st.one_of(random_graphs, larger_graphs), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -704,9 +715,96 @@ class TestReplay:
         assert solve_hybrid(g, i, targets).trace.rounds == hybrid_reference(g, i, targets)
 
 
+@functools.cache
+def wide_cover(universe: int, sets: int, width: int, seed: int) -> Graph:
+    """The reduced graph of an intersection-one cover with sets of up to
+    `width` elements: set vertices of many gains, which fall as sets
+    sharing an element are picked."""
+    return reduce_set_cover(gen_intersection_one(universe, sets, width, seed)).graph
+
+
+@functools.cache
+def level_graphs() -> list:
+    """Graphs with many gain levels, by name: star forests, in id order
+    and shuffled, and reduced covers with wide sets."""
+    graphs = [(f"stars:k={k}", star_forest(k)) for k in (1, 2, 5, 30)]
+    graphs += [(f"stars:k={k},seed={s}", star_forest(k, s)) for k in (12, 40) for s in range(3)]
+    for u, c, w in ((60, 12, 30), (200, 30, 80), (600, 40, 300)):
+        graphs += [(f"cover:{u},{c},{w},seed={s}", wide_cover(u, c, w, s)) for s in range(4)]
+    return graphs
+
+
+class ScanCounter(list):
+    """A gain list that counts the entries its scans read: those that
+    `index` passes over and, for `__iter__`, the whole list. Past
+    `limit` entries it fails the test, so a scan that never ends fails
+    too."""
+
+    def __init__(self, gain, limit):
+        super().__init__(gain)
+        self.visits = 0
+        self.limit = limit
+
+    def read(self, entries: int) -> None:
+        self.visits += entries
+        assert self.visits <= self.limit, "the scan reads too many entries"
+
+    def index(self, value, start=0, stop=sys.maxsize):
+        try:
+            at = super().index(value, start, stop)
+        except ValueError:
+            self.read(max(min(stop, len(self)) - start, 0))
+            raise
+        self.read(at - start + 1)
+        return at
+
+    def __iter__(self):
+        self.read(len(self))
+        return super().__iter__()
+
+
+class CountingGains(ScanCounter):
+    """A `ScanCounter` that also counts each entry read by `__getitem__`."""
+
+    def __getitem__(self, v):
+        self.read(1)
+        return super().__getitem__(v)
+
+
 class TestEngineState:
-    """The chain pick's flat count array and the all-vertex residual
-    agree with the plain references in helpers."""
+    """The chain pick's flat count array, the all-vertex residual and the
+    v_1 level scan agree with the plain references in helpers."""
+
+    @pytest.mark.parametrize("i", [2, 3, 4, None])
+    def test_rounds_match_heap_reference(self, validity_suite, i):
+        # every record field, the pool included, on every target set
+        rng = SplitMix64(i or 0)
+        for name, g in [*validity_suite, *level_graphs()]:
+            every = tuple(range(g.n))
+            half = tuple(v for v in every if rng.next_below(2))
+            sparse = tuple(v for v in every if not rng.next_below(5))
+            for tids in (every, half, sparse):
+                live, gain = solvers._residual(g.adj, tids)
+                # the scans read under 4.4 (n + sum(gain)) entries here
+                gain = ScanCounter(gain, 8 * (g.n + sum(gain)))
+                got = solvers._greedy_rounds(g.adj, live, gain, i)
+                expected = reference_greedy_rounds(g.adj, *solvers._residual(g.adj, tids), i)
+                assert got == expected, (name, tids)
+
+    @pytest.mark.parametrize("i", [2, None])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: star_forest(200), lambda: wide_cover(20000, 300, 300, 1)],
+        ids=["stars:k=200", "cover:20000,300,300"],
+    )
+    def test_scan_reads_linear_entries(self, make, i):
+        # these scans read about 4.0x and 5.6x the sum of the gains; a
+        # full max and index pass per level would read about 136x and 53x
+        g = make()
+        live, gain = solvers._residual(g.adj, tuple(range(g.n)))
+        # the domination updates alone read about sum(gain) entries
+        gain = CountingGains(gain, 8 * sum(gain))
+        solvers._greedy_rounds(g.adj, live, gain, i)
 
     @given(g=st.one_of(random_graphs, larger_graphs), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -751,8 +849,8 @@ class TestEngineState:
 
 
 class TestEngineRecords:
-    """The engine keys its heap by the int v - gain[v] * n and records
-    rounds as plain tuples; results still carry `Round` objects."""
+    """The engine picks in the order of the int key v - gain[v] * n and
+    records rounds as plain tuples; results still carry `Round` objects."""
 
     SOLVERS = {
         "classical": solve_classical,
@@ -891,8 +989,8 @@ LARGE_HYBRID_DIGESTS = {
 
 
 class TestFrozenDigests:
-    """Byte identity of solver documents at sizes where stale heap
-    entries and long chains are common."""
+    """Byte identity of solver documents at sizes where many gain levels
+    and long chains are common."""
 
     @pytest.mark.parametrize("case", FROZEN_CASES, ids=frozen_case_id)
     def test_document_digest(self, case):
