@@ -19,9 +19,14 @@ The first part of a cell's name says what it times:
   10^4 and on the `gen/...` graphs, and the first three also on
   `reduced_sc/...`, the reduced graph (`reduce_set_cover`) of
   `gen_intersection_one(100000, 600, 600, 1)`: n = 169 571, a hub x of
-  degree 69 570 and set vertices of many gains. A solve cell times up
-  to the `to_json()` text of the result (the graph is made once,
-  outside the timed runs, and shared by the cells that solve it).
+  degree 69 570 and set vertices of many gains, and on
+  `star_forest/k440`, the disjoint stars K_{1,1}, ..., K_{1,440}, each
+  centre before its leaves (n = 97 460): the centres' gains 2..441 put
+  one vertex on each level, 436 of them above twice the mean gain, the
+  v_1 heap's worst shape.
+  A solve cell times up to the `to_json()` text of the result (the
+  graph is made once, outside the timed runs, and shared by the cells
+  that solve it).
 
     python3 benchmarks/scaling.py --label NAME            # writes BENCH_NAME.json
     python3 benchmarks/scaling.py --label NAME --src DIR  # measures DIR/domset
@@ -54,9 +59,17 @@ cell then also gives, under "against", the other copy's peak_mib and
 quartiles, the median and quartiles of the per-repetition time ratios
 (measured / other: ratio_median, ratio_q1, ratio_q3) and the number of
 repetitions the measured copy was faster; the run stops with exit 1 if
-the two copies' outputs differ. A cell whose ratio quartiles straddle 1
-is unresolved: cells that run the same code on both sides have read up
-to 1.04x in the median.
+the two copies' outputs differ.
+
+A ratio is not evidence on its own. Cells that run the same code on
+both sides have read up to 1.04x in the median, so a solve cell cannot
+resolve a few per cent; a cell whose ratio quartiles straddle 1 is
+unresolved, and quartiles that exclude 1 are not evidence either: the
+unchanged `ingest/d_degenerate/n100000/d3/seed1` cell once read 1.042x
+[1.002, 1.120]. The oracle, ingest and gen cells, whose code a solver
+change leaves alone, are the run's control: a solve cell counts as
+changed only where its ratio lies outside the spread of their ratios in
+the same run.
 """
 
 from __future__ import annotations
@@ -130,11 +143,12 @@ for _n in (1000, 4000):
     for _algo in ("hybrid", "hybrid:3"):
         CELLS[f"solve/{_algo}/gnp/n{_n}/p4n/seed1"] = CELLS[f"gen/gnp/n{_n}/p4n/seed1"]
 # a graph spec ("reduced", (generator name, args)) is the reduced graph of
-# the generated set cover
+# the generated set cover, and ("star_forest", (k,)) is `star_forest(k)`
 for _algo in ("classical", "fixed:3", "auto"):
     CELLS[f"solve/{_algo}/reduced_sc/u100000/s600/w600/seed1"] = [
         ("reduced", ("gen_intersection_one", (100000, 600, 600, 1)))
     ]
+    CELLS[f"solve/{_algo}/star_forest/k440"] = [("star_forest", (440,))]
 SMOKE_CELLS = {
     "oracle/random_tree/n40/seeds0-4": CELLS["oracle/random_tree/n40/seeds0-99"][:5],
     "oracle/d_degenerate/n40/d2/seeds0-4": CELLS["oracle/d_degenerate/n40/d2/seeds0-59"][:5],
@@ -147,7 +161,19 @@ SMOKE_CELLS = {
     "solve/auto/reduced_sc/u2000/s60/w60/seed1": [
         ("reduced", ("gen_intersection_one", (2000, 60, 60, 1)))
     ],
+    "solve/classical/star_forest/k40": [("star_forest", (40,))],
 }
+
+
+def star_forest(graph_type, k: int):
+    """The disjoint stars K_{1,1}, ..., K_{1,k}, each centre before its
+    leaves, as a `graph_type` graph."""
+    edges = []
+    first = 0
+    for leaves in range(1, k + 1):
+        edges += [(first, first + j) for j in range(1, leaves + 1)]
+        first += leaves + 1
+    return graph_type(first, edges)
 
 
 def kind(cell: str) -> str:
@@ -190,6 +216,8 @@ class Subject:
                 if fn == "reduced":
                     gen, gen_args = args
                     g = reduction.reduce_set_cover(getattr(gens, gen)(*gen_args)).graph
+                elif fn == "star_forest":
+                    g = star_forest(self.graph.Graph, *args)
                 else:
                     g = getattr(gens, fn)(*args)
                 graphs[fn, args] = g

@@ -30,29 +30,29 @@ identical results.
 The engine works on the adjacency lists. It keeps a live flag per
 target and a gain per vertex, gain[v] = |N[v] & A|; dominating a target
 u lowers gain[w] for every w in N[u]. Only `_residual`, which builds
-this state, and the engine write gains. The v_1 pick is a level scan
-(`_v1_picks`) that rests on one lemma: gains only fall, so once x, the
-lowest-id vertex of maximum gain G, is picked, every lower id stays
-below G and x drops to 0. The picks at one level therefore come in
-increasing id order, and the next is the first vertex after x whose
-gain is G. Levels up to twice the mean starting gain scan the gain list
-itself; higher levels, which few vertices can reach, scan an id-sorted
-snapshot of just those vertices. So the picks go in the order of the
-int key v - gain[v] * n (n the vertex count): smaller keys win, which is
+this state, and the engine write gains. The v_1 pick (`_v1_picks`) takes
+the lowest-id vertex of maximum gain. Picks go in the order of the int
+key v - gain[v] * n (n the vertex count): smaller keys win, which is
 gain descending, then id ascending (the order of (-gain, id)), and
-v = key % n. With every vertex a target, gain[v] starts at
-deg(v) + 1 and needs no pass over the edges. A chain pick counts
-|N[w] & B_s| only over w in N[B_s], the only vertices that meet the
-pool, in one flat array of n counts per run; each pick resets the
-entries it touched. Rounds are recorded as
+v = key % n. The vertices whose starting gain is above twice the mean
+wait in a lazy min-heap of these keys (Minoux 1978); once it is empty,
+each level is a scan of the gain list itself, which rests on one lemma:
+gains only fall, so once x, the lowest-id vertex of maximum gain G, is
+picked, every lower id stays below G and x drops to 0, and the next
+pick is the first vertex after x whose gain is G. With every vertex a
+target, gain[v] starts at deg(v) + 1 and needs no pass over the edges.
+A chain pick counts |N[w] & B_s| only over w in N[B_s], the only
+vertices that meet the pool, in one flat array of n counts per run;
+each pick resets the entries it touched. Rounds are recorded as
 plain (chosen, b_sizes, newly_dominated, pool) tuples, pool being the
 round's final chain pool, sorted; a classical round keeps no pool
 (None), its |B_1| being gain[v_1] less v_1's own liveness. A round of l
 picks with a non-empty pool certifies a K_{l,l}, and auto reads its
 witness from these records alone. `Round` objects are built only for
 the rounds a result returns.
-A run's v_1 scans read O(n + m) entries, and its gain updates cost
-O(n + m). A chain step costs the degree sum of its pool, and each
+A run's v_1 scans read O(n + m) entries, its heap costs O(S log h)
+for h vertices of starting gains summing to S, and its gain updates
+cost O(n + m). A chain step costs the degree sum of its pool, and each
 vertex enters one round's pool only, so chains of at most c picks add
 O(c (n + m)).
 Hybrid extends only the prefixes that can change the answer: it skips a
@@ -77,7 +77,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import compress, groupby
 from typing import Iterable
 
 from .errors import ValidationError
@@ -274,57 +273,38 @@ def _v1_picks(gain: list[int]):
     read from `gain` as the engine leaves it when it resumes the
     generator, which it does only while a target is live.
 
-    Gains only fall, so once x, the lowest-id vertex of maximum gain G,
-    is picked, every lower id stays below G and x drops to 0. The picks
-    at one level therefore come in increasing id order, and each is the
-    first vertex after the last whose gain is G; a level ends when none
-    is left, and the next starts again from the lowest id.
+    With T = 2 * sum(gain) // n, the vertices of starting gain above T
+    go first, from a lazy min-heap of their keys v - gain[v] * n, one
+    entry each. Gains only fall, so a stored key is never above its
+    vertex's current key: a top whose key is current beats every vertex
+    in the heap, and every other vertex has gain at most T. A stale top
+    is re-keyed while its gain is above T and dropped once it is not.
+    The stale tops number at most the gain decrements of the heap's
+    vertices, so for h of them, of starting gains summing to S, the heap
+    costs O(S log h).
 
-    With T = 2 * sum(gain) // n, the levels at or below T scan `gain`
-    itself with `index`, each from the new maximum `max(gain)`: at most
-    T levels of about 3n entries each. A level above T scans an
-    id-sorted snapshot of the vertices whose starting gain reaches it,
-    as only they can have that gain. The vertices of starting gain above
-    T wait in one bucket per gain, highest first; while the snapshot's
-    maximum is at most the next bucket's gain, that bucket joins and the
-    maximum is taken again, so the level never steps down one at a time.
-    At each new level the snapshot drops the vertices whose gain has
-    reached 0, and its candidates, read from the gains at the level's
-    start, are re-checked against the live gain. A snapshot at level G
-    holds only vertices of starting gain G or more, so over all levels
-    the snapshots hold at most the sum of the starting gains, and a
-    run's scans read O(n + m) entries."""
+    Once the heap is empty, every gain is at most T. Gains only fall, so
+    once x, the lowest-id vertex of maximum gain G, is picked, every
+    lower id stays below G and x drops to 0. The picks at one level
+    therefore come in increasing id order, and each is the first vertex
+    after the last whose gain is G; a level ends when none is left, and
+    the next starts again from the lowest id at the new maximum
+    `max(gain)`. These scans read at most T levels of about 3n entries
+    each, so a run's scans read O(n + m) entries."""
     n = len(gain)
     top = 2 * sum(gain) // n
-    high = list(compress(range(n), map(top.__lt__, gain)))
-    high.sort(key=gain.__getitem__, reverse=True)  # stable: ids ascend within a gain
-    buckets = [(c, list(vs)) for c, vs in groupby(high, gain.__getitem__)]
-    b = 0
-    snap: list[int] = []
-    while True:
-        g = max(map(gain.__getitem__, snap), default=0)
-        merged = b
-        while b < len(buckets) and buckets[b][0] >= g:
-            vs = buckets[b][1]
-            g = max(g, max(map(gain.__getitem__, vs)))
-            snap += vs
-            b += 1
-        if g <= top:  # every bucket has joined
-            break
-        if b > merged:
-            snap.sort()  # a merge of sorted runs
-        gs = list(map(gain.__getitem__, snap))
-        snap = list(compress(snap, gs))
-        gs = list(filter(None, gs))
-        p = 0
-        try:
-            while True:
-                p = gs.index(g, p) + 1
-                v = snap[p - 1]
-                if gain[v] == g:
-                    yield v
-        except ValueError:  # the level is done
-            pass
+    heap = [v - c * n for v, c in enumerate(gain) if c > top]
+    heapify(heap)
+    while heap:
+        k = heap[0]
+        v = k % n
+        c = gain[v]
+        if v - c * n == k:
+            yield v
+        elif c > top:
+            heapreplace(heap, v - c * n)
+        else:
+            heappop(heap)
     while True:
         g = max(gain)
         p = 0
@@ -339,7 +319,7 @@ def _v1_picks(gain: list[int]):
 
 def _greedy_rounds(adj, live: bytearray, gain: list[int], i: int | None) -> list[RoundRecord]:
     """Run rounds until no live target remains, consuming `live` and
-    `gain`. Each round's v_1 comes from the level scan of `_v1_picks`.
+    `gain`. Each round's v_1 comes from `_v1_picks`.
     An integer i >= 2 allows at most i-1 picks per round (i = 2 is
     classical); i None chains while |B_{s+1}| >= s+1 (auto), and makes
     no pick once |B_s| <= s, as B_{s+1} lies in B_s. A chain runs only

@@ -219,10 +219,11 @@ def reference_packing(adj, tids) -> tuple:
 
 def reference_greedy_rounds(adj, live, gain, i) -> list:
     """`solvers._greedy_rounds` with its v_1 taken from a lazy heap
-    (Minoux 1978) in place of the level scan: one int key v - gain[v] * n
-    per vertex, min-heap order being gain descending, then id ascending,
-    and the top re-keyed until its key is current. Consumes `live` and
-    `gain` and returns the same records."""
+    (Minoux 1978) of every vertex of positive gain, in place of
+    `_v1_picks`: one int key v - gain[v] * n per vertex, min-heap order
+    being gain descending, then id ascending, and the top re-keyed until
+    its key is current. Consumes `live` and `gain` and returns the same
+    records."""
     _check_i(i)
     n = len(adj)
     cnt = [0] * n if i != 2 else None
@@ -231,7 +232,7 @@ def reference_greedy_rounds(adj, live, gain, i) -> list:
     left = live.count(1)
     rounds = []
     while left:
-        # gains only fall, so a stored key is never below the current one
+        # gains only fall, so a stored key is never above the current one
         while True:
             key = heap[0]
             v1 = key % n

@@ -734,11 +734,11 @@ def level_graphs() -> list:
     return graphs
 
 
-class ScanCounter(list):
-    """A gain list that counts the entries its scans read: those that
-    `index` passes over and, for `__iter__`, the whole list. Past
-    `limit` entries it fails the test, so a scan that never ends fails
-    too."""
+class CountingGains(list):
+    """A gain list that counts the entries read from it: one for each
+    `__getitem__`, those that `index` passes over and, for `__iter__`,
+    the whole list. Past `limit` entries it fails the test, so a pick
+    loop that never ends fails too."""
 
     def __init__(self, gain, limit):
         super().__init__(gain)
@@ -747,7 +747,11 @@ class ScanCounter(list):
 
     def read(self, entries: int) -> None:
         self.visits += entries
-        assert self.visits <= self.limit, "the scan reads too many entries"
+        assert self.visits <= self.limit, "the engine reads too many entries"
+
+    def __getitem__(self, v):
+        self.read(1)
+        return super().__getitem__(v)
 
     def index(self, value, start=0, stop=sys.maxsize):
         try:
@@ -763,17 +767,9 @@ class ScanCounter(list):
         return super().__iter__()
 
 
-class CountingGains(ScanCounter):
-    """A `ScanCounter` that also counts each entry read by `__getitem__`."""
-
-    def __getitem__(self, v):
-        self.read(1)
-        return super().__getitem__(v)
-
-
 class TestEngineState:
     """The chain pick's flat count array, the all-vertex residual and the
-    v_1 level scan agree with the plain references in helpers."""
+    v_1 pick agree with the plain references in helpers."""
 
     @pytest.mark.parametrize("i", [2, 3, 4, None])
     def test_rounds_match_heap_reference(self, validity_suite, i):
@@ -785,8 +781,9 @@ class TestEngineState:
             sparse = tuple(v for v in every if not rng.next_below(5))
             for tids in (every, half, sparse):
                 live, gain = solvers._residual(g.adj, tids)
-                # the scans read under 4.4 (n + sum(gain)) entries here
-                gain = ScanCounter(gain, 8 * (g.n + sum(gain)))
+                # the picks and the updates read under 4.4 (n + sum(gain))
+                # entries here; a pick loop that never ends fails the limit
+                gain = CountingGains(gain, 8 * (g.n + sum(gain)))
                 got = solvers._greedy_rounds(g.adj, live, gain, i)
                 expected = reference_greedy_rounds(g.adj, *solvers._residual(g.adj, tids), i)
                 assert got == expected, (name, tids)
@@ -798,7 +795,7 @@ class TestEngineState:
         ids=["stars:k=200", "cover:20000,300,300"],
     )
     def test_scan_reads_linear_entries(self, make, i):
-        # these scans read about 4.0x and 5.6x the sum of the gains; a
+        # these runs read about 4.0x and 5.5x the sum of the gains; a
         # full max and index pass per level would read about 136x and 53x
         g = make()
         live, gain = solvers._residual(g.adj, tuple(range(g.n)))
