@@ -27,6 +27,13 @@ The first part of a cell's name says what it times:
   A solve cell times up to the `to_json()` text of the result (the
   graph is made once, outside the timed runs, and shared by the cells
   that solve it).
+- `cli/<algo>/...`: the whole `solve` command in-process,
+  `cli.main(["solve", "--algo", ..., FILE, "--out", OUT])` for
+  classical, fixed:3 (`--algo fixed --i 3`) and auto on the random
+  tree, square grid and 3-degenerate graph at n = 10^5: reading the
+  file, parsing, solving, `to_json` and writing the result. Each graph
+  file is written once, outside the timed runs, into a temporary
+  directory that is removed at exit.
 
     python3 benchmarks/scaling.py --label NAME            # writes BENCH_NAME.json
     python3 benchmarks/scaling.py --label NAME --src DIR  # measures DIR/domset
@@ -42,7 +49,7 @@ summed over the cell's inputs: for oracle cells node_count and the distinct boun
 (banned & N[A]) << n | A, N[A] the node's own, over the nodes of the
 search while the memo is not cleared; a subtree taken from the memo
 holds no key not met before), for ingest and gen cells the vertices
-and edges of the graphs read or made, for solve cells the
+and edges of the graphs read or made, for solve and cli cells the
 dominating-set sizes and the rounds.
 Under `tracemalloc`, each input is run `PEAK_RUNS` more times, with
 `gc.collect()` before each run; the cell's peak_mib is the largest,
@@ -50,7 +57,8 @@ over its inputs, of the median peak of one call, so one stray reading
 does not set it. The collection also empties the interpreter's free
 lists, so a call's peak counts the objects it would otherwise take from
 them, whatever ran before. A SHA-256 over the outputs (result
-documents, or the graphs serialized) pins them.
+documents, the result files a cli cell writes, or the graphs
+serialized) pins them.
 
 With `--against DIR`, a second copy of the package is loaded from DIR
 and timed in the same process, alternating with the first: in even
@@ -85,6 +93,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -142,6 +151,15 @@ for _n in (10**3, 10**4, 10**5):
 for _n in (1000, 4000):
     for _algo in ("hybrid", "hybrid:3"):
         CELLS[f"solve/{_algo}/gnp/n{_n}/p4n/seed1"] = CELLS[f"gen/gnp/n{_n}/p4n/seed1"]
+# cli cell algorithm -> its `domset solve` options
+CLI_ALGOS = {
+    "classical": ["--algo", "classical"],
+    "fixed:3": ["--algo", "fixed", "--i", "3"],
+    "auto": ["--algo", "auto"],
+}
+for _algo in CLI_ALGOS:
+    for _name, _spec in families(10**5).items():
+        CELLS[f"cli/{_algo}/{_name}"] = [_spec]
 # a graph spec ("reduced", (generator name, args)) is the reduced graph of
 # the generated set cover, and ("star_forest", (k,)) is `star_forest(k)`
 for _algo in ("classical", "fixed:3", "auto"):
@@ -162,6 +180,7 @@ SMOKE_CELLS = {
         ("reduced", ("gen_intersection_one", (2000, 60, 60, 1)))
     ],
     "solve/classical/star_forest/k40": [("star_forest", (40,))],
+    "cli/auto/d_degenerate/n1000/d3/seed1": CELLS["ingest/d_degenerate/n1000/d3/seed1"],
 }
 
 
@@ -177,7 +196,8 @@ def star_forest(graph_type, k: int):
 
 
 def kind(cell: str) -> str:
-    """"oracle", "ingest", "gen" or "solve": the first part of the cell's name."""
+    """"oracle", "ingest", "gen", "solve" or "cli": the first part of the
+    cell's name."""
     return cell.partition("/")[0]
 
 
@@ -207,9 +227,14 @@ class Subject:
         self.oracles = importlib.import_module(f"{name}.oracles")
         self.graph = importlib.import_module(f"{name}.graph")
         self.solvers = importlib.import_module(f"{name}.solvers")
+        self.cli = importlib.import_module(f"{name}.cli")
+        # the graph files of the cli cells, and the result file they write
+        self.files = tempfile.TemporaryDirectory(prefix=f"{name}-")
+        self.out = str(Path(self.files.name) / "result.json")
         reduction = importlib.import_module(f"{name}.reduction")
         gens = importlib.import_module(f"{name}.generators")
         graphs = {}  # spec -> graph, made once and shared by the cells that read it
+        paths = {}  # spec -> graph file, written once and shared likewise
 
         def build(fn: str, args: tuple):
             if (fn, args) not in graphs:
@@ -223,6 +248,13 @@ class Subject:
                 graphs[fn, args] = g
             return graphs[fn, args]
 
+        def write(spec: tuple) -> str:
+            if spec not in paths:
+                paths[spec] = str(Path(self.files.name) / f"{len(paths)}.gr")
+                Path(paths[spec]).write_text(self.graph.serialize_graph(build(*spec)),
+                                             encoding="utf-8", newline="")
+            return paths[spec]
+
         self.inputs = {}
         for cell, specs in cells.items():
             if kind(cell) == "gen":
@@ -230,6 +262,8 @@ class Subject:
                                      for fn, args in specs]
             elif kind(cell) == "ingest":
                 self.inputs[cell] = [self.graph.serialize_graph(build(*spec)) for spec in specs]
+            elif kind(cell) == "cli":
+                self.inputs[cell] = [write(spec) for spec in specs]
             else:
                 self.inputs[cell] = [build(*spec) for spec in specs]
 
@@ -238,6 +272,9 @@ class Subject:
         if kind(cell) == "solve":
             solve = self.solver(cell)
             return lambda g: solve(g).to_json()
+        if kind(cell) == "cli":
+            argv = ["solve", *CLI_ALGOS[cell.split("/")[1]]]
+            return lambda path: self.cli.main([*argv, path, "--out", self.out])
         return {
             "oracle": self.oracles.exact_min_dominating_set,
             "ingest": self.graph.parse_graph,
@@ -262,6 +299,8 @@ class Subject:
             return self.count_oracle(cell)
         if kind(cell) == "solve":
             return self.count_solve(cell)
+        if kind(cell) == "cli":
+            return self.count_cli(cell)
         return self.count_graphs(cell)
 
     def count_graphs(self, cell: str) -> dict:
@@ -288,6 +327,22 @@ class Subject:
             size += len(r.dominating_set)
             rounds += len(r.trace.rounds)
             digest.update(r.to_json().encode() + b"\n")
+        return {"size": size, "rounds": rounds, "digest": digest.hexdigest()}
+
+    def count_cli(self, cell: str) -> dict:
+        """Dominating-set sizes, rounds and the digest of the result
+        files, from one run."""
+        function = self.function(cell)
+        digest = hashlib.sha256()
+        size = rounds = 0
+        for path in self.inputs[cell]:
+            if function(path) != 0:
+                raise SystemExit(f"{cell}: domset solve failed on {path}")
+            data = Path(self.out).read_bytes()
+            doc = json.loads(data)
+            size += doc["size"]
+            rounds += len(doc["rounds"])
+            digest.update(data)
         return {"size": size, "rounds": rounds, "digest": digest.hexdigest()}
 
     def count_oracle(self, cell: str) -> dict:

@@ -16,19 +16,24 @@ lexicographically.
 header. If the rest of the text is a canonical body, the one that
 `serialize_graph` (and so `gen`, `reduce` and perfbench) writes after
 the header (one `e <u> <v>` line per edge, with single spaces, ASCII
-digits and "\n" ending every line, and no comments or blank lines), it
-is read with whole-text operations: one regular expression checks its
-shape, one split cuts the fields and `Graph` checks each edge.
-Comments, blank lines, spacing and line ends up to and including the
-header line do not matter. Any other body, and any body whose graph is
-invalid, is read line by line from where the header ends, so the graph
-and every error (type, message and line number) are the same whichever
-way the body is read. The MAX_VERTICES guard runs as soon as the header
-is read, before the body is split or any edge is stored.
+digits and "\n" ending every line, and no comments or blank lines),
+and no id has a leading zero, the body is read with whole-text
+operations: two regular expressions check its shape and keep no state
+per line (one matches the first line, one searches for a line break
+followed by neither an edge line nor the end of the text), one
+`json.loads` decodes every id and `Graph` checks each edge. Comments,
+blank lines, spacing and line ends up to and including the header line
+do not matter. Any other body (ids with leading zeros or past `int()`'s
+digit limit among them), and any body whose graph is invalid, is read
+line by line from where the header ends, so the graph and every error
+(type, message and line number) are the same whichever way the body is
+read. The MAX_VERTICES guard runs as soon as the header is read, before
+the body is decoded or any edge is stored.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from typing import Iterable, Iterator
 
@@ -153,9 +158,11 @@ def _decimal(tok: str) -> int:
     return int(tok)
 
 
-# A canonical body, as `serialize_graph` writes it: one "e <u> <v>" line
-# per edge, with single spaces, ASCII digits and "\n" line ends.
-_CANONICAL_BODY = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
+# A canonical body, as `serialize_graph` writes it, is one _EDGE_LINE per
+# edge: single spaces, ASCII digits and "\n" line ends.
+_EDGE_LINE = re.compile(r"e [0-9]+ [0-9]+\n")
+# a line break that neither ends the text nor starts another _EDGE_LINE
+_BAD_BREAK = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
 # The line boundaries of str.splitlines()
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -228,25 +235,34 @@ def parse_graph(text: str | bytes) -> Graph:
     return Graph(n, edges)
 
 
+def _is_canonical_body(text: str, pos: int) -> bool:
+    """Whether `text[pos:]` is a canonical body, with no state kept per
+    line: empty, or an edge line at `pos` whose every line break in turn
+    starts another edge line or ends the text. (A `fullmatch` of the
+    repeated line would keep backtracking state for every line.)"""
+    return pos == len(text) or (
+        _EDGE_LINE.match(text, pos) is not None and _BAD_BREAK.search(text, pos) is None
+    )
+
+
 def _read_body(text: str, pos: int, n: int, m: int) -> Graph | None:
     """The graph of a text whose header line ends at `pos`, when
     `text[pos:]` is a canonical body of m edge lines, read with
     whole-text operations; None for any other body and for an invalid
-    graph, which `parse_graph` then reads or rejects line by line. Each
-    edge is checked once, by `Graph`."""
-    if _CANONICAL_BODY.fullmatch(text, pos) is None:
-        return None
-    # every line break is whitespace to str.split, so no field spans pos
-    fields = text.split()
-    k = len(text[:pos].split())  # the fields of the comments and the header
-    if len(fields) != k + 3 * m:
+    graph, which `parse_graph` then reads or rejects line by line.
+
+    One `json.loads` decodes every id; it refuses leading zeros, and
+    `int()` refuses ids past its digit limit, so such bodies also go to
+    the line reader. Each edge is checked once, by `Graph`."""
+    if not _is_canonical_body(text, pos) or text.count("\n", pos) != m:
         return None
     try:
-        us = list(map(int, fields[k + 1::3]))
-        vs = list(map(int, fields[k + 2::3]))
-    except ValueError:  # an id past int()'s digit limit
+        # "e 1 2\ne 3 4\n" -> "[1,2,3,4]"; an empty body gives "[]"
+        ids = json.loads("[" + text[pos + 2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
+    except ValueError:
         return None
-    del fields  # frees the id strings before the adjacency rows grow
+    us, vs = ids[0::2], ids[1::2]
+    del ids
     try:
         return Graph(n, zip(us, vs))
     except (RangeError, ValidationError):  # an id out of range, or a self-loop

@@ -74,19 +74,22 @@ adjacency.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
 from .graph import Graph, _vertex_ids
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     """One round of the engine: vertices chosen in order, the sizes of
-    the chain pools B_1..B_l, and how many targets the round removed."""
+    the chain pools B_1..B_l, and how many targets the round removed.
+
+    A NamedTuple: immutable and hashable, and it also compares equal to
+    the plain tuple of its fields."""
 
     chosen: tuple[int, ...]
     b_sizes: tuple[int, ...]
@@ -142,17 +145,18 @@ class SolveResult:
     def to_json(self) -> str:
         """The text of `json.dumps(self.as_document(), indent=2)`, byte
         for byte, formatted directly from the fixed document shape: with
-        an indent, `json` falls back to its pure-Python encoder."""
+        an indent, `json` falls back to its pure-Python encoder. Each
+        round is unpacked as the tuple (chosen, b_sizes, newly_dominated)
+        that a `Round` is; a round of several picks is one `%` on the
+        template of its shape."""
         w = self.witness
         rounds = [
-            _ROUND % (r.chosen[0], r.b_sizes[0], r.newly_dominated)
-            if len(r.chosen) == 1 == len(r.b_sizes)
-            else _ROUND % (_JOIN8.join(map(str, r.chosen)), _JOIN8.join(map(str, r.b_sizes)),
-                           r.newly_dominated)
-            if r.chosen and r.b_sizes
-            else _ROUND_ANY % (_json_ints(r.chosen, 8), _json_ints(r.b_sizes, 8),
-                               r.newly_dominated)
-            for r in self.trace.rounds
+            _ROUND % (c[0], b[0], k)
+            if len(c) == 1 == len(b)
+            else _round_format(len(c), len(b)) % (*c, *b, k)
+            if c and b
+            else _ROUND_ANY % (_json_ints(c, 8), _json_ints(b, 8), k)
+            for c, b, k in self.trace.rounds
         ]
         return _RESULT % (
             json.dumps(self.algorithm),
@@ -175,9 +179,17 @@ _ROUND_ANY = '{\n      "chosen": %s,\n      "b_sizes": %s,\n      "newly_dominat
 # their items are joined with _JOIN8
 _ROUND = (
     '{\n      "chosen": [\n        %s\n      ],\n'
-    '      "b_sizes": [\n        %s\n      ],\n      "newly_dominated": %d\n    }'
+    '      "b_sizes": [\n        %s\n      ],\n      "newly_dominated": %s\n    }'
 )
 _JOIN8 = ",\n        "
+
+
+@functools.cache
+def _round_format(picks: int, sizes: int) -> str:
+    """_ROUND for `picks` chosen vertices and `sizes` pool sizes, with
+    one %d for each int of the round, the last for newly_dominated. An
+    engine round has one pool size per pick, so a run meets few shapes."""
+    return _ROUND % (_JOIN8.join(["%d"] * picks), _JOIN8.join(["%d"] * sizes), "%d")
 
 
 def _json_ints(ints, indent: int) -> str:

@@ -97,7 +97,8 @@ def _edge_lines(text, edit):
 # whether its body (the text after the header line) is read whole.
 LAYOUT_VARIANTS = {
     "canonical": (lambda t: t, True),
-    "leading-zeros": (lambda t: _edge_lines(t, lambda e: [["0" + e[0], "00" + e[1]]]), True),
+    # json.loads refuses leading zeros, so these go to the line reader
+    "leading-zeros": (lambda t: _edge_lines(t, lambda e: [["0" + e[0], "00" + e[1]]]), False),
     "reversed-edges": (lambda t: _edge_lines(t, lambda e: [e[::-1]]), True),
     "duplicate-edges": (lambda t: _edge_lines(t, lambda e: [e, e[::-1]]), True),
     "comment": (lambda t: "c made by hand\n" + t, True),
@@ -128,6 +129,7 @@ MALFORMED = {
     "crlf-out-of-range": "p ds 3 1\r\ne 0 3\r\n",
     "comment-out-of-range": "c made by hand\np ds 3 1\ne 0 3\n",
     "no-header": "e 0 1\n",
+    "edges-past-zero-count": "p ds 3 0\ne 0 1\n",
 }
 
 
@@ -157,6 +159,14 @@ def _parse_line_by_line(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_read_body", lambda *args: None)
         return parse_graph(text)
+
+
+def _outcome(parse, text):
+    """parse(text), or its failure as (type, message, line)."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
 
 
 class TestParsePaths:
@@ -193,6 +203,39 @@ class TestParsePaths:
             RangeError, "line 2: endpoint out of range in 'e 0 3'", None)
         assert _failure(parse_graph, MALFORMED["comment-out-of-range"]) == (
             RangeError, "line 3: endpoint out of range in 'e 0 3'", None)
+
+    # int() takes at most 4300 digits; json.loads refuses a padded id
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    @pytest.mark.parametrize("pad", ["1", "0"], ids=["big", "zero-padded"])
+    def test_ids_at_the_digit_limit_read_alike(self, digits, pad):
+        text = "p ds 4 2\ne 0 1\ne 2 " + pad * (digits - 1) + "3\n"
+        reads = []
+        outcome = _outcome(lambda t: _parse_recorded(t, reads), text)
+        assert reads == [False]
+        assert outcome == _outcome(_parse_line_by_line, text)
+        if (pad, digits) == ("0", 4300):
+            assert outcome == Graph(4, [(0, 1), (2, 3)])
+
+    @pytest.mark.parametrize("text", ["p ds 3 1\ne 0 1", "p ds 3 2\ne 0 1\ne 1 2"],
+                             ids=["one-line", "two-lines"])
+    def test_last_line_without_line_break(self, text):
+        reads = []
+        g = _parse_recorded(text, reads)
+        assert reads == [False]
+        assert g == _parse_line_by_line(text) == parse_graph(text + "\n")
+
+    def test_body_check_keeps_no_state_per_line(self):
+        # a fullmatch of the repeated edge line peaks at about 15x the text
+        text = "p ds 300001 300000\n" + "".join(f"e {v} {v + 1}\n" for v in range(300000))
+        pos = text.index("\n") + 1
+        tracemalloc.start()
+        try:
+            assert graph._is_canonical_body(text, pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) // 20
+        assert not graph._is_canonical_body(text + "c\n", pos)
 
     @given(graphs, st.sampled_from(sorted(LAYOUT_VARIANTS)))
     @settings(max_examples=60)

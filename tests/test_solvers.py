@@ -1048,3 +1048,31 @@ class TestResultWriter:
             ),
         }[case]()
         assert r.to_json() == json.dumps(r.as_document(), indent=2)
+
+    # (picks, pool sizes); each shape of several picks has its own template
+    @pytest.mark.parametrize("picks, sizes", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (6, 6), (0, 0)])
+    def test_round_shapes(self, picks, sizes):
+        rounds = (
+            Round(tuple(range(10, 10 + picks)), tuple(range(sizes, 0, -1)), picks + sizes),
+            Round(tuple(range(20, 20 + picks)), tuple(range(100, 100 + sizes)), 12345),
+        )
+        dom = tuple(sorted(v for r in rounds for v in r.chosen))
+        r = solvers.SolveResult("fixed", dom, solvers.GreedyTrace(dom, rounds, dom))
+        assert r.to_json() == json.dumps(r.as_document(), indent=2)
+
+
+class TestRoundType:
+    """`Round` is a NamedTuple: its fields, repr, equality, hash and
+    immutability are part of the API."""
+
+    def test_api(self):
+        r = Round((3,), (2, 1), 1)
+        assert Round._fields == ("chosen", "b_sizes", "newly_dominated")
+        assert (r.chosen, r.b_sizes, r.newly_dominated) == ((3,), (2, 1), 1)
+        assert repr(r) == "Round(chosen=(3,), b_sizes=(2, 1), newly_dominated=1)"
+        assert r == Round(chosen=(3,), b_sizes=(2, 1), newly_dominated=1)
+        assert hash(r) == hash(Round((3,), (2, 1), 1))
+        assert r != Round((3,), (2, 1), 2)
+        assert r == ((3,), (2, 1), 1)  # equal to the plain tuple of its fields
+        with pytest.raises(AttributeError):
+            r.chosen = (4,)
