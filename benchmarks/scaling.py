@@ -140,10 +140,10 @@ SOLVERS = {
 }
 for _n in (10**3, 10**4, 10**5):
     for _algo in SOLVERS:
-        # at 10^5 one call takes about 0.8 / 1.7 s on the tree, 7.5 / 7.9 s on
-        # the grid and 27 / 110 s on the 3-degenerate graph (hybrid / hybrid:3),
-        # and a cell makes REPS + PEAK_RUNS + 1 calls per copy: the six cells
-        # would add about two hours to a run with --against
+        # at 10^5 one call takes about 0.31 / 0.54 s on the tree, 4.29 / 4.27 s
+        # on the grid and 13.2 / 63.1 s on the 3-degenerate graph (hybrid /
+        # hybrid:3), and a cell makes REPS + PEAK_RUNS + 1 calls per copy: the
+        # six cells would add about 70 minutes to a run with --against
         if _algo.startswith("hybrid") and _n > 10**4:
             continue
         for _name, _spec in families(_n).items():

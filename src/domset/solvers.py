@@ -43,13 +43,14 @@ pick is the first vertex after x whose gain is G. With every vertex a
 target, gain[v] starts at deg(v) + 1 and needs no pass over the edges.
 A chain pick counts |N[w] & B_s| only over w in N[B_s], the only
 vertices that meet the pool, in one flat array of n counts per run;
-each pick resets the entries it touched. Rounds are recorded as
-plain (chosen, b_sizes, newly_dominated, pool) tuples, pool being the
-round's final chain pool, sorted; a classical round keeps no pool
-(None), its |B_1| being gain[v_1] less v_1's own liveness. A round of l
-picks with a non-empty pool certifies a K_{l,l}, and auto reads its
-witness from these records alone. `Round` objects are built only for
-the rounds a result returns.
+each pick resets the entries it touched. The engine returns its
+rounds as the `Round`s a result carries, and beside them the deepest
+certified round: a round of l picks whose final chain pool is non-empty
+certifies a K_{l,l}, and as it runs the engine keeps the sorted picks
+and the l smallest pool ids of the earliest such round of greatest l,
+which auto reports as its witness. No pool outlives its round; a
+classical round has none, its |B_1| being gain[v_1] less v_1's own
+liveness.
 A run's v_1 scans read O(n + m) entries, its heap costs O(S log h)
 for h vertices of starting gains summing to S, and its gain updates
 cost O(n + m). A chain step costs the degree sum of its pool, and each
@@ -266,13 +267,6 @@ def _chain_pick(adj, pool: list[int], chosen: list[int], cnt: list[int]) -> int:
     return best
 
 
-# A round as the engine records it: (chosen, b_sizes, newly_dominated,
-# pool), the fields of `Round` in order and then the round's final chain
-# pool, sorted (None in a classical round and in a round `_rounds_of`
-# reads back).
-RoundRecord = tuple[tuple[int, ...], tuple[int, ...], int, list[int] | None]
-
-
 def _check_i(i: int | None) -> None:
     """Reject a chain parameter below 2 (ValidationError); None, which
     runs auto, passes."""
@@ -329,20 +323,34 @@ def _v1_picks(gain: list[int]):
             pass
 
 
-def _greedy_rounds(adj, live: bytearray, gain: list[int], i: int | None) -> list[RoundRecord]:
+def _greedy_rounds(
+    adj, live: bytearray, gain: list[int], i: int | None
+) -> tuple[list[Round], tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Run rounds until no live target remains, consuming `live` and
     `gain`. Each round's v_1 comes from `_v1_picks`.
     An integer i >= 2 allows at most i-1 picks per round (i = 2 is
     classical); i None chains while |B_{s+1}| >= s+1 (auto), and makes
     no pick once |B_s| <= s, as B_{s+1} lies in B_s. A chain runs only
-    while its pool is non-empty. Returns the rounds, each with its
-    final chain pool, or None for a classical round: only auto reads a
-    pool, and |B_1| = gain[v1] - live[v1] needs none."""
+    while its pool is non-empty. A classical round keeps no pool:
+    |B_1| = gain[v1] - live[v1] needs none.
+
+    Returns the rounds and `deep`, the deepest certified round. A round
+    of l picks whose final pool is non-empty has depth l, and `deep` is
+    (sorted picks, the l smallest pool ids) of the earliest round of
+    greatest depth, or None when no round has depth >= 1; under auto
+    such a pool holds at least l ids. `deep` is updated only when a
+    round is deeper than every earlier one, so no pool is kept past its
+    round."""
     _check_i(i)
     cnt = [0] * len(adj) if i != 2 else None  # chain pick counts, zero between picks
     pick = _v1_picks(gain).__next__
+    # Round(...) runs a Python-level __new__ that calls tuple.__new__;
+    # calling it directly takes 177 ns a round against 284 ns (CPython 3.11)
+    new = tuple.__new__
     left = live.count(1)
-    rounds: list[RoundRecord] = []
+    rounds: list[Round] = []
+    deep = None
+    depth = 0
     while left:
         v1 = pick()
         c = gain[v1]
@@ -368,11 +376,14 @@ def _greedy_rounds(adj, live: bytearray, gain: list[int], i: int | None) -> list
                     for w in adj[u]:
                         gain[w] -= 1
         left -= covered
-        rounds.append((tuple(chosen), tuple(b_sizes), covered, pool))
-    return rounds
+        rounds.append(new(Round, (tuple(chosen), tuple(b_sizes), covered)))
+        if pool and len(chosen) > depth:  # pool is sorted, as adj[v1] is
+            depth = len(chosen)
+            deep = tuple(sorted(chosen)), tuple(pool[:depth])
+    return rounds, deep
 
 
-def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int], list[int]]:
+def _run_keys(adj, live: bytearray, rounds: list[Round]) -> tuple[list[int], list[int]]:
     """The classical run `rounds` of the live targets as replay state: the
     pick key pk[v] of each pick, 0 for other vertices, and the key dk[u]
     of each live target's dominating pick, -(n + 1) * n for other
@@ -384,7 +395,7 @@ def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int
     pk = [0] * n
     dk = [-(n + 1) * n] * n  # below every key: never live
     alive = live[:]
-    for (v,), _, covered, _ in rounds:
+    for (v,), _, covered in rounds:
         key = pk[v] = v - covered * n
         for u in (v, *adj[v]):
             if alive[u]:
@@ -393,19 +404,19 @@ def _run_keys(adj, live: bytearray, rounds: list[RoundRecord]) -> tuple[list[int
     return pk, dk
 
 
-def _rounds_of(pk: list[int], dk: list[int]) -> list[RoundRecord]:
-    """The rounds of the classical run held as replay state (pk, dk), the
-    inverse of `_run_keys`. The picks go in ascending key order, and a
-    pick v of key k covered c = (v - k) // n targets. Its pool, its live
-    neighbours, holds c of them less v itself when v was live, that is
-    when v's first dominator is v (dk[v] == k). The pool is not kept
-    (None): only the fields of `Round` are read."""
+def _rounds_of(pk: list[int], dk: list[int]) -> list[Round]:
+    """The `Round`s of the classical run held as replay state (pk, dk),
+    the inverse of `_run_keys`, equal to the engine's. The picks go in
+    ascending key order, and a pick v of key k covered c = (v - k) // n
+    targets. Its |B_1|, its live neighbours, is c less v itself when v
+    was live, that is when v's first dominator is v (dk[v] == k)."""
     n = len(pk)
-    rounds: list[RoundRecord] = []
+    new = tuple.__new__  # as in `_greedy_rounds`
+    rounds: list[Round] = []
     for k in sorted(filter(None, pk)):
         v = k % n
         c = (v - k) // n
-        rounds.append(((v,), (c - (dk[v] == k),), c, None))
+        rounds.append(new(Round, ((v,), (c - (dk[v] == k),), c)))
     return rounds
 
 
@@ -518,30 +529,21 @@ def _replay(
     return delta
 
 
-def _run(
-    g: Graph, targets: Iterable[int] | None, i: int | None
-) -> tuple[tuple[int, ...], list[RoundRecord]]:
+def _run(g: Graph, targets: Iterable[int] | None, i: int | None) -> tuple:
     """The sorted target ids (None: every vertex), and the engine's
-    rounds for them."""
+    rounds and deepest certified round for them."""
     tids = _vertex_ids(g, targets)
-    return tids, _greedy_rounds(g.adj, *_residual(g.adj, tids), i)
+    return (tids, *_greedy_rounds(g.adj, *_residual(g.adj, tids), i))
 
 
-def _assemble(
-    algorithm: str, tids: tuple[int, ...], rounds: list[RoundRecord], **extra
-) -> SolveResult:
-    dom = tuple(sorted(v for chosen, _, _, _ in rounds for v in chosen))
-    trace = GreedyTrace(
-        initial_targets=tids,
-        rounds=tuple(Round(c, b, k) for c, b, k, _ in rounds),
-        final_set=dom,
-    )
-    return SolveResult(algorithm, dom, trace, **extra)
+def _assemble(algorithm: str, tids: tuple[int, ...], rounds: list[Round], **extra) -> SolveResult:
+    dom = tuple(sorted(v for chosen, _, _ in rounds for v in chosen))
+    return SolveResult(algorithm, dom, GreedyTrace(tids, tuple(rounds), dom), **extra)
 
 
 def solve_classical(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     """Plain greedy: per round, one vertex of maximum coverage."""
-    tids, rounds = _run(g, targets, 2)
+    tids, rounds, _ = _run(g, targets, 2)
     return _assemble("classical", tids, rounds)
 
 
@@ -549,7 +551,7 @@ def solve_fixed_i(g: Graph, i: int, targets: Iterable[int] | None = None) -> Sol
     """Chained greedy with at most i-1 picks per round (i >= 2)."""
     if i is None:  # the engine would run auto
         raise ValidationError("parameter i must be >= 2, got None")
-    tids, rounds = _run(g, targets, i)
+    tids, rounds, _ = _run(g, targets, i)
     return _assemble("fixed", tids, rounds)
 
 
@@ -563,18 +565,15 @@ def solve_auto(g: Graph, targets: Iterable[int] | None = None) -> SolveResult:
     |B_{s+1}| >= s+1. Its depth is l, or 0 for an empty pool (a single
     pick with no live neighbor). t_detected is 1 + the greatest depth,
     and the witness pairs the sorted picks of the earliest round of that
-    depth with the `depth` smallest ids of its pool. On graphs where no
-    round certifies depth >= 1 (no edge touches a target), t_detected is
-    1 and no witness exists.
+    depth with the `depth` smallest ids of its pool, as the engine keeps
+    them. On graphs where no round certifies depth >= 1 (no edge touches
+    a target), t_detected is 1 and no witness exists.
     """
-    tids, rounds = _run(g, targets, None)
-    depths = [len(chosen) if pool else 0 for chosen, _, _, pool in rounds]
-    depth = max(depths, default=0)
-    witness = None
-    if depth:
-        chosen, _, _, pool = rounds[depths.index(depth)]  # the earliest wins ties
-        witness = BicliqueWitness(left=tuple(sorted(chosen)), right=tuple(pool[:depth]))
-    return _assemble("auto", tids, rounds, t_detected=depth + 1, witness=witness)
+    tids, rounds, deep = _run(g, targets, None)
+    if deep is None:
+        return _assemble("auto", tids, rounds, t_detected=1)
+    witness = BicliqueWitness(*deep)
+    return _assemble("auto", tids, rounds, t_detected=len(witness.left) + 1, witness=witness)
 
 
 def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None = None) -> SolveResult:
@@ -635,21 +634,22 @@ def solve_hybrid(g: Graph, i: int | None = None, targets: Iterable[int] | None =
     # the live set after each base prefix, carried forward round by round;
     # the base run consumes a copy of it and the gains
     live, gain = _residual(adj, tids)
-    base = _greedy_rounds(adj, live[:], gain, i)
-    if all(len(chosen) == 1 for chosen, _, _, _ in base):
+    base, _ = _greedy_rounds(adj, live[:], gain, i)
+    if all(len(chosen) == 1 for chosen, _, _ in base):
         return _assemble("hybrid", tids, base)
     owner, packed = _packing(adj, tids)  # every member is live at prefix 0
-    best_p, best_ext = 0, _greedy_rounds(adj, *_residual(adj, tids), 2)  # the classical run
+    best_ext, _ = _greedy_rounds(adj, *_residual(adj, tids), 2)  # the classical run
+    best_p = 0
     pk, dk = _run_keys(adj, live, best_ext)
     scratch = [0] * len(adj), [0] * len(adj)  # _replay's queued and miss
     size = len(best_ext)
-    full = sum(len(chosen) for chosen, _, _, _ in base)  # the full prefix's size
+    full = sum(len(chosen) for chosen, _, _ in base)  # the full prefix's size
     if size > full:  # the full prefix, whose extension is empty, is smaller
         best_p, best_ext = len(base), []
     best_size = min(size, full + 1)  # earlier prefixes win ties
     prefix_size = 0
     lost: list[int] = []  # targets the base rounds took since the last evaluation
-    for p, (chosen, _, _, _) in enumerate(base):
+    for p, (chosen, _, _) in enumerate(base):
         limit = best_size - prefix_size  # an extension wins below this size
         if p and len(chosen) > 1 and packed < limit:
             size += _replay(adj, pk, dk, lost, *scratch)

@@ -22,7 +22,7 @@ from domset.generators import (
 )
 from domset.graph import Graph, _vertex_ids
 from domset.oracles import OracleResult, exact_min_dominating_set
-from domset.solvers import BicliqueWitness, _chain_pick, _check_i, solve_classical
+from domset.solvers import BicliqueWitness, Round, _chain_pick, _check_i, solve_classical
 
 
 def target_mask(g: Graph, targets=None) -> int:
@@ -217,13 +217,17 @@ def reference_packing(adj, tids) -> tuple:
     return owner, size
 
 
-def reference_greedy_rounds(adj, live, gain, i) -> list:
+def reference_greedy_rounds(adj, live, gain, i) -> tuple:
     """`solvers._greedy_rounds` with its v_1 taken from a lazy heap
     (Minoux 1978) of every vertex of positive gain, in place of
     `_v1_picks`: one int key v - gain[v] * n per vertex, min-heap order
     being gain descending, then id ascending, and the top re-keyed until
     its key is current. Consumes `live` and `gain` and returns the same
-    records."""
+    (rounds, deep). Every round's final pool is kept, and `deep` is read
+    from them after the run: a round's depth is its number of picks l
+    when its pool is non-empty, else 0, and `deep` pairs the sorted
+    picks of the earliest round of greatest depth with the l smallest
+    ids of its pool (None when every depth is 0)."""
     _check_i(i)
     n = len(adj)
     cnt = [0] * n if i != 2 else None
@@ -231,6 +235,7 @@ def reference_greedy_rounds(adj, live, gain, i) -> list:
     heapify(heap)
     left = live.count(1)
     rounds = []
+    pools = []
     while left:
         # gains only fall, so a stored key is never above the current one
         while True:
@@ -266,8 +271,14 @@ def reference_greedy_rounds(adj, live, gain, i) -> list:
                     for w in adj[u]:
                         gain[w] -= 1
         left -= covered
-        rounds.append((tuple(chosen), tuple(b_sizes), covered, pool))
-    return rounds
+        rounds.append(Round(tuple(chosen), tuple(b_sizes), covered))
+        pools.append(pool)
+    depths = [len(r.chosen) if pool else 0 for r, pool in zip(rounds, pools)]
+    depth = max(depths, default=0)
+    if not depth:
+        return rounds, None
+    p = depths.index(depth)  # the earliest wins ties
+    return rounds, (tuple(sorted(rounds[p].chosen)), tuple(pools[p][:depth]))
 
 
 def star_forest(k: int, seed=None) -> Graph:
