@@ -26,7 +26,11 @@ The first part of a cell's name says what it times:
   v_1 heap's worst shape.
   A solve cell times up to the `to_json()` text of the result (the
   graph is made once, outside the timed runs, and shared by the cells
-  that solve it).
+  that solve it). A solve cell at n = 1000 holds `N1000_COPIES` = 10
+  copies of its graph spec, so one repetition makes ten calls on the
+  same graph (about 15-20 ms for classical, fixed:3 and auto), as an
+  oracle cell's repetition runs over its many graphs: a single call of
+  1.5-2 ms swung between two runs by more than the control cells did.
 - `cli/<algo>/...`: the whole `solve` command in-process,
   `cli.main(["solve", "--algo", ..., FILE, "--out", OUT])` for
   classical, fixed:3 (`--algo fixed --i 3`) and auto on the random
@@ -104,6 +108,8 @@ REPS = 21
 SMOKE_REPS = 3
 # tracemalloc runs per input; the median peak is kept
 PEAK_RUNS = 3
+# graph spec copies in a solve cell at n = 1000, so a repetition outlasts the noise
+N1000_COPIES = 10
 
 
 def families(n: int) -> dict:
@@ -147,10 +153,12 @@ for _n in (10**3, 10**4, 10**5):
         if _algo.startswith("hybrid") and _n > 10**4:
             continue
         for _name, _spec in families(_n).items():
-            CELLS[f"solve/{_algo}/{_name}"] = [_spec]
+            CELLS[f"solve/{_algo}/{_name}"] = [_spec] * (N1000_COPIES if _n == 1000 else 1)
 for _n in (1000, 4000):
     for _algo in ("hybrid", "hybrid:3"):
-        CELLS[f"solve/{_algo}/gnp/n{_n}/p4n/seed1"] = CELLS[f"gen/gnp/n{_n}/p4n/seed1"]
+        CELLS[f"solve/{_algo}/gnp/n{_n}/p4n/seed1"] = CELLS[f"gen/gnp/n{_n}/p4n/seed1"] * (
+            N1000_COPIES if _n == 1000 else 1
+        )
 # cli cell algorithm -> its `domset solve` options
 CLI_ALGOS = {
     "classical": ["--algo", "classical"],

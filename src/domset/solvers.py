@@ -41,21 +41,23 @@ gains only fall, so once x, the lowest-id vertex of maximum gain G, is
 picked, every lower id stays below G and x drops to 0, and the next
 pick is the first vertex after x whose gain is G. With every vertex a
 target, gain[v] starts at deg(v) + 1 and needs no pass over the edges.
-A chain pick counts |N[w] & B_s| only over w in N[B_s], the only
-vertices that meet the pool, in one flat array of n counts per run;
-each pick resets the entries it touched. The engine returns its
-rounds as the `Round`s a result carries, and beside them the deepest
-certified round: a round of l picks whose final chain pool is non-empty
-certifies a K_{l,l}, and as it runs the engine keeps the sorted picks
-and the l smallest pool ids of the earliest such round of greatest l,
-which auto reports as its witness. No pool outlives its round; a
-classical round has none, its |B_1| being gain[v_1] less v_1's own
-liveness.
+A chain pick gathers N[B_s], the only vertices that meet the pool,
+with repeats, and sorts it once: each w is then one run of length
+|N[w] & B_s|, and the longest run of an unchosen id, the lowest id on
+ties, is the pick, whose run also gives |B_{s+1}| before that pool is
+built. The engine returns its rounds as the `Round`s a result carries,
+and beside them, under auto, the deepest certified round: a round of l
+picks whose final chain pool is non-empty certifies a K_{l,l}, and as
+it runs the engine keeps the sorted picks and the l smallest pool ids
+of the earliest such round of greatest l, which auto reports as its
+witness. No pool outlives its round; a classical round has none, its
+|B_1| being gain[v_1] less v_1's own liveness.
 A run's v_1 scans read O(n + m) entries, its heap costs O(S log h)
 for h vertices of starting gains summing to S, and its gain updates
-cost O(n + m). A chain step costs the degree sum of its pool, and each
-vertex enters one round's pool only, so chains of at most c picks add
-O(c (n + m)).
+cost O(n + m). A chain step sorts the d ids it gathers, |B_s| plus
+the pool's degree sum, in O(d log d); d <= D (D + 1) for the maximum
+degree D, and each vertex enters one round's pool only, so chains of
+at most c picks add O(c (n + m) log D).
 Hybrid extends only the prefixes that can change the answer: it skips a
 prefix whose next base round has a single pick, returns a base run with
 no chained round as it is, and skips a prefix that a 2-packing of the
@@ -243,28 +245,30 @@ def _packing(adj, tids: tuple[int, ...]) -> tuple[list[int], int]:
     return owner, size
 
 
-def _chain_pick(adj, pool: list[int], chosen: list[int], cnt: list[int]) -> int:
-    """Unchosen vertex maximizing |N[w] & pool|, lowest id on ties, for
-    a non-empty pool. Only w in N[pool] can meet it, and every member,
-    being unchosen, meets it at least in itself. `cnt` is an all-zero
-    array of n counts, and is all zeros again on return."""
+def _chain_pick(adj, pool: list[int], chosen: tuple[int, ...]) -> tuple[int, int]:
+    """The unchosen vertex w maximizing |N[w] & pool|, lowest id on
+    ties, for a non-empty pool, and k = |N(w) & pool|, the size of the
+    pool w would leave. Only w in N[pool] can meet the pool, and every
+    member, being unchosen, meets it at least in itself. N[pool] is
+    gathered with repeats and sorted once, so each w is one run of
+    length |N[w] & pool|; the runs go in ascending order, and only a
+    strictly longer run displaces the best."""
     touched = list(pool)  # N[pool], with repeats
     for b in pool:
-        cnt[b] += 1
-        nbrs = adj[b]
-        touched += nbrs
-        for w in nbrs:
-            cnt[w] += 1
-    for v in chosen:
-        cnt[v] = 0
-    best = top = 0
+        touched += adj[b]
+    touched.sort()
+    best = prev = touched[0]
+    top = run = 0
     for w in touched:
-        c = cnt[w]
-        if c:  # 0 for a chosen vertex, and for a repeat reset at its first visit
-            if c > top or c == top and w < best:
-                best, top = w, c
-            cnt[w] = 0
-    return best
+        if w == prev:
+            run += 1
+        else:
+            if run > top and prev not in chosen:
+                best, top = prev, run
+            prev, run = w, 1
+    if run > top and prev not in chosen:
+        best, top = prev, run
+    return best, top - (best in pool)
 
 
 def _check_i(i: int | None) -> None:
@@ -331,18 +335,21 @@ def _greedy_rounds(
     An integer i >= 2 allows at most i-1 picks per round (i = 2 is
     classical); i None chains while |B_{s+1}| >= s+1 (auto), and makes
     no pick once |B_s| <= s, as B_{s+1} lies in B_s. A chain runs only
-    while its pool is non-empty. A classical round keeps no pool:
-    |B_1| = gain[v1] - live[v1] needs none.
+    while its pool is non-empty. A pick's |B_{s+1}| comes from
+    `_chain_pick`, so auto drops a pick before it builds anything, and
+    B_{s+1} itself is built only when the chain can go on: after every
+    kept auto pick, and under fixed_i while fewer than i-1 are chosen.
+    A classical round keeps no pool: |B_1| = gain[v1] - live[v1] needs
+    none, and a fixed:3 round builds B_1 only.
 
-    Returns the rounds and `deep`, the deepest certified round. A round
-    of l picks whose final pool is non-empty has depth l, and `deep` is
-    (sorted picks, the l smallest pool ids) of the earliest round of
-    greatest depth, or None when no round has depth >= 1; under auto
-    such a pool holds at least l ids. `deep` is updated only when a
-    round is deeper than every earlier one, so no pool is kept past its
-    round."""
+    Returns the rounds and, under auto, `deep`, the deepest certified
+    round (None for an integer i). A round of l picks whose final pool
+    is non-empty has depth l, and `deep` is (sorted picks, the l
+    smallest pool ids) of the earliest round of greatest depth, or None
+    when no round has depth >= 1; such a pool holds at least l ids, as
+    auto keeps a pick only then. `deep` is updated only when a round is
+    deeper than every earlier one, so no pool is kept past its round."""
     _check_i(i)
-    cnt = [0] * len(adj) if i != 2 else None  # chain pick counts, zero between picks
     pick = _v1_picks(gain).__next__
     # Round(...) runs a Python-level __new__ that calls tuple.__new__;
     # calling it directly takes 177 ns a round against 284 ns (CPython 3.11)
@@ -354,18 +361,18 @@ def _greedy_rounds(
     while left:
         v1 = pick()
         c = gain[v1]
-        chosen = [v1]
+        chosen: tuple[int, ...] = (v1,)
         pool = [w for w in adj[v1] if live[w]] if i != 2 else None
-        b_sizes = [c - live[v1]]  # |B_1|: v1's live neighbours
+        b_sizes: tuple[int, ...] = (c - live[v1],)  # |B_1|: v1's live neighbours
         while pool and (len(pool) > len(chosen) if i is None else len(chosen) < i - 1):
-            v = _chain_pick(adj, pool, chosen, cnt)
-            nbrs = set(adj[v])
-            b_next = [b for b in pool if b in nbrs]
-            if i is None and len(b_next) < len(chosen) + 1:
+            v, k = _chain_pick(adj, pool, chosen)
+            if i is None and k <= len(chosen):
                 break
-            chosen.append(v)
-            pool = b_next
-            b_sizes.append(len(pool))
+            chosen += (v,)
+            b_sizes += (k,)
+            if i is None or len(chosen) < i - 1:  # the chain goes on from B_{s+1}
+                nbrs = set(adj[v])
+                pool = [b for b in pool if b in nbrs]
         covered = 0
         for v in chosen:
             for u in (v, *adj[v]):
@@ -376,8 +383,8 @@ def _greedy_rounds(
                     for w in adj[u]:
                         gain[w] -= 1
         left -= covered
-        rounds.append(new(Round, (tuple(chosen), tuple(b_sizes), covered)))
-        if pool and len(chosen) > depth:  # pool is sorted, as adj[v1] is
+        rounds.append(new(Round, (chosen, b_sizes, covered)))
+        if i is None and pool and len(chosen) > depth:  # pool is sorted, as adj[v1] is
             depth = len(chosen)
             deep = tuple(sorted(chosen)), tuple(pool[:depth])
     return rounds, deep

@@ -22,7 +22,7 @@ from domset.generators import (
 )
 from domset.graph import Graph, _vertex_ids
 from domset.oracles import OracleResult, exact_min_dominating_set
-from domset.solvers import BicliqueWitness, Round, _chain_pick, _check_i, solve_classical
+from domset.solvers import BicliqueWitness, Round, _check_i, solve_classical
 
 
 def target_mask(g: Graph, targets=None) -> int:
@@ -190,9 +190,9 @@ def reference_residual(adj, tids) -> tuple:
 
 
 def reference_chain_pick(adj, pool, chosen) -> int:
-    """`solvers._chain_pick` with a `Counter`: |N[w] & pool| for every w
-    in N[pool], the chosen vertices dropped, then the lowest id of
-    maximum count."""
+    """The pick w of `solvers._chain_pick`, with a `Counter`: |N[w] & pool|
+    for every w in N[pool], the chosen vertices dropped, then the lowest
+    id of maximum count."""
     cnt = Counter(pool)
     for b in pool:
         cnt.update(adj[b])
@@ -222,15 +222,17 @@ def reference_greedy_rounds(adj, live, gain, i) -> tuple:
     (Minoux 1978) of every vertex of positive gain, in place of
     `_v1_picks`: one int key v - gain[v] * n per vertex, min-heap order
     being gain descending, then id ascending, and the top re-keyed until
-    its key is current. Consumes `live` and `gain` and returns the same
-    (rounds, deep). Every round's final pool is kept, and `deep` is read
+    its key is current. Each chain pick is `reference_chain_pick`, and
+    every next pool is filtered from the last, kept pick or not.
+    Consumes `live` and `gain` and returns the same (rounds, deep).
+    Every round's final pool is kept, and under auto `deep` is read
     from them after the run: a round's depth is its number of picks l
     when its pool is non-empty, else 0, and `deep` pairs the sorted
     picks of the earliest round of greatest depth with the l smallest
-    ids of its pool (None when every depth is 0)."""
+    ids of its pool (None when every depth is 0, and for every integer
+    i)."""
     _check_i(i)
     n = len(adj)
-    cnt = [0] * n if i != 2 else None
     heap = [v - c * n for v, c in enumerate(gain) if c]
     heapify(heap)
     left = live.count(1)
@@ -253,7 +255,7 @@ def reference_greedy_rounds(adj, live, gain, i) -> tuple:
         pool = [w for w in adj[v1] if live[w]] if i != 2 else None
         b_sizes = [c - live[v1]]
         while pool and (len(pool) > len(chosen) if i is None else len(chosen) < i - 1):
-            v = _chain_pick(adj, pool, chosen, cnt)
+            v = reference_chain_pick(adj, pool, chosen)
             nbrs = set(adj[v])
             b_next = [b for b in pool if b in nbrs]
             if i is None and len(b_next) < len(chosen) + 1:
@@ -275,7 +277,7 @@ def reference_greedy_rounds(adj, live, gain, i) -> tuple:
         pools.append(pool)
     depths = [len(r.chosen) if pool else 0 for r, pool in zip(rounds, pools)]
     depth = max(depths, default=0)
-    if not depth:
+    if not depth or i is not None:
         return rounds, None
     p = depths.index(depth)  # the earliest wins ties
     return rounds, (tuple(sorted(rounds[p].chosen)), tuple(pools[p][:depth]))
