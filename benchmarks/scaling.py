@@ -78,10 +78,11 @@ both sides have read up to 1.04x in the median, so a solve cell cannot
 resolve a few per cent; a cell whose ratio quartiles straddle 1 is
 unresolved, and quartiles that exclude 1 are not evidence either: the
 unchanged `ingest/d_degenerate/n100000/d3/seed1` cell once read 1.042x
-[1.002, 1.120]. The oracle, ingest and gen cells, whose code a solver
-change leaves alone, are the run's control: a solve cell counts as
-changed only where its ratio lies outside the spread of their ratios in
-the same run.
+[1.002, 1.120]. The run's control is every cell whose code the change
+leaves alone: the oracle, ingest and gen cells for a solver change, the
+ingest, gen, solve and cli cells for an oracle change. A cell that runs
+changed code counts as changed only where its ratio lies outside the
+spread of the control cells' ratios in the same run.
 """
 
 from __future__ import annotations

@@ -29,8 +29,15 @@ the memo.
 
 Vertex sets in the exact search are Python ints used as bit sets: each
 call builds one closed-neighborhood mask per vertex from the adjacency
-lists. Nothing else in the package uses bit sets; the biclique search
-works on adjacency sets, so its memory is O(n + m).
+lists, after checking that n masks of n bits fit `_MAX_MASK_BYTES`. The
+per-node pass and the ratio scan visit the members of a set a byte at a
+time: the low byte indexes `_BYTE_BITS`, a table of the set bit offsets
+of each byte value, and the set then shifts right 8 bits. A member thus
+costs one table item, against three big-int operations (`a & -a`,
+`bit_length()`, `^=`) when members are peeled off one at a time, and the
+big-int work is one mask and one shift per byte. Nothing else in the
+package uses bit sets; the biclique search works on adjacency sets, so
+its memory is O(n + m).
 """
 
 from __future__ import annotations
@@ -49,6 +56,12 @@ from .solvers import BicliqueWitness, solve_classical
 _MEMO_CAP = 1 << 16
 # has_biclique refuses a left side larger than this; its work grows as n^a.
 _MAX_LEFT = 4
+# The exact search refuses a graph whose closed-neighborhood masks could
+# take more bytes than this: n masks of up to n bits, 4 bytes per 30 bits
+# of a Python int. At n = 32 768, a search stopped at its first node
+# peaked under tracemalloc at 141.6 MiB on the star K_{1,32767} (every
+# mask n bits) and at 77.6 MiB with no edges. n <= 31 714 passes.
+_MAX_MASK_BYTES = 1 << 27
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -64,9 +77,34 @@ def _closed_masks(g: Graph) -> list[int]:
     return [_mask((v, *row)) for v, row in enumerate(g.adj)]
 
 
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """The set bit offsets of each byte value, in increasing order: each
+    entry is its lowest bit followed by the entry of b & (b - 1)."""
+    table: list[tuple[int, ...]] = [()]
+    for b in range(1, 256):
+        table.append(((b & -b).bit_length() - 1, *table[b & (b - 1)]))
+    return tuple(table)
+
+
+_BYTE_BITS = _byte_bits()
+
+
+def _hood(masks, a: int) -> int:
+    """N[a]: the union of masks[u] over the bits u of `a`."""
+    hood = 0
+    base = 0
+    while a:
+        for k in _BYTE_BITS[a & 255]:
+            hood |= masks[base + k]
+        a >>= 8
+        base += 8
+    return hood
+
+
 def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, int, int]:
-    """One pass over the bits of `active`, each dominated by the
-    non-banned vertices of its closed neighborhood. Returns:
+    """One pass over the bits of `active` in increasing order, each
+    dominated by the non-banned vertices of its closed neighborhood.
+    Returns:
 
     * a lower bound on how many non-banned vertices must be picked to
       cover `active`: active bits whose allowed dominator sets are
@@ -81,6 +119,9 @@ def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, in
 
     Returns (-1, -1, 0, hood) as soon as some active bit has no allowed
     dominator, after OR-ing the rest of the hood.
+
+    The pass walks `active` a byte at a time through `_BYTE_BITS`; the
+    infeasible exit walks the bits above the failing one through `_hood`.
     """
     # a positive mask, as & with a negative int costs a sign conversion;
     # bans past the last vertex flip bits no mask has
@@ -92,26 +133,24 @@ def _bound_and_target(masks, active: int, banned: int = 0) -> tuple[int, int, in
     best_c = len(masks) + 1
     hood = 0
     a = active
+    base = 0
     while a:
-        low = a & -a
-        u = low.bit_length() - 1
-        a ^= low
-        m = masks[u]
-        hood |= m
-        dom = m & allowed
-        if dom == 0:
-            while a:
-                low = a & -a
-                hood |= masks[low.bit_length() - 1]
-                a ^= low
-            return -1, -1, 0, hood
-        if dom & used == 0:
-            count += 1
-            used |= dom
-        c = dom.bit_count()
-        if c < best_c:
-            best_c = c
-            best_u = u
+        for k in _BYTE_BITS[a & 255]:
+            u = base + k
+            m = masks[u]
+            hood |= m
+            dom = m & allowed
+            if dom == 0:
+                return -1, -1, 0, hood | _hood(masks, active >> u + 1 << u + 1)
+            if dom & used == 0:
+                count += 1
+                used |= dom
+            c = dom.bit_count()
+            if c < best_c:
+                best_c = c
+                best_u = u
+        a >>= 8
+        base += 8
     return count, best_u, hood & allowed, hood
 
 
@@ -129,15 +168,26 @@ def _ratio_scan(masks, active: int, size: int, rest: int, cbest: int, slots: int
     and cbest is c. Given the returned progress, a later call with any
     `slots` goes on where this one stopped, so each vertex of reach is
     scanned at most once.
+
+    The scan walks `rest` a byte at a time, as `_bound_and_target` walks
+    `active`; stopping at vertex u, it returns the bits of `rest` above u.
     """
     need = -(-size // slots)
-    while rest and cbest < need:
-        low = rest & -rest
-        c = (masks[low.bit_length() - 1] & active).bit_count()
-        if c > cbest:
-            cbest = c
-        rest ^= low
-    return rest, cbest
+    if cbest >= need:
+        return rest, cbest
+    r = rest
+    base = 0
+    while r:
+        for k in _BYTE_BITS[r & 255]:
+            c = (masks[base + k] & active).bit_count()
+            if c > cbest:
+                cbest = c
+                if c >= need:
+                    u = base + k + 1
+                    return rest >> u << u, cbest
+        r >>= 8
+        base += 8
+    return 0, cbest
 
 
 def _branch_order(masks, u: int, nbrs, active: int, banned: int) -> tuple[int, ...]:
@@ -179,7 +229,9 @@ def exact_min_dominating_set(
     none exists the result reports exceeded=True instead of a value.
     With a node limit `max_nodes`, the search raises ResourceLimitError
     when it would visit more nodes than that; otherwise the result is
-    the same as without the limit.
+    the same as without the limit. A graph whose bit sets could take
+    more than `_MAX_MASK_BYTES` is refused with ResourceLimitError
+    before any is built.
     Branches on the remaining target with the fewest allowed dominators,
     trying dominators in decreasing-coverage order and banning each
     tried dominator from the rest of its sibling subtrees.
@@ -260,6 +312,13 @@ def exact_min_dominating_set(
             return OracleResult(None, None, 0, exceeded=True)
         return OracleResult(0, (), 0)
 
+    n = g.n
+    need = 4 * n * -(-n // 30)
+    if need > _MAX_MASK_BYTES:
+        raise ResourceLimitError(
+            f"exact search at n={n} needs up to {need} bytes of bit sets,"
+            f" over the limit {_MAX_MASK_BYTES}"
+        )
     adj = g.adj
     masks = _closed_masks(g)
     seed = solve_classical(g, tids).dominating_set
@@ -274,7 +333,6 @@ def exact_min_dominating_set(
     nodes = 0
     # sys.maxsize stands in for no limit, so a node costs one int comparison
     limit = sys.maxsize if max_nodes is None else max_nodes
-    n = g.n
     cap = _MEMO_CAP
     # A -> N[A], filled in by the passes
     hoods: dict[int, int] = {}

@@ -165,6 +165,51 @@ def reference_exact(g: Graph, targets=None, budget=None, max_nodes=None, keys=No
     return OracleResult(best_size, best_set, nodes)
 
 
+def reference_bound_and_target(masks, active: int, banned: int = 0) -> tuple:
+    """`oracles._bound_and_target` walking `active` a bit at a time with
+    `a & -a`: (packing bound, branching target, reach, hood), or
+    (-1, -1, 0, hood) with the whole hood when some active bit has no
+    allowed dominator."""
+    allowed = ((1 << len(masks)) - 1) ^ banned
+    used = count = hood = 0
+    best_u, best_c = -1, len(masks) + 1
+    a = active
+    while a:
+        low = a & -a
+        u = low.bit_length() - 1
+        a ^= low
+        m = masks[u]
+        hood |= m
+        dom = m & allowed
+        if dom == 0:
+            while a:
+                low = a & -a
+                hood |= masks[low.bit_length() - 1]
+                a ^= low
+            return -1, -1, 0, hood
+        if dom & used == 0:
+            count += 1
+            used |= dom
+        c = dom.bit_count()
+        if c < best_c:
+            best_c, best_u = c, u
+    return count, best_u, hood & allowed, hood
+
+
+def reference_ratio_scan(masks, active: int, size: int, rest: int, cbest: int, slots: int) -> tuple:
+    """`oracles._ratio_scan` clearing one bit of `rest` at a time: scan in
+    id order until some vertex covers at least size / slots of `active`,
+    or `rest` is empty, and return the progress (rest, cbest)."""
+    need = -(-size // slots)
+    while rest and cbest < need:
+        low = rest & -rest
+        c = (masks[low.bit_length() - 1] & active).bit_count()
+        if c > cbest:
+            cbest = c
+        rest ^= low
+    return rest, cbest
+
+
 def reference_graph(n: int, edges) -> tuple:
     """(m, adj) of `Graph(n, edges)` built from neighbour sets: each
     edge added to both endpoints' sets, each set sorted into a row.

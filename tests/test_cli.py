@@ -9,7 +9,7 @@ import pytest
 
 from helpers import deep_search_graph, lower_recursion_limit
 
-from domset import cli, graph, solvers
+from domset import cli, graph, oracles, solvers
 from domset.cli import main
 from domset.generators import gen_grid, gen_random_tree
 from domset.graph import parse_graph, serialize_graph
@@ -188,6 +188,18 @@ class TestExact:
         assert captured.out == ""
         assert captured.err == (
             "error: n=40 exceeds the guard --max-n 39; pass --force to override\n"
+        )
+
+    def test_mask_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the bit sets of 41 vertices need up to 328 bytes
+        monkeypatch.setattr(oracles, "_MAX_MASK_BYTES", 320)
+        wide = tmp_path / "wide.gr"
+        wide.write_text("p ds 41 0\n")
+        assert main(["exact", "--force", "--max-nodes", "10", str(wide)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: exact search at n=41 needs up to 328 bytes of bit sets, over the limit 320\n"
         )
 
     def test_deep_search_ignores_recursion_limit(self, tmp_path, capsys):
@@ -395,6 +407,20 @@ class TestBench:
             ("grid:h=3,w=3", "9", "3", ""),
         ]
         assert all(r["ds_size"] == "" for r in rows[:2])
+
+    def test_oracle_mask_budget_gives_error_rows(self, tmp_path, monkeypatch):
+        # 9 vertices fit 36 bytes of bit sets, 10 do not
+        monkeypatch.setattr(oracles, "_MAX_MASK_BYTES", 36)
+        out = tmp_path / "bench.csv"
+        args = ["bench", "--gen", "grid:w=2,h=5", "--gen", "grid:w=3,h=3",
+                "--algos", "classical", "--with-exact", "--out", str(out)]
+        assert main(args) == 0
+        refusal = "exact search at n=10 needs up to 40 bytes of bit sets, over the limit 36"
+        rows = read_csv(out)
+        assert [(r["graph_name"], r["opt_size"], r["ds_size"], r["error"]) for r in rows] == [
+            ("grid:h=5,w=2", "", "", refusal),
+            ("grid:h=3,w=3", "3", "3", ""),
+        ]
 
     def test_oracle_node_limit_above_the_search_changes_nothing(self, tmp_path):
         args = ["bench", "--gen", "grid:w=3,h=4", "--algos", "classical,auto", "--with-exact"]

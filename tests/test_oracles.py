@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,10 @@ from helpers import (
     deep_search_graph,
     enumerate_min_dominating_sets,
     lower_recursion_limit,
+    reference_bound_and_target,
     reference_exact,
     reference_has_biclique,
+    reference_ratio_scan,
 )
 
 from domset import oracles
@@ -200,6 +203,49 @@ class TestBitmaskQueries:
         hood = _bound_and_target(masks, active)[3]  # no ban: never infeasible
         twin = banned & hood | other & ~hood
         assert _bound_and_target(masks, active, banned) == _bound_and_target(masks, active, twin)
+
+
+class TestByteWalk:
+    """The pass and the ratio scan walk their bit sets a byte at a time;
+    `reference_bound_and_target` and `reference_ratio_scan` walk them a
+    bit at a time. The sizes put the last bit at, just past and just
+    short of a byte's and a machine word's edge."""
+
+    def test_byte_table(self):
+        assert oracles._BYTE_BITS == tuple(
+            tuple(k for k in range(8) if b >> k & 1) for b in range(256)
+        )
+
+    @pytest.mark.parametrize("family", ["gnp", "d_degenerate"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 40, 63, 64, 65, 70])
+    def test_matches_the_bit_walk(self, family, n):
+        rng = random.Random(n * 2 + (family == "gnp"))
+        g = gen_gnp(n, min(1.0, 3 / n), n) if family == "gnp" else gen_d_degenerate(n, 2, n)
+        masks = _closed_masks(g)
+        infeasible = scans = 0
+        for _ in range(200):
+            # dense and sparse active sets; heavy bans make infeasible nodes
+            p_active = rng.choice([0.1, 0.5, 1.0])
+            p_banned = rng.choice([0.0, 0.3, 0.8])
+            active = sum(1 << v for v in range(n) if rng.random() < p_active)
+            banned = sum(1 << v for v in range(n) if rng.random() < p_banned)
+            got = _bound_and_target(masks, active, banned)
+            assert got == reference_bound_and_target(masks, active, banned)
+            lb, _, reach, _ = got
+            if lb < 0:
+                infeasible += 1
+                continue
+            if lb == 0:
+                continue
+            # a resumed scan over a falling sequence of slots, compared at every step
+            size = active.bit_count()
+            rest, cbest = reach, 0
+            for slots in sorted(rng.sample(range(1, size + 3), min(size + 2, 6)), reverse=True):
+                step = _ratio_scan(masks, active, size, rest, cbest, slots)
+                assert step == reference_ratio_scan(masks, active, size, rest, cbest, slots)
+                rest, cbest = step
+                scans += 1
+        assert infeasible and scans
 
 
 class TestExact:
@@ -648,6 +694,25 @@ class TestHardPaths:
         monkeypatch.setattr(oracles, "_ratio_scan", no_scan)
         r = exact_min_dominating_set(p4(), budget=1)
         assert r.exceeded and r.node_count == 1
+
+    def test_mask_budget_checked_before_allocation(self, monkeypatch):
+        # n = 40 fits 40 masks of 2 digits of 4 bytes, n = 41 does not
+        monkeypatch.setattr(oracles, "_MAX_MASK_BYTES", 4 * 40 * 2)
+        assert exact_min_dominating_set(Graph(40)).opt_size == 40
+        with pytest.raises(ResourceLimitError, match="exact search at n=41 needs up to 328 bytes"):
+            exact_min_dominating_set(Graph(41))
+        # the star's 5000 masks of 5000 bits would take about 3.3 MiB
+        g = Graph(5000, [(v, 4999) for v in range(4999)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="over the limit 320$"):
+                exact_min_dominating_set(g, max_nodes=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+        # with no target there is nothing to build, so nothing to refuse
+        assert exact_min_dominating_set(g, targets=[]).opt_size == 0
 
     def test_budget_zero(self):
         g = gen_gnp(6, 0.5, 1)
